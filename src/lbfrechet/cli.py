@@ -32,6 +32,7 @@ from .reductions import (
     build_ub_sat,
     build_weak_discrete_imprecise,
     build_weak_discrete_indecisive,
+    check_sentinel,
     lift_curve_to_2d,
     parse_dimacs,
     verify_reduction,
@@ -55,17 +56,32 @@ def _positive_scalar_arg(text: str) -> Fraction:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int_arg = _int_at_least(1)
+
+
 def _env_cap(default: int) -> int:
     raw = os.environ.get("LBF_CAP")
     if raw is None:
         return default
     try:
-        cap = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"LBF_CAP must be an integer, got {raw!r}")
-    if cap <= 0:
-        raise argparse.ArgumentTypeError("LBF_CAP must be positive")
-    return cap
+        return _positive_int_arg(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise CliUsageError(f"LBF_CAP: {exc}")
 
 
 def _sha256(path: str) -> str:
@@ -159,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_weak.add_argument("mode", choices=("decide", "value"))
     p_weak.add_argument("--delta", type=_scalar_arg)
-    p_weak.add_argument("--cap", type=int)
+    p_weak.add_argument("--cap", type=_positive_int_arg)
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")
 
@@ -168,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--variant", choices=VARIANTS, required=True)
     p_oracle.add_argument("--side", choices=("lower", "upper"), required=True)
-    p_oracle.add_argument("--resolution", type=int, default=2)
-    p_oracle.add_argument("--cap", type=int)
-    p_oracle.add_argument("--jobs", type=int, default=1)
+    p_oracle.add_argument("--resolution", type=_int_at_least(2), default=2)
+    p_oracle.add_argument("--cap", type=_positive_int_arg)
+    p_oracle.add_argument("--jobs", type=_positive_int_arg, default=1)
     p_oracle.add_argument("--adjacency", type=int, choices=(4, 8), default=8)
     p_oracle.add_argument(
         "--include-position",
@@ -215,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("cnf")
     p_verify.add_argument("--kind", choices=("ub", "weak"), required=True)
     p_verify.add_argument("--model", choices=("indecisive", "imprecise"), default="indecisive")
-    p_verify.add_argument("--resolution", type=int, default=2)
-    p_verify.add_argument("--cap", type=int)
+    p_verify.add_argument("--resolution", type=_int_at_least(2), default=2)
+    p_verify.add_argument("--cap", type=_positive_int_arg)
 
     return parser
 
@@ -328,15 +344,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.what == "lift2d":
         u = load_curve(args.curve_a)
         v = load_curve(args.curve_b)
-        top = max(
-            (abs(e) for e in u.all_endpoints() + v.all_endpoints()),
-            default=Fraction(0),
-        )
-        if not args.sentinel > 10 * top:
-            raise ValueError(
-                f"sentinel {format_scalar(args.sentinel)} too small: "
-                f"needs to exceed 10 * {format_scalar(top)}"
-            )
+        check_sentinel(u, v, args.sentinel)
         _write_json(args.out[0], lift_curve_to_2d(u, args.sentinel))
         _write_json(args.out[1], lift_curve_to_2d(v, args.sentinel))
         result = f"wrote {args.out[0]} and {args.out[1]}"

@@ -8,8 +8,16 @@ down while the first is parked, R/L: the first walker moves right or left
 while the second is parked).  Regions grow by Minkowski sums with movement
 cones and are trimmed by the slab of the next vertex and the band
 |x - y| <= delta.  The decision is feasible iff a final region is
-nonempty, and a realisation pair witnessing it can be read back off the
-propagation by walking the recurrences in reverse.
+nonempty.
+
+One sweep computes the regions: the base row and base column follow the
+vertex rays out of the start cell, and every interior cell runs the fused
+cone-and-meet kernels of the regions module on a rolling row/column state.
+A traced decision has the same sweep record each region it produces.  A
+realisation pair witnessing feasibility is read back off those tables by
+walking the recurrences in reverse, and which recurrence term contributed
+which piece is recomputed from them on request with the generic Minkowski
+sum and meet; both read the one predecessor table, _PREDS.
 
 Everything runs on integers: inputs are rescaled by the common denominator
 once, and the final regions are scaled back.
@@ -45,8 +53,6 @@ from .regions import (
     mink_bounds,
     normalize_pieces,
 )
-
-_TERM_ORDER = {"U": 0, "D": 1, "R": 2, "L": 3, "base": 4}
 
 
 def clip_box_for(u: UncertainCurve, v: UncertainCurve, delta: Fraction) -> ClipBox:
@@ -137,6 +143,22 @@ def _reduce(ps: list) -> tuple:
     return tuple(kept)
 
 
+# Each kind's recurrence: the grid step from its predecessor cell, the ray it
+# follows out of a vertex slab, and its (predecessor kind, cone) terms in sweep
+# order.  Off the base row and column a term is mink(pred, cone) met with the
+# slab of the vertex the step lands on.  On the base row (U/D at i = 1) and the
+# base column (R/L at j = 1) the step runs along the other axis instead, over
+# the two kinds of the same axis: the predecessor meets the slab of the vertex
+# it crosses first and then follows the ray, trimmed to the band.  At (1, 1)
+# the ray leaves the start piece x00.
+_PREDS = {
+    "U": ((1, 0), Cone.S_U, (("U", Cone.H_U), ("R", Cone.Q_RU), ("L", Cone.Q_LU))),
+    "D": ((1, 0), Cone.S_D, (("D", Cone.H_D), ("R", Cone.Q_RD), ("L", Cone.Q_LD))),
+    "R": ((0, 1), Cone.S_R, (("R", Cone.H_R), ("U", Cone.Q_RU), ("D", Cone.Q_RD))),
+    "L": ((0, 1), Cone.S_L, (("L", Cone.H_L), ("U", Cone.Q_LU), ("D", Cone.Q_LD))),
+}
+
+
 @dataclass
 class CellRegions:
     """The four direction regions at one grid index, plus, per direction,
@@ -164,7 +186,6 @@ class LbTrace:
     j_pieces: list
     x00: Optional[Bounds]
     tables: dict
-    prov: dict
     final_parts: list
     feasible: bool
 
@@ -174,16 +195,74 @@ class LbTrace:
             [tuple(Fraction(v, s) for v in p) for p in pieces], self.box
         )
 
+    def terms(self, kind: str, i: int, j: int) -> tuple:
+        """The recurrence of kind at (i, j) as (predecessor cell, slab met
+        first or None, target, ((name, cone, predecessor pieces), ...)).
+
+        Each predecessor piece p contributes meet(mink(p', cone), target),
+        where p' is p met with the slab when there is one.  The predecessor
+        cell is None at (1, 1), whose single term is the start piece."""
+        (di, dj), ray, preds = _PREDS[kind]
+        if i > di and j > dj:
+            cell = (i - di, j - dj)
+            target = self.i_pieces[i] if di else self.j_pieces[j]
+            return cell, None, target, tuple(
+                (pk, cone, self.tables[pk].get(cell, ())) for pk, cone in preds
+            )
+        blo, bhi = self.box_scaled
+        d = self.delta_scaled
+        band = (blo, bhi, blo, bhi, -d, d)
+        if i == j == 1:
+            start = () if self.x00 is None else (self.x00,)
+            return None, None, band, (("base", ray, start),)
+        cell = (i - dj, j - di)
+        slab = self.j_pieces[j] if di else self.i_pieces[i]
+        return cell, slab, band, tuple(
+            (pk, ray, self.tables[pk].get(cell, ())) for pk in ("UD" if di else "RL")
+        )
+
+    def provenance(self, kind: str, i: int, j: int) -> tuple:
+        """(name, pieces) per recurrence term that contributes to the stored
+        region of kind at (i, j), recomputed from the tables with the generic
+        Minkowski sum and meet; empty for cells the sweep did not store."""
+        if (i, j) not in self.tables[kind]:
+            return ()
+        blo, bhi = self.box_scaled
+        _, slab, target, terms = self.terms(kind, i, j)
+        out = []
+        for name, cone, pieces in terms:
+            got = []
+            for p in pieces:
+                if slab is not None:
+                    p = meet_bounds(p, slab)
+                    if p is None:
+                        continue
+                q = meet_bounds(mink_bounds(p, cone, blo, bhi), target)
+                if q is not None:
+                    got.append(q)
+            if got:
+                out.append((name, normalize_pieces(got)))
+        return tuple(out)
+
+    @property
+    def prov(self) -> dict:
+        """Provenance of every stored region, keyed (kind, i, j)."""
+        return {
+            (kind, i, j): self.provenance(kind, i, j)
+            for kind in "UDRL"
+            for (i, j) in self.tables[kind]
+        }
+
     def cell(self, i: int, j: int) -> CellRegions:
         """Regions at grid index (i, j), 1-based.  U/D live at j <= n-1,
         R/L at i <= m-1; out-of-range directions come back empty."""
         regs = {}
-        for kind in "UDRL":
-            regs[kind] = self._region(self.tables[kind].get((i, j), ()))
         prov = {}
         for kind in "UDRL":
-            terms = self.prov.get((kind, i, j), ())
-            prov[kind] = tuple((name, self._region(pieces)) for name, pieces in terms)
+            regs[kind] = self._region(self.tables[kind].get((i, j), ()))
+            prov[kind] = tuple(
+                (name, self._region(pieces)) for name, pieces in self.provenance(kind, i, j)
+            )
         return CellRegions(regs["U"], regs["D"], regs["R"], regs["L"], prov)
 
     def dump_to(self, directory: str) -> None:
@@ -217,7 +296,10 @@ def decide_lb(
     strict: bool = False,
     trace: bool = False,
 ) -> LbDecision:
-    """Decide whether some realisation pair has Frechet distance <= delta."""
+    """Decide whether some realisation pair has Frechet distance <= delta.
+
+    With trace=True the sweep also records every region it produces, which
+    extract_witness and the provenance views read back."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -235,7 +317,6 @@ def decide_lb(
     s = den
     d = int(delta * s)
     blo, bhi = int(box.lo * s), int(box.hi * s)
-    dspan = bhi - blo
     su = [(int(lo * s), int(hi * s)) for lo, hi in hull_u]
     sv = [(int(lo * s), int(hi * s)) for lo, hi in hull_v]
     m, n = len(su), len(sv)
@@ -244,25 +325,7 @@ def decide_lb(
     ipieces = [None] + [close_bounds(lo, hi, blo, bhi, -d, d) for lo, hi in su]
     jpieces = [None] + [close_bounds(blo, bhi, lo, hi, -d, d) for lo, hi in sv]
     assert all(p is not None for p in ipieces[1:] + jpieces[1:])
-
-    tables: dict = {k: {} for k in "UDRL"}
-    prov: dict = {}
-    keep = trace
-
-    def store(kind, i, j, terms):
-        pieces = _reduce([p for _, p in terms])
-        if keep:
-            pieces = normalize_pieces(pieces)
-            tables[kind][(i, j)] = pieces
-            grouped: dict = {}
-            for name, p in terms:
-                grouped.setdefault(name, []).append(p)
-            prov[(kind, i, j)] = tuple(
-                (name, normalize_pieces(ps)) for name, ps in grouped.items()
-            )
-        return pieces
-
-    x00 = meet_bounds(ipieces[1], jpieces[1]) if ipieces[1] and jpieces[1] else None
+    x00 = meet_bounds(ipieces[1], jpieces[1])
 
     # Rays fused with the band trim: the band is the only bound the free
     # directions can violate.
@@ -278,212 +341,73 @@ def decide_lb(
     def ray_left(p):
         return close_bounds(blo, p[1], p[2], p[3], p[4], d)
 
-    # --- base row: U/D along j at i = 1 ---------------------------------
-    ucur: tuple = ()
-    dcur: tuple = ()
-    ucol = [()] * (n + 1)
-    dcol = [()] * (n + 1)
-    if n >= 2 and x00 is not None:
-        piece = ray_up(x00)
-        ucur = store("U", 1, 1, [("base", piece)] if piece else [])
-        piece = ray_down(x00)
-        dcur = store("D", 1, 1, [("base", piece)] if piece else [])
-    elif n >= 2:
-        ucur = store("U", 1, 1, [])
-        dcur = store("D", 1, 1, [])
-    ucol[1], dcol[1] = ucur, dcur
-    for j in range(2, n):
-        terms_u: list = []
-        terms_d: list = []
-        jj = jpieces[j]
-        for name, src in (("U", ucur), ("D", dcur)):
-            for p in src:
-                w = meet_bounds(p, jj)
-                if w is None:
-                    continue
-                q = ray_up(w)
-                if q is not None:
-                    terms_u.append((name, q))
-                q = ray_down(w)
-                if q is not None:
-                    terms_d.append((name, q))
-        ucur = store("U", 1, j, terms_u)
-        dcur = store("D", 1, j, terms_d)
-        ucol[j], dcol[j] = ucur, dcur
+    def base_walk(slabs, count, fwd, back):
+        # The two kinds of one axis along the base row (U/D over j at i = 1)
+        # or the base column (R/L over i at j = 1), indices 1..count-1.
+        a = [()] * (count + 1)
+        b = [()] * (count + 1)
+        src: list = [] if x00 is None else [x00]
+        for k in range(1, count):
+            if k > 1:
+                slab = slabs[k]
+                src = [w for w in (meet_bounds(p, slab) for p in a[k - 1] + b[k - 1]) if w is not None]
+            a[k] = _reduce([q for q in map(fwd, src) if q is not None])
+            b[k] = _reduce([q for q in map(back, src) if q is not None])
+        return a, b
 
-    # --- base column start: R/L at j = 1 --------------------------------
-    def base_rl(i, rprev, lprev):
-        terms_r: list = []
-        terms_l: list = []
-        if i == 1:
-            if x00 is not None:
-                q = ray_right(x00)
-                if q is not None:
-                    terms_r.append(("base", q))
-                q = ray_left(x00)
-                if q is not None:
-                    terms_l.append(("base", q))
-        else:
-            ii = ipieces[i]
-            for name, src in (("R", rprev), ("L", lprev)):
-                for p in src:
-                    w = meet_bounds(p, ii)
-                    if w is None:
-                        continue
-                    q = ray_right(w)
-                    if q is not None:
-                        terms_r.append((name, q))
-                    q = ray_left(w)
-                    if q is not None:
-                        terms_l.append((name, q))
-        return store("R", i, 1, terms_r), store("L", i, 1, terms_l)
+    ucol, dcol = base_walk(jpieces, n, ray_up, ray_down)
+    rbase, lbase = base_walk(ipieces, m, ray_right, ray_left)
+    tables: dict = {k: {} for k in "UDRL"}
+    tu, td, tr, tl = (tables[k] for k in "UDRL")
+    if trace:
+        for k in range(1, n):
+            tu[(1, k)], td[(1, k)] = ucol[k], dcol[k]
+        for k in range(1, m):
+            tr[(k, 1)], tl[(k, 1)] = rbase[k], lbase[k]
 
     # --- interior sweep --------------------------------------------------
-    # Two bodies for the same recurrence: the keep branch records every
-    # region and its contributing terms for tracing, the other branch runs
-    # the fused kernels from the regions module and keeps only the rolling
-    # row/column state.  Term order matches between the two so the
-    # propagated pieces come out identical.
-    rlast = llast = ()
-    if m >= 2 and keep:
-        rprev1: tuple = ()
-        lprev1: tuple = ()
-        for i in range(1, m):
-            rcur, lcur = base_rl(i, rprev1, lprev1)
-            rprev1, lprev1 = rcur, lcur
-            inext = ipieces[i + 1]
-            for j in range(1, n):
-                uij, dij = ucol[j], dcol[j]
-                jnext = jpieces[j + 1]
-                # next-column R/L from this cell
-                terms = []
-                for p in rcur:
-                    q = meet_bounds(mink_bounds(p, Cone.H_R, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("R", q))
-                for p in uij:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_RU, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("U", q))
-                for p in dij:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_RD, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("D", q))
-                new_r = store("R", i, j + 1, terms)
-                terms = []
-                for p in lcur:
-                    q = meet_bounds(mink_bounds(p, Cone.H_L, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("L", q))
-                for p in uij:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_LU, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("U", q))
-                for p in dij:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_LD, blo, bhi), jnext)
-                    if q is not None:
-                        terms.append(("D", q))
-                new_l = store("L", i, j + 1, terms)
-                # next-row U/D from this cell
-                terms = []
-                for p in uij:
-                    q = meet_bounds(mink_bounds(p, Cone.H_U, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("U", q))
-                for p in rcur:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_RU, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("R", q))
-                for p in lcur:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_LU, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("L", q))
-                ucol[j] = store("U", i + 1, j, terms)
-                terms = []
-                for p in dij:
-                    q = meet_bounds(mink_bounds(p, Cone.H_D, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("D", q))
-                for p in rcur:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_RD, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("R", q))
-                for p in lcur:
-                    q = meet_bounds(mink_bounds(p, Cone.Q_LD, blo, bhi), inext)
-                    if q is not None:
-                        terms.append(("L", q))
-                dcol[j] = store("D", i + 1, j, terms)
-                rcur, lcur = new_r, new_l
-            if i == m - 1:
-                rlast, llast = rcur, lcur
-    elif m >= 2:
-        hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
-        qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
-        reduce_ = _reduce
-        two = _two
-        three = _three
-        meet = meet_bounds
+    # Rolling state: ucol/dcol hold the U/D regions of the current row and
+    # rcur/lcur the R/L regions at (i, j).  The fused kernels from the
+    # regions module compute each recurrence term; the one-piece branch
+    # covers the dominant shape without building lists.  A traced decision
+    # records the four new regions per cell and nothing else.
+    hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
+    qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
+    reduce_ = _reduce
+    two = _two
+    three = _three
 
-        def comb3(a, b, c):
-            # containment cleanup of up-to-three kernel results, in order
-            if a is None:
-                if b is None:
-                    return () if c is None else (c,)
-                return (b,) if c is None else two(b, c)
+    def comb3(a, b, c):
+        # containment cleanup of up-to-three kernel results, in order
+        if a is None:
             if b is None:
-                return (a,) if c is None else two(a, c)
-            if c is None:
-                return two(a, b)
-            return three(a, b, c)
+                return () if c is None else (c,)
+            return (b,) if c is None else two(b, c)
+        if b is None:
+            return (a,) if c is None else two(a, c)
+        if c is None:
+            return two(a, b)
+        return three(a, b, c)
 
-        rprev1 = ()
-        lprev1 = ()
-        for i in range(1, m):
-            # base column pieces at (i, 1)
-            if i == 1:
-                rcur = lcur = ()
-                if x00 is not None:
-                    q = ray_right(x00)
-                    if q is not None:
-                        rcur = (q,)
-                    q = ray_left(x00)
-                    if q is not None:
-                        lcur = (q,)
+    rlast = llast = ()
+    for i in range(1, m):
+        rcur, lcur = rbase[i], lbase[i]
+        inext = ipieces[i + 1]
+        for j in range(1, n):
+            uij = ucol[j]
+            dij = dcol[j]
+            jnext = jpieces[j + 1]
+            if len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
+                # dominant shape: one piece per source, no lists needed
+                pr = rcur[0]
+                pl = lcur[0]
+                pu = uij[0]
+                pd = dij[0]
+                new_r = comb3(hr(pr, jnext), qru(pu, jnext), qrd(pd, jnext))
+                new_l = comb3(hl(pl, jnext), qlu(pu, jnext), qld(pd, jnext))
+                ucol[j] = comb3(hu(pu, inext), qru(pr, inext), qlu(pl, inext))
+                dcol[j] = comb3(hd(pd, inext), qrd(pr, inext), qld(pl, inext))
             else:
-                ii = ipieces[i]
-                accr: list = []
-                accl: list = []
-                for src in (rprev1, lprev1):
-                    for p in src:
-                        w = meet(p, ii)
-                        if w is None:
-                            continue
-                        q = ray_right(w)
-                        if q is not None:
-                            accr.append(q)
-                        q = ray_left(w)
-                        if q is not None:
-                            accl.append(q)
-                rcur = reduce_(accr)
-                lcur = reduce_(accl)
-            rprev1, lprev1 = rcur, lcur
-            inext = ipieces[i + 1]
-            for j in range(1, n):
-                uij = ucol[j]
-                dij = dcol[j]
-                jnext = jpieces[j + 1]
-                if len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
-                    # dominant shape: one piece per source, no lists needed
-                    pr = rcur[0]
-                    pl = lcur[0]
-                    pu = uij[0]
-                    pd = dij[0]
-                    new_r = comb3(hr(pr, jnext), qru(pu, jnext), qrd(pd, jnext))
-                    new_l = comb3(hl(pl, jnext), qlu(pu, jnext), qld(pd, jnext))
-                    ucol[j] = comb3(hu(pu, inext), qru(pr, inext), qlu(pl, inext))
-                    dcol[j] = comb3(hd(pd, inext), qrd(pr, inext), qld(pl, inext))
-                    rcur, lcur = new_r, new_l
-                    continue
                 acc = []
                 for p in rcur:
                     q = hr(p, jnext)
@@ -540,9 +464,13 @@ def decide_lb(
                     if q is not None:
                         acc.append(q)
                 dcol[j] = reduce_(acc)
-                rcur, lcur = new_r, new_l
-            if i == m - 1:
-                rlast, llast = rcur, lcur
+            if trace:
+                tr[(i, j + 1)] = new_r
+                tl[(i, j + 1)] = new_l
+                tu[(i + 1, j)] = ucol[j]
+                td[(i + 1, j)] = dcol[j]
+            rcur, lcur = new_r, new_l
+        rlast, llast = rcur, lcur
 
     # --- final check ------------------------------------------------------
     final_parts: list = []
@@ -572,9 +500,9 @@ def decide_lb(
         [tuple(Fraction(x, s) for x in p) for _, _, _, pieces in final_parts for p in pieces],
         box,
     )
-    tr = None
+    recorded = None
     if trace:
-        tr = LbTrace(
+        recorded = LbTrace(
             m=m,
             n=n,
             scale=s,
@@ -588,11 +516,10 @@ def decide_lb(
             j_pieces=jpieces,
             x00=x00,
             tables=tables,
-            prov=prov,
             final_parts=final_parts,
             feasible=feasible,
         )
-    return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=tr)
+    return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=recorded)
 
 
 def _preimage(px: int, py: int, cone: Cone, blo: int, bhi: int) -> Bounds:
@@ -630,97 +557,50 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
         return None
     m, n = trace.m, trace.n
     blo, bhi = trace.box_scaled
-    tables = trace.tables
 
-    best = None
-    for kind, i, j, pieces in trace.final_parts:
-        for p in pieces:
-            cand = (bounds_lexmin(p), _TERM_ORDER.get(kind, 9), kind, i, j)
-            if best is None or cand < best:
-                best = cand
-    (px, py), _, kind, i, j = best
+    (px, py), _, kind, i, j = min(
+        (bounds_lexmin(p), "UDRLX".index(kind), kind, i, j)
+        for kind, i, j, pieces in trace.final_parts
+        for p in pieces
+    )
     pu: list = [None] * (m + 1)
     pv: list = [None] * (n + 1)
     if kind == "X":
         pu[1], pv[1] = px, py
     else:
         pu[m], pv[n] = px, py
-        preds_of = {
-            "U": (("U", Cone.H_U), ("R", Cone.Q_RU), ("L", Cone.Q_LU)),
-            "D": (("D", Cone.H_D), ("R", Cone.Q_RD), ("L", Cone.Q_LD)),
-            "R": (("R", Cone.H_R), ("U", Cone.Q_RU), ("D", Cone.Q_RD)),
-            "L": (("L", Cone.H_L), ("U", Cone.Q_LU), ("D", Cone.Q_LD)),
-        }
         while True:
-            vertical = kind in ("U", "D")
+            # U/D points sit on a vertex of u, R/L points on a vertex of v
+            vertical = kind in "UD"
             if vertical:
                 pu[i] = px
             else:
                 pv[j] = py
-            ray = {"U": Cone.S_U, "D": Cone.S_D, "R": Cone.S_R, "L": Cone.S_L}[kind]
-            if vertical and i >= 2:
-                cands = []
-                for order, (pk, cone) in enumerate(preds_of[kind]):
-                    pre = _preimage(px, py, cone, blo, bhi)
-                    for piece in tables[pk].get((i - 1, j), ()):
-                        q = meet_bounds(pre, piece)
-                        if q is not None:
-                            cands.append((bounds_lexmin(q), order, pk))
-                assert cands, "empty predecessor set in witness backtrack"
-                (px, py), _, kind = min(cands)
-                i -= 1
-            elif not vertical and j >= 2:
-                cands = []
-                for order, (pk, cone) in enumerate(preds_of[kind]):
-                    pre = _preimage(px, py, cone, blo, bhi)
-                    for piece in tables[pk].get((i, j - 1), ()):
-                        q = meet_bounds(pre, piece)
-                        if q is not None:
-                            cands.append((bounds_lexmin(q), order, pk))
-                assert cands, "empty predecessor set in witness backtrack"
-                (px, py), _, kind = min(cands)
-                j -= 1
-            elif vertical and j >= 2:
-                # base row: un-ray through J_j, pinning the crossing height
-                pre = _preimage(px, py, ray, blo, bhi)
-                jj = trace.j_pieces[j]
-                cands = []
-                for order, pk in enumerate(("U", "D")):
-                    for piece in tables[pk].get((1, j - 1), ()):
-                        w = meet_bounds(piece, jj)
-                        if w is None:
+            cell, slab, _, terms = trace.terms(kind, i, j)
+            cands = []
+            for order, (pk, cone, pieces) in enumerate(terms):
+                pre = _preimage(px, py, cone, blo, bhi)
+                for piece in pieces:
+                    if slab is not None:
+                        piece = meet_bounds(piece, slab)
+                        if piece is None:
                             continue
-                        q = meet_bounds(pre, w)
-                        if q is not None:
-                            cands.append((bounds_lexmin(q), order, pk))
-                assert cands, "empty predecessor set in witness backtrack"
-                (px, py), _, kind = min(cands)
-                pv[j] = py
-                j -= 1
-            elif not vertical and i >= 2:
-                pre = _preimage(px, py, ray, blo, bhi)
-                ii = trace.i_pieces[i]
-                cands = []
-                for order, pk in enumerate(("R", "L")):
-                    for piece in tables[pk].get((i - 1, 1), ()):
-                        w = meet_bounds(piece, ii)
-                        if w is None:
-                            continue
-                        q = meet_bounds(pre, w)
-                        if q is not None:
-                            cands.append((bounds_lexmin(q), order, pk))
-                assert cands, "empty predecessor set in witness backtrack"
-                (px, py), _, kind = min(cands)
-                pu[i] = px
-                i -= 1
-            else:
-                # i == j == 1: un-ray straight into the shared base piece
-                pre = _preimage(px, py, ray, blo, bhi)
-                q = meet_bounds(pre, trace.x00)
-                assert q is not None, "empty predecessor set in witness backtrack"
-                qx, qy = bounds_lexmin(q)
-                pu[1], pv[1] = qx, qy
+                    q = meet_bounds(pre, piece)
+                    if q is not None:
+                        cands.append((bounds_lexmin(q), order, pk))
+            assert cands, "empty predecessor set in witness backtrack"
+            (px, py), _, kind = min(cands)
+            if cell is None:
+                # the start piece pins both first vertices
+                pu[1], pv[1] = px, py
                 break
+            if slab is not None:
+                # a base step crossed the vertex whose slab it met
+                if vertical:
+                    pv[j] = py
+                else:
+                    pu[i] = px
+            i, j = cell
 
     assert all(x is not None for x in pu[1:]), "witness left a vertex unpinned"
     assert all(y is not None for y in pv[1:]), "witness left a vertex unpinned"

@@ -481,21 +481,26 @@ def lift_curve_to_2d(curve: UncertainCurve, sentinel: Fraction, name: str = "") 
     return {"dimension": 2, "name": name or curve.name, "points": pts}
 
 
-def lift_to_2d(inst: ReductionInstance, sentinel: Fraction) -> tuple[dict, dict]:
-    """2D re-emission of both instance curves with a shared sentinel height.
-
-    The sentinel must clear ten times the largest coordinate magnitude so
-    sentinel-to-sentinel matches are the only cheap ones.
-    """
-    sentinel = Fraction(sentinel)
+def check_sentinel(u: UncertainCurve, v: UncertainCurve, sentinel: Fraction) -> None:
+    """Reject a sentinel height that does not clear ten times the largest
+    coordinate magnitude of the pair, so that sentinel-to-sentinel matches
+    are the only cheap ones."""
     top = max(
-        (abs(e) for e in inst.u.all_endpoints() + inst.v.all_endpoints()),
+        (abs(e) for e in u.all_endpoints() + v.all_endpoints()),
         default=Fraction(0),
     )
     if not sentinel > 10 * top:
         raise ValueError(
-            f"sentinel {sentinel} too small: needs to exceed 10 * {top}"
+            f"sentinel {format_scalar(sentinel)} too small: "
+            f"needs to exceed 10 * {format_scalar(top)}"
         )
+
+
+def lift_to_2d(inst: ReductionInstance, sentinel: Fraction) -> tuple[dict, dict]:
+    """2D re-emission of both instance curves with a shared sentinel height
+    (see check_sentinel)."""
+    sentinel = Fraction(sentinel)
+    check_sentinel(inst.u, inst.v, sentinel)
     return (
         lift_curve_to_2d(inst.u, sentinel),
         lift_curve_to_2d(inst.v, sentinel),

@@ -292,3 +292,28 @@ def test_unknown_subcommand_usage_exit(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "env_cap, flags",
+    [
+        ("abc", []),
+        ("0", []),
+        (None, ["--resolution", "1"]),
+        (None, ["--resolution", "x"]),
+        (None, ["--cap", "-5"]),
+        (None, ["--jobs", "0"]),
+    ],
+)
+def test_bad_numbers_are_usage_errors(write_curve, capsys, monkeypatch, env_cap, flags):
+    a = write_curve([interval(0, 1)])
+    if env_cap is not None:
+        monkeypatch.setenv("LBF_CAP", env_cap)
+    argv = ["oracle", "--variant", "discrete", "--side", "lower", *flags, a, a]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err

@@ -18,7 +18,15 @@ from lbfrechet.lower_bound import (
 from lbfrechet.model import Precise, UncertainCurve, is_realisation, make_interval, make_set
 from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.precise import frechet_decide, frechet_value
-from lbfrechet.regions import bounds_subset, close_bounds, normalize_pieces
+from lbfrechet.regions import (
+    Cone,
+    Region,
+    bounds_subset,
+    close_bounds,
+    meet_bounds,
+    mink_bounds,
+    normalize_pieces,
+)
 
 
 def ic(*spans):
@@ -106,17 +114,108 @@ def random_interval_curve(rng, max_len=5):
     return UncertainCurve(pts)
 
 
+def _generic_region(trace, kind, i, j):
+    """The region of kind at (i, j) recomputed from the recorded
+    predecessors with the generic mink_bounds + meet_bounds, written out
+    from the recurrences independently of the sweep."""
+    blo, bhi = trace.box_scaled
+    d = trace.delta_scaled
+    band = close_bounds(blo, bhi, blo, bhi, -d, d)
+    islab, jslab, tables = trace.i_pieces, trace.j_pieces, trace.tables
+    ray = {"U": Cone.S_U, "D": Cone.S_D, "R": Cone.S_R, "L": Cone.S_L}[kind]
+    vertical = kind in "UD"
+    if i == j == 1:
+        sources, target = [(trace.x00, ray)], band
+    elif vertical and i == 1:
+        # base row: cross v's vertex j, then ray up or down
+        sources = [(meet_bounds(p, jslab[j]), ray) for k in "UD" for p in tables[k][(1, j - 1)]]
+        target = band
+    elif not vertical and j == 1:
+        # base column: cross u's vertex i, then ray right or left
+        sources = [(meet_bounds(p, islab[i]), ray) for k in "RL" for p in tables[k][(i - 1, 1)]]
+        target = band
+    else:
+        cones = {
+            "U": {"U": Cone.H_U, "R": Cone.Q_RU, "L": Cone.Q_LU},
+            "D": {"D": Cone.H_D, "R": Cone.Q_RD, "L": Cone.Q_LD},
+            "R": {"R": Cone.H_R, "U": Cone.Q_RU, "D": Cone.Q_RD},
+            "L": {"L": Cone.H_L, "U": Cone.Q_LU, "D": Cone.Q_LD},
+        }[kind]
+        prev = (i - 1, j) if vertical else (i, j - 1)
+        sources = [(p, cone) for k, cone in cones.items() for p in tables[k][prev]]
+        target = islab[i] if vertical else jslab[j]
+    pieces = [
+        meet_bounds(mink_bounds(p, cone, blo, bhi), target)
+        for p, cone in sources
+        if p is not None
+    ]
+    return scaled_region(trace, pieces)
+
+
+def scaled_region(trace, pieces):
+    return Region.from_bounds(
+        [tuple(F(x, trace.scale) for x in p) for p in pieces if p is not None], trace.box
+    )
+
+
 def test_traced_and_fast_paths_agree():
     rng = random.Random(3141)
+    checked = 0
     for _ in range(120):
         u = random_interval_curve(rng)
         v = random_interval_curve(rng)
         delta = F(rng.randint(1, 4), 2)
         fast = decide_lb(u, v, delta)
         traced = decide_lb(u, v, delta, trace=True)
+        assert fast.trace is None and isinstance(traced.trace, LbTrace)
         assert fast.feasible == traced.feasible
         assert fast.final_region.equals(traced.final_region)
-        assert fast.trace is None and isinstance(traced.trace, LbTrace)
+        trace = traced.trace
+        m, n = len(u), len(v)
+        for kind in "UD":
+            assert set(trace.tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
+        for kind in "RL":
+            assert set(trace.tables[kind]) == {(i, j) for i in range(1, m) for j in range(1, n + 1)}
+        for kind in "UDRL":
+            for (i, j), pieces in trace.tables[kind].items():
+                recorded = scaled_region(trace, pieces)
+                assert recorded.equals(_generic_region(trace, kind, i, j)), (kind, i, j)
+                # the provenance view splits the same region by term
+                terms = trace.provenance(kind, i, j)
+                assert recorded.equals(scaled_region(trace, [p for _, ps in terms for p in ps]))
+                checked += 1
+    assert checked > 1000
+
+
+# Witnesses frozen from the backward walk: (len u, len v, delta, witness u,
+# witness v) for the first five feasible draws of test_pinned_witnesses.
+PINNED_WITNESSES = [
+    (1, 6, F(3), "-3/2", "-1 0 -2 1 -5/2 -3"),
+    (6, 2, F(3, 2), "-3 -1/2 -1/2 -1 0 -1", "-3/2 0"),
+    (6, 4, F(3), "5/2 -3/2 2 -3/2 -2 -1", "1 5/2 -1/2 -3/2"),
+    (2, 4, F(5, 2), "-3 0", "-2 1 5/2 2"),
+    (6, 6, F(3, 2), "-2 -3/2 -5/2 -3/2 -1/2 -3", "-2 1/2 -1 1/2 -1/2 -3"),
+]
+
+
+def test_pinned_witnesses():
+    """The walk must keep picking the same lexicographically smallest
+    points, not merely some valid witness."""
+    out = decide_lb(FIG_U, FIG_V, F(1), trace=True)
+    assert extract_witness(out.trace) == ((F(1, 2),), (F(-1, 2), F(3, 2)))
+    rng = random.Random(2718)
+    got = []
+    while len(got) < len(PINNED_WITNESSES):
+        u = random_interval_curve(rng, max_len=6)
+        v = random_interval_curve(rng, max_len=6)
+        delta = F(rng.randint(2, 6), 2)
+        if len(u) + len(v) < 6:
+            continue
+        dec = decide_lb(u, v, delta, trace=True)
+        if dec.feasible:
+            wu, wv = extract_witness(dec.trace)
+            got.append((len(u), len(v), delta, " ".join(map(str, wu)), " ".join(map(str, wv))))
+    assert got == PINNED_WITNESSES
 
 
 def test_propagated_piece_counts():

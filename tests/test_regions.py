@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lbfrechet.regions import (
     MINK_MEET,
@@ -231,13 +231,30 @@ def test_bounds_hull_contains_both(p, q):
         assert bounds_contain(h, x, y)
 
 
+def quarter_points(p: Bounds):
+    """Quarter-grid points of a piece with integer bounds, scaled by 4.
+
+    Integer-bounded pieces are unions of closed faces of the arrangement of
+    the lines x=k, y=k and y-x=k (k integer), so a relatively open face that
+    meets such a piece lies inside it.  Every face contains a quarter-grid
+    point: vertices are integer points, edges have half-integer midpoints,
+    and each unit-square triangle holds (a+3/4, b+1/4) or (a+1/4, b+3/4).
+    So these samples decide containment of unions exactly, where integer
+    samples miss gaps such as the open segment between (0,0) and (0,1)."""
+    return sample_points(tuple(4 * b for b in p))
+
+
 @given(st.lists(closed_st, min_size=1, max_size=4), closed_st)
+@example(
+    cover=[close_bounds(0, 0, 0, 0, -SPAN, SPAN), close_bounds(0, 0, 1, 1, -SPAN, SPAN)],
+    target=close_bounds(0, 0, 0, 1, -SPAN, SPAN),
+)
 def test_bounds_covered_vs_sampling(cover, target):
     claimed = bounds_covered(target, cover)
     points = set()
     for c in cover:
-        points |= set(sample_points(c))
-    actual = set(sample_points(target)) <= points
+        points |= set(quarter_points(c))
+    actual = set(quarter_points(target)) <= points
     assert claimed == actual
 
 
