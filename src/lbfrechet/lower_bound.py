@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from . import precise
 from .model import FiniteSet, PolyCurve, UncertainCurve
 from .regions import (
     Bounds,
@@ -611,9 +612,7 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
         assert lo <= val <= hi, "witness outside vertex region"
     for val, (lo, hi) in zip(wv, trace.hull_v):
         assert lo <= val <= hi, "witness outside vertex region"
-    from .precise import frechet_decide
-
-    assert frechet_decide(wu, wv, trace.delta), "witness fails the precise decision"
+    assert precise.frechet_decide(wu, wv, trace.delta), "witness fails the precise decision"
     return wu, wv
 
 

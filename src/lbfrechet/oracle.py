@@ -126,52 +126,55 @@ def bound_oracle(
     dist = _metric(variant, adjacency)
     cu = vertex_candidates(u, spec)
     cv = vertex_candidates(v, spec)
-    if jobs > 1:
-        return _bound_parallel(cu, cv, variant, side, adjacency, jobs)
-    best: Fraction | None = None
     stop = None if stop_at is None else Fraction(stop_at)
-    for ra in itertools.product(*cu):
-        for rb in itertools.product(*cv):
-            d = dist(ra, rb)
-            if best is None:
-                best = d
-            elif side == "lower":
-                best = d if d < best else best
-            else:
-                best = d if d > best else best
-            if stop is not None:
-                if side == "lower" and best <= stop:
-                    return best
-                if side == "upper" and best >= stop:
-                    return best
-    return best
+    if jobs > 1:
+        return _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop)
+    return _scan(itertools.product(*cu), cv, dist, side, stop)
 
 
-def _eval_chunk(args) -> tuple:
-    cu_chunk, cv, variant, side, adjacency = args
-    dist = _metric(variant, adjacency)
+def _meets(best: Fraction, side: str, stop: Fraction | None) -> bool:
+    if stop is None:
+        return False
+    return best <= stop if side == "lower" else best >= stop
+
+
+def _scan(us, cv, dist, side, stop) -> Fraction | None:
+    """Min or max of dist over us x product(cv) in order, stopping at the
+    first pair whose value meets stop."""
     best = None
-    for ra in cu_chunk:
+    for ra in us:
         for rb in itertools.product(*cv):
             d = dist(ra, rb)
             if best is None or (d < best if side == "lower" else d > best):
                 best = d
+            if _meets(best, side, stop):
+                return best
     return best
 
 
-def _bound_parallel(cu, cv, variant, side, adjacency, jobs) -> Fraction:
+def _eval_chunk(args) -> Fraction | None:
+    cu_chunk, cv, variant, side, adjacency, stop = args
+    return _scan(cu_chunk, cv, _metric(variant, adjacency), side, stop)
+
+
+def _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop) -> Fraction:
     """Deterministic parallel evaluation: split the first curve's
-    realisations into chunks, reduce with min/max."""
+    realisations into chunks, each stopping at its first hit.  The first
+    chunk in order that meets stop holds the serial scan's first hit and
+    returns its value; otherwise reduce with min/max."""
     from concurrent.futures import ProcessPoolExecutor
 
     all_u = list(itertools.product(*cu))
     chunk = max(1, (len(all_u) + jobs - 1) // jobs)
     tasks = [
-        (all_u[k : k + chunk], cv, variant, side, adjacency)
+        (all_u[k : k + chunk], cv, variant, side, adjacency, stop)
         for k in range(0, len(all_u), chunk)
     ]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = [r for r in pool.map(_eval_chunk, tasks) if r is not None]
+    for r in results:
+        if _meets(r, side, stop):
+            return r
     if side == "lower":
         return min(results)
     return max(results)

@@ -5,18 +5,19 @@ via the classic coupling recurrence, weak Frechet through the prefix-image
 recurrence (run on the curves and on their reversals), and the discrete
 weak variant as a bottleneck path in the vertex-pair grid.
 
-Float infinity appears only as an unreachable sentinel in min/max chains;
-every finite value stays a Fraction.
+Continuous and discrete Frechet run on ints: each call scales its inputs
+once by the common denominator and converts back at the end, so results
+are still Fractions.  Float infinity appears only as an unreachable
+sentinel in min/max chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 INF = float("inf")
-
-_Iv = Optional[tuple[Fraction, Fraction]]
 
 
 def _dist_to_interval(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -35,92 +36,97 @@ def _check_curves(a, b):
     return a, b
 
 
+def _scaled(*seqs: Sequence[Fraction], factor: int = 1) -> tuple[int, list[list[int]]]:
+    """The one scaling step: s = factor * lcm of all denominators, and
+    every value times s as an int."""
+    s = factor * lcm(*(x.denominator for xs in seqs for x in xs))
+    return s, [[x.numerator * (s // x.denominator) for x in xs] for xs in seqs]
+
+
+def _decide(a: list[int], b: list[int], d: int) -> bool:
+    """Alt & Godau (1995) reachability on scaled ints: is the continuous
+    Frechet distance <= d?  Intervals are kept in progress coordinates
+    along their edge, sign*y from start to end (-y on a descending edge,
+    one point on a zero-length one): vertex x meets an edge in the free
+    part [max(sign*x - d, start), min(sign*x + d, end)], and t = 0 and
+    t = 1 become start and end, so no division is needed."""
+    m, n = len(a), len(b)
+    if abs(a[0] - b[0]) > d or abs(a[-1] - b[-1]) > d:
+        return False
+    if m == 1:
+        return all(abs(a[0] - y) <= d for y in b)
+    if n == 1:
+        return all(abs(x - b[0]) <= d for x in a)
+    ea, eb = (
+        [(1, p, q) if q >= p else (-1, -p, -q) for p, q in zip(xs, xs[1:])]
+        for xs in (a, b)
+    )
+
+    def walk(x: int, edges) -> list:
+        # reachable intervals straight along one axis from the start
+        out = [None] * len(edges)
+        for k, (sg, st, en) in enumerate(edges):
+            c = x if sg > 0 else -x
+            lo = c - d if c - d > st else st
+            hi = c + d if c + d < en else en
+            if lo > st or lo > hi:
+                break
+            out[k] = (lo, hi)
+            if hi < en:
+                break
+        return out
+
+    # reachable intervals: lr[j] on the left boundary of cell (column, j),
+    # bb[i] on the bottom boundary of cell (i, 0)
+    lr = walk(a[0], eb)
+    bb = walk(b[0], ea)
+    # the top boundaries of a row meet b's vertices 1..n-1 as sign*y +- d
+    bpos = [(y - d, y + d) for y in b[1:]]
+    bneg = [(-y - d, -y + d) for y in b[1:]]
+    top_last = None
+    for i in range(m - 1):
+        sa, sta, ena = ea[i]
+        x = a[i + 1]
+        rpos, rneg = (x - d, x + d), (-x - d, -x + d)
+        tops = bpos if sa > 0 else bneg
+        new_lr = [None] * (n - 1)
+        br = bb[i]
+        for j in range(n - 1):
+            cur_l = lr[j]
+            if cur_l is None and br is None:
+                continue
+            sb, stb, enb = eb[j]
+            # right, then top boundary: clipped below by the opposite side's
+            # interval only when the cell is entered from that side alone
+            lo, hi = rpos if sb > 0 else rneg
+            lo = lo if lo > stb else stb
+            hi = hi if hi < enb else enb
+            if br is None and cur_l[0] > lo:
+                lo = cur_l[0]
+            if lo <= hi:
+                new_lr[j] = (lo, hi)
+            lo, hi = tops[j]
+            lo = lo if lo > sta else sta
+            hi = hi if hi < ena else ena
+            if cur_l is None and br[0] > lo:
+                lo = br[0]
+            br = (lo, hi) if lo <= hi else None
+        top_last = br
+        lr = new_lr
+    right_last = lr[n - 2]
+    if right_last is not None and right_last[1] == eb[n - 2][2]:
+        return True
+    return top_last is not None and top_last[1] == ea[m - 2][2]
+
+
 def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     """Is the continuous Frechet distance of the two curves <= delta?"""
     a, b = _check_curves(a, b)
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    m, n = len(a), len(b)
-    if abs(a[0] - b[0]) > delta or abs(a[-1] - b[-1]) > delta:
-        return False
-    if m == 1:
-        return all(abs(a[0] - y) <= delta for y in b)
-    if n == 1:
-        return all(abs(x - b[0]) <= delta for x in a)
-
-    one = Fraction(1)
-    zero = Fraction(0)
-
-    def free(c: Fraction, lo: Fraction, hi: Fraction) -> _Iv:
-        """Parameters t in [0,1] with |(1-t) lo + t hi - c| <= delta."""
-        run = hi - lo
-        if run == 0:
-            return (zero, one) if abs(lo - c) <= delta else None
-        t0 = (c - delta - lo) / run
-        t1 = (c + delta - lo) / run
-        if t0 > t1:
-            t0, t1 = t1, t0
-        if t0 < zero:
-            t0 = zero
-        if t1 > one:
-            t1 = one
-        return (t0, t1) if t0 <= t1 else None
-
-    # lr[j]: reachable interval on the left boundary of cell (column, j);
-    # bb[column]: reachable interval on the bottom boundary of cell
-    # (column, 0).  Both seeded by walking straight along the axes.
-    lr: list[_Iv] = [None] * (n - 1)
-    ok = True
-    for j in range(n - 1):
-        f = free(a[0], b[j], b[j + 1])
-        if not ok or f is None or f[0] > 0:
-            ok = False
-            continue
-        lr[j] = f
-        if f[1] < 1:
-            ok = False
-    bb: list[_Iv] = [None] * (m - 1)
-    ok = True
-    for i in range(m - 1):
-        f = free(b[0], a[i], a[i + 1])
-        if not ok or f is None or f[0] > 0:
-            ok = False
-            continue
-        bb[i] = f
-        if f[1] < 1:
-            ok = False
-
-    top_last: _Iv = None
-    for i in range(m - 1):
-        new_lr: list[_Iv] = [None] * (n - 1)
-        br = bb[i]
-        for j in range(n - 1):
-            cur_l, cur_b = lr[j], br
-            fr = free(a[i + 1], b[j], b[j + 1])
-            if fr is None or (cur_l is None and cur_b is None):
-                nr = None
-            elif cur_b is not None:
-                nr = fr
-            else:
-                lo = max(fr[0], cur_l[0])
-                nr = (lo, fr[1]) if lo <= fr[1] else None
-            new_lr[j] = nr
-            ft = free(b[j + 1], a[i], a[i + 1])
-            if ft is None or (cur_l is None and cur_b is None):
-                nt = None
-            elif cur_l is not None:
-                nt = ft
-            else:
-                lo = max(ft[0], cur_b[0])
-                nt = (lo, ft[1]) if lo <= ft[1] else None
-            br = nt
-        top_last = br
-        lr = new_lr
-    right_last = lr[n - 2]
-    if right_last is not None and right_last[1] == 1:
-        return True
-    return top_last is not None and top_last[1] == 1
+    _, (ai, bi, (d,)) = _scaled(a, b, (delta,))
+    return _decide(ai, bi, d)
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -128,33 +134,34 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
     In one dimension every critical value is a vertex-vertex distance or
     half a vertex-vertex distance within one curve, so we binary-search
-    that candidate set with the decision procedure.
+    that candidate set with the decision procedure.  Scaling by twice the
+    common denominator keeps the halves integral.
     """
     a, b = _check_curves(a, b)
-    cands = {Fraction(0)}
-    for x in a:
-        for y in b:
-            cands.add(abs(x - y))
-    for xs in (a, b):
+    s, (ai, bi) = _scaled(a, b, factor=2)
+    cands = {0}
+    cands.update(abs(x - y) for x in ai for y in bi)
+    for xs in (ai, bi):
         for i in range(len(xs)):
             for k in range(i + 1, len(xs)):
-                cands.add(abs(xs[i] - xs[k]) / 2)
+                cands.add(abs(xs[i] - xs[k]) // 2)
     ordered = sorted(cands)
     lo, hi = 0, len(ordered) - 1
-    if frechet_decide(a, b, ordered[0]):
-        return ordered[0]
+    if _decide(ai, bi, ordered[0]):
+        return Fraction(ordered[0], s)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if frechet_decide(a, b, ordered[mid]):
+        if _decide(ai, bi, ordered[mid]):
             hi = mid
         else:
             lo = mid
-    return ordered[hi]
+    return Fraction(ordered[hi], s)
 
 
 def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Classic coupling recurrence, quadratic time, rolling rows."""
     a, b = _check_curves(a, b)
+    s, (a, b) = _scaled(a, b)
     m, n = len(a), len(b)
     prev = [INF] * n
     for i in range(m):
@@ -172,7 +179,7 @@ def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
                 best = reach if reach > d else d
             cur[j] = best
         prev = cur
-    return prev[n - 1]
+    return Fraction(prev[n - 1], s)
 
 
 def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

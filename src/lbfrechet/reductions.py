@@ -284,7 +284,6 @@ def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
     for _ in range(c - 1):
         v_pts.extend(catch2)
 
-    expected = (2 * c + 4 * v * c - 2 * v + 1, 5 * c + 2 * v * c - 4)
     return ReductionInstance(
         u=UncertainCurve(tuple(u_pts), name=f"ub-{model}-vars"),
         v=UncertainCurve(tuple(v_pts), name=f"ub-{model}-clauses"),
@@ -292,7 +291,7 @@ def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
         gap_value=_THREE_HALVES,
         kind="ub-sat",
         model=model,
-        expected_lengths=expected,
+        expected_lengths=_expected_lengths("ub-sat", model, eff),
         formula=f,
         effective_formula=eff,
         notes=tuple(notes),
@@ -334,7 +333,6 @@ def build_weak_discrete_indecisive(f: CnfFormula) -> ReductionInstance:
     """
     _require_3sat(f)
     n = f.num_vars
-    m = len(f.clauses)
 
     u_pts: list[UncertainPoint] = [Precise(Fraction(0))]
     for i in range(1, n + 1):
@@ -352,7 +350,6 @@ def build_weak_discrete_indecisive(f: CnfFormula) -> ReductionInstance:
     v_pts.extend([neutral] * n)
     v_pts.append(Precise(Fraction(0)))
 
-    expected = (n + 2, n * m + n + m + 2)
     return ReductionInstance(
         u=UncertainCurve(tuple(u_pts), name="weak-indecisive-vars"),
         v=UncertainCurve(tuple(v_pts), name="weak-indecisive-clauses"),
@@ -360,7 +357,7 @@ def build_weak_discrete_indecisive(f: CnfFormula) -> ReductionInstance:
         gap_value=Fraction(3),
         kind="weak-discrete",
         model="indecisive",
-        expected_lengths=expected,
+        expected_lengths=_expected_lengths("weak-discrete", "indecisive", f),
         formula=f,
         effective_formula=f,
         notes=(),
@@ -408,7 +405,6 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
         clauses = clauses + ((1, -1, 1),)
         notes.append("even clause count padded with tautology (x1 or not x1 or x1)")
     eff = CnfFormula(n, clauses)
-    m = len(eff.clauses)
     t = Fraction(10 * (n + 2))
 
     ladder_up: list[UncertainPoint] = []
@@ -442,7 +438,6 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
             block.reverse()
         v_pts.extend(Precise(x) for x in block)
 
-    expected = (5 * n + 6, m * (3 * n + 9))
     return ReductionInstance(
         u=UncertainCurve(u_pts, name="weak-imprecise-vars"),
         v=UncertainCurve(tuple(v_pts), name="weak-imprecise-clauses"),
@@ -450,7 +445,7 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
         gap_value=Fraction(2),
         kind="weak-discrete",
         model="imprecise",
-        expected_lengths=expected,
+        expected_lengths=_expected_lengths("weak-discrete", "imprecise", eff),
         formula=f,
         effective_formula=eff,
         notes=tuple(notes),
@@ -557,6 +552,7 @@ class VerifyReport:
 
 
 def _expected_lengths(kind: str, model: str, eff: CnfFormula) -> tuple[int, int]:
+    """Curve lengths the constructions must produce from the effective formula."""
     c, v = len(eff.clauses), eff.num_vars
     if kind == "ub-sat":
         return (2 * c + 4 * v * c - 2 * v + 1, 5 * c + 2 * v * c - 4)
@@ -644,10 +640,8 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
     expected = _THREE_HALVES if sat else _ONE
     equivalence_ok = max_f == expected and max_d == expected
     threshold_ok = ((max_f == _ONE) != sat) and ((max_d == _ONE) != sat)
-    lengths_ok = (
-        (len(inst.u), len(inst.v))
-        == inst.expected_lengths
-        == _expected_lengths(inst.kind, inst.model, inst.effective_formula)
+    lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
+        inst.kind, inst.model, inst.effective_formula
     )
     gadgets = check_ub_gadgets(inst.effective_formula)
     gadget_ok = gadgets.ok
@@ -732,10 +726,8 @@ def _verify_weak(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport
         else:
             notes.append("equivalence fails under both adjacencies")
     range_ok = d_used >= _ONE
-    lengths_ok = (
-        (len(inst.u), len(inst.v))
-        == inst.expected_lengths
-        == _expected_lengths(inst.kind, inst.model, inst.effective_formula)
+    lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
+        inst.kind, inst.model, inst.effective_formula
     )
     count = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
     ok = lengths_ok and equivalence_ok and range_ok

@@ -60,6 +60,17 @@ def test_single_interval_pair_witness():
     assert F(1, 2) <= wu[0] <= F(4, 5)
 
 
+def test_witness_is_checked_by_the_precise_decision(monkeypatch):
+    # extract_witness must keep re-checking its pair exactly, through the
+    # module attribute lbfrechet.precise.frechet_decide
+    import lbfrechet.precise
+
+    out = decide_lb(FIG_U, FIG_V, F(1), trace=True)
+    monkeypatch.setattr(lbfrechet.precise, "frechet_decide", lambda a, b, d: False)
+    with pytest.raises(AssertionError, match="witness fails the precise decision"):
+        extract_witness(out.trace)
+
+
 def test_delta_must_be_positive():
     with pytest.raises(ValueError):
         decide_lb(FIG_U, FIG_V, F(0))

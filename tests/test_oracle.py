@@ -164,10 +164,16 @@ def test_bound_oracle_parallel_matches_serial():
     for _ in range(5):
         u = random_uncertain(rng)
         v = random_uncertain(rng)
-        for side in ("lower", "upper"):
-            serial = bound_oracle(u, v, "discrete", side, spec, jobs=1)
-            parallel = bound_oracle(u, v, "discrete", side, spec, jobs=2)
-            assert serial == parallel
+        lo = bound_oracle(u, v, "discrete", "lower", spec)
+        hi = bound_oracle(u, v, "discrete", "upper", spec)
+        # stop thresholds that end the scan at once, partway or never
+        for stop_at in (None, lo, (lo + hi) / 2, hi, hi + 1):
+            for side in ("lower", "upper"):
+                serial = bound_oracle(u, v, "discrete", side, spec, stop_at=stop_at)
+                parallel = bound_oracle(
+                    u, v, "discrete", side, spec, stop_at=stop_at, jobs=2
+                )
+                assert serial == parallel, (side, stop_at)
 
 
 def test_bound_oracle_precise_inputs_collapse():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -83,9 +84,28 @@ def test_frechet_decide_negative_delta():
         frechet_decide(fr([0]), fr([0]), F(-1))
 
 
-def random_curve(rng, max_len=7, lo=-5, hi=5):
+def random_curve(rng, max_len=7, lo=-5, hi=5, den=1):
+    """Vertices k/den in [lo, hi].  With den > 1 one vertex may repeat,
+    giving a zero-length edge; descending edges come with any draw."""
     n = rng.randint(1, max_len)
-    return [F(rng.randint(lo, hi)) for _ in range(n)]
+    xs = [F(rng.randint(lo * den, hi * den), den) for _ in range(n)]
+    if den > 1 and rng.random() < 0.5:
+        k = rng.randrange(n)
+        xs.insert(k, xs[k])
+    return xs
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def random_pair(rng, k, max_len=7):
+    """The k-th test pair: integer vertices on even k; on odd k distinct
+    small prime denominators for a, b and delta, so that the scaling step
+    has work to do.  Returns (a, b, delta denominator)."""
+    if k % 2 == 0:
+        return random_curve(rng, max_len), random_curve(rng, max_len), rng.randint(1, 3)
+    pa, pb, pd = rng.sample(SMALL_PRIMES, 3)
+    return random_curve(rng, max_len, den=pa), random_curve(rng, max_len, den=pb), pd
 
 
 def test_random_agreement_with_oracles():
@@ -97,14 +117,18 @@ def test_random_agreement_with_oracles():
         assert discrete_weak(a, b, adjacency=8) == discrete_weak_bfs(a, b, 8)
         assert discrete_weak(a, b, adjacency=4) == discrete_weak_bfs(a, b, 4)
         assert weak_frechet_1d(a, b) == weak_frechet_cells_value(a, b)
+    for k in range(400):
+        a, b, _ = random_pair(rng, 2 * k + 1)
+        assert discrete_frechet(a, b) == discrete_frechet_recursive(a, b)
 
 
 def test_frechet_value_boundary_is_exact():
     rng = random.Random(77)
     eps = F(1, 997)
-    for _ in range(150):
-        a = random_curve(rng, max_len=6)
-        b = random_curve(rng, max_len=6)
+    # distinct candidates with denominators dividing 2*13*11 lie more
+    # than eps apart, so v - eps is below the next smaller one
+    for k in range(300):
+        a, b, _ = random_pair(rng, k, max_len=6)
         v = frechet_value(a, b)
         assert frechet_decide(a, b, v)
         assert frechet_decide_reference(a, b, v)
@@ -115,11 +139,29 @@ def test_frechet_value_boundary_is_exact():
 
 def test_frechet_decide_matches_reference():
     rng = random.Random(78)
-    for _ in range(200):
-        a = random_curve(rng, max_len=6)
-        b = random_curve(rng, max_len=6)
-        d = F(rng.randint(0, 10), rng.randint(1, 3))
+    for k in range(400):
+        a, b, den = random_pair(rng, k, max_len=6)
+        d = F(rng.randint(0, 10 * den), den)
         assert frechet_decide(a, b, d) == frechet_decide_reference(a, b, d)
+
+
+# Denominators are primes near 2**16, so the common denominator has 80
+# bits (prime-family inputs reach that size).  The distance is half the
+# drop from a's second vertex to its third.
+BIG_A = [F(1, 65521), F(655361, 65519), F(-3, 65497), F(10)]
+BIG_B = [F(0), F(5, 65449), F(655351, 65479)]
+
+
+def test_large_scale_factor_pair():
+    assert lcm(*(x.denominator for x in BIG_A + BIG_B)).bit_length() >= 64
+    v = frechet_value(BIG_A, BIG_B)
+    assert v == (BIG_A[1] - BIG_A[2]) / 2 == F(21462187987, 4291297943)
+    assert frechet_decide(BIG_A, BIG_B, v)
+    assert frechet_decide_reference(BIG_A, BIG_B, v)
+    tiny = F(1, 2**90)
+    assert not frechet_decide(BIG_A, BIG_B, v - tiny)
+    assert not frechet_decide_reference(BIG_A, BIG_B, v - tiny)
+    assert discrete_frechet(BIG_A, BIG_B) == discrete_frechet_recursive(BIG_A, BIG_B)
 
 
 def test_frechet_value_bounds_other_metrics():
