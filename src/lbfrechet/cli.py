@@ -56,6 +56,13 @@ def _positive_scalar_arg(text: str) -> Fraction:
     return value
 
 
+def _nonnegative_scalar_arg(text: str) -> Fraction:
+    value = _scalar_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative value, got {text}")
+    return value
+
+
 def _int_at_least(low: int):
     """An argparse type for integers no smaller than low."""
 
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "weak-lb", help="minimum weak Frechet distance over realisations"
     )
     p_weak.add_argument("mode", choices=("decide", "value"))
-    p_weak.add_argument("--delta", type=_scalar_arg)
+    p_weak.add_argument("--delta", type=_nonnegative_scalar_arg)
     p_weak.add_argument("--cap", type=_positive_int_arg)
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")
@@ -305,6 +312,8 @@ def _cmd_weak_lb(args: argparse.Namespace) -> int:
         answer = wfr_min_decide(u, v, args.delta, cap=cap)
         result = "true" if answer else "false"
     else:
+        if args.delta is not None:
+            raise CliUsageError("weak-lb value takes no --delta")
         value = wfr_min_value(u, v, cap=cap)
         result = format_scalar(value)
     _emit(args, "weak-lb", (args.curve_a, args.curve_b), result)

@@ -19,8 +19,10 @@ walking the recurrences in reverse, and which recurrence term contributed
 which piece is recomputed from them on request with the generic Minkowski
 sum and meet; both read the one predecessor table, _PREDS.
 
-Everything runs on integers: inputs are rescaled by the common denominator
-once, and the final regions are scaled back.
+Everything runs on integers: decide_lb scales its inputs once by the common
+denominator (model.scale_to_ints), runs the sweep (_sweep) and scales the
+final regions back.  compute_lb scales the curves and its final bisection
+step once and runs the sweep directly on integer multiples of that step.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve
+from .model import FiniteSet, PolyCurve, UncertainCurve, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -307,19 +308,31 @@ def decide_lb(
     hull_u = _hulled_intervals(u, strict)
     hull_v = _hulled_intervals(v, strict)
     box = clip_box_for(u, v, delta)
+    s, ((d, blo, bhi), *hulls) = scale_to_ints((delta, box.lo, box.hi), *hull_u, *hull_v)
+    m = len(hull_u)
+    ipieces, jpieces, x00, tables, final_parts = _sweep(hulls[:m], hulls[m:], d, blo, bhi, trace)
 
-    den = lcm(
-        delta.denominator,
-        box.lo.denominator,
-        box.hi.denominator,
-        *(x.denominator for lo, hi in hull_u for x in (lo, hi)),
-        *(x.denominator for lo, hi in hull_v for x in (lo, hi)),
+    feasible = bool(final_parts)
+    final_region = Region.from_bounds(
+        [tuple(Fraction(x, s) for x in p) for _, _, _, pieces in final_parts for p in pieces],
+        box,
     )
-    s = den
-    d = int(delta * s)
-    blo, bhi = int(box.lo * s), int(box.hi * s)
-    su = [(int(lo * s), int(hi * s)) for lo, hi in hull_u]
-    sv = [(int(lo * s), int(hi * s)) for lo, hi in hull_v]
+    recorded = None
+    if trace:
+        recorded = LbTrace(
+            m=m, n=len(hull_v), scale=s, delta_scaled=d, box_scaled=(blo, bhi), box=box,
+            delta=delta, hull_u=hull_u, hull_v=hull_v, i_pieces=ipieces, j_pieces=jpieces,
+            x00=x00, tables=tables, final_parts=final_parts, feasible=feasible,
+        )
+    return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=recorded)
+
+
+def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple:
+    """The propagation on scaled ints: vertex intervals su and sv, band
+    half-width d, clip box [blo, bhi].  Returns the vertex slabs of both
+    curves, the start piece, the recorded tables (empty unless trace) and
+    the final parts (kind, i, j, pieces); the decision is feasible iff
+    some final part is left."""
     m, n = len(su), len(sv)
 
     # Vertex slabs already trimmed to the band and the box.
@@ -473,54 +486,22 @@ def decide_lb(
             rcur, lcur = new_r, new_l
         rlast, llast = rcur, lcur
 
-    # --- final check ------------------------------------------------------
+    # --- final check: R/L meet u's last slab, U/D meet v's last slab ------
     final_parts: list = []
     if m == 1 and n == 1:
         if x00 is not None:
             final_parts.append(("X", 1, 1, (x00,)))
     else:
-        if m >= 2:
-            im = ipieces[m]
-            for kind, src in (("R", rlast), ("L", llast)):
-                got = tuple(
-                    q for q in (meet_bounds(p, im) for p in src) if q is not None
-                )
-                if got:
-                    final_parts.append((kind, m - 1, n, got))
-        if n >= 2:
-            jn = jpieces[n]
-            for kind, src in (("U", ucol[n - 1]), ("D", dcol[n - 1])):
-                got = tuple(
-                    q for q in (meet_bounds(p, jn) for p in src) if q is not None
-                )
-                if got:
-                    final_parts.append((kind, m, n - 1, got))
-
-    feasible = bool(final_parts)
-    final_region = Region.from_bounds(
-        [tuple(Fraction(x, s) for x in p) for _, _, _, pieces in final_parts for p in pieces],
-        box,
-    )
-    recorded = None
-    if trace:
-        recorded = LbTrace(
-            m=m,
-            n=n,
-            scale=s,
-            delta_scaled=d,
-            box_scaled=(blo, bhi),
-            box=box,
-            delta=delta,
-            hull_u=hull_u,
-            hull_v=hull_v,
-            i_pieces=ipieces,
-            j_pieces=jpieces,
-            x00=x00,
-            tables=tables,
-            final_parts=final_parts,
-            feasible=feasible,
-        )
-    return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=recorded)
+        for kind, i, j, src, last in (
+            ("R", m - 1, n, rlast, ipieces[m]),
+            ("L", m - 1, n, llast, ipieces[m]),
+            ("U", m, n - 1, ucol[n - 1], jpieces[n]),
+            ("D", m, n - 1, dcol[n - 1], jpieces[n]),
+        ):
+            got = tuple(q for q in (meet_bounds(p, last) for p in src) if q is not None)
+            if got:
+                final_parts.append((kind, i, j, got))
+    return ipieces, jpieces, x00, tables, final_parts
 
 
 def _preimage(px: int, py: int, cone: Cone, blo: int, bhi: int) -> Bounds:
@@ -627,6 +608,10 @@ def compute_lb(
 
     Returns a delta_hat with decide_lb(delta_hat) feasible and
     decide_lb(delta_hat - tol) infeasible (deltas <= 0 count as infeasible).
+
+    Every probe is a multiple of the final bracket width, so the curves and
+    that width are scaled to ints once and each probe runs the sweep on
+    decide_lb's clip box directly.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -636,12 +621,25 @@ def compute_lb(
     span = max(uhi - vlo, vhi - ulo, Fraction(0))
     if span == 0:
         return Fraction(0)
-    lo = Fraction(0)
-    hi = max(span, tol)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if decide_lb(u, v, mid, strict=strict).feasible:
+    if span <= tol:
+        return tol
+    step, lo, hi = span, 0, 1
+    while step > tol:
+        step /= 2
+        hi *= 2
+    hull_u = _hulled_intervals(u, strict)
+    hull_v = _hulled_intervals(v, strict)
+    s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v)
+    su, sv = hulls[: len(hull_u)], hulls[len(hull_u) :]
+    end_lo = min(a for a, _ in hulls)
+    end_hi = max(b for _, b in hulls)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        d = mid * unit
+        # clip_box_for's box at delta = mid * step, scaled
+        *_, final_parts = _sweep(su, sv, d, end_lo - 2 * d - s, end_hi + 2 * d + s, False)
+        if final_parts:
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi * step

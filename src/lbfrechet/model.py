@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Fraction
@@ -63,6 +64,13 @@ def format_scalar(value: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def scale_to_ints(*seqs: Sequence[Fraction], factor: int = 1) -> tuple[int, list[list[int]]]:
+    """The one scaling step from exact scalars to ints: s = factor * lcm of
+    all denominators, and every value (Fraction or int) times s as an int."""
+    s = factor * lcm(*(x.denominator for xs in seqs for x in xs))
+    return s, [[x.numerator * (s // x.denominator) for x in xs] for xs in seqs]
 
 
 @dataclass(frozen=True)

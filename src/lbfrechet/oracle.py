@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .model import FiniteSet, Interval, Precise, UncertainCurve
@@ -66,22 +67,18 @@ def vertex_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list
 
 
 def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
-    total = 1
-    for cands in vertex_candidates(curve, spec):
-        total *= len(cands)
-    return total
+    return prod(map(len, vertex_candidates(curve, spec)))
 
 
 def enumerate_realisations(
     curve: UncertainCurve, spec: EnumerationSpec
 ) -> Iterator[tuple[Fraction, ...]]:
     """All candidate realisations in lexicographic order."""
-    if enumeration_size(curve, spec) > spec.cap:
-        raise CapExceeded(
-            f"enumeration of {enumeration_size(curve, spec)} realisations "
-            f"exceeds cap {spec.cap}"
-        )
-    return itertools.product(*vertex_candidates(curve, spec))
+    cands = vertex_candidates(curve, spec)
+    size = prod(map(len, cands))
+    if size > spec.cap:
+        raise CapExceeded(f"enumeration of {size} realisations exceeds cap {spec.cap}")
+    return itertools.product(*cands)
 
 
 def _metric(variant: str, adjacency: int) -> Callable:
@@ -117,15 +114,12 @@ def bound_oracle(
     spec = spec or EnumerationSpec()
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    nu = enumeration_size(u, spec)
-    nv = enumeration_size(v, spec)
-    if nu * nv > spec.cap:
-        raise CapExceeded(
-            f"{nu} x {nv} realisation pairs exceed cap {spec.cap}"
-        )
-    dist = _metric(variant, adjacency)
     cu = vertex_candidates(u, spec)
     cv = vertex_candidates(v, spec)
+    nu, nv = prod(map(len, cu)), prod(map(len, cv))
+    if nu * nv > spec.cap:
+        raise CapExceeded(f"{nu} x {nv} realisation pairs exceed cap {spec.cap}")
+    dist = _metric(variant, adjacency)
     stop = None if stop_at is None else Fraction(stop_at)
     if jobs > 1:
         return _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop)

@@ -6,16 +6,17 @@ recurrence (run on the curves and on their reversals), and the discrete
 weak variant as a bottleneck path in the vertex-pair grid.
 
 Continuous and discrete Frechet run on ints: each call scales its inputs
-once by the common denominator and converts back at the end, so results
-are still Fractions.  Float infinity appears only as an unreachable
-sentinel in min/max chains.
+once by the common denominator (model.scale_to_ints) and converts back at
+the end, so results are still Fractions.  Float infinity appears only as
+an unreachable sentinel in min/max chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .model import scale_to_ints
 
 INF = float("inf")
 
@@ -34,13 +35,6 @@ def _check_curves(a, b):
     if not a or not b:
         raise ValueError("curves need at least one vertex")
     return a, b
-
-
-def _scaled(*seqs: Sequence[Fraction], factor: int = 1) -> tuple[int, list[list[int]]]:
-    """The one scaling step: s = factor * lcm of all denominators, and
-    every value times s as an int."""
-    s = factor * lcm(*(x.denominator for xs in seqs for x in xs))
-    return s, [[x.numerator * (s // x.denominator) for x in xs] for xs in seqs]
 
 
 def _decide(a: list[int], b: list[int], d: int) -> bool:
@@ -125,7 +119,7 @@ def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    _, (ai, bi, (d,)) = _scaled(a, b, (delta,))
+    _, (ai, bi, (d,)) = scale_to_ints(a, b, (delta,))
     return _decide(ai, bi, d)
 
 
@@ -138,7 +132,7 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     common denominator keeps the halves integral.
     """
     a, b = _check_curves(a, b)
-    s, (ai, bi) = _scaled(a, b, factor=2)
+    s, (ai, bi) = scale_to_ints(a, b, factor=2)
     cands = {0}
     cands.update(abs(x - y) for x in ai for y in bi)
     for xs in (ai, bi):
@@ -161,7 +155,7 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Classic coupling recurrence, quadratic time, rolling rows."""
     a, b = _check_curves(a, b)
-    s, (a, b) = _scaled(a, b)
+    s, (a, b) = scale_to_ints(a, b)
     m, n = len(a), len(b)
     prev = [INF] * n
     for i in range(m):

@@ -8,7 +8,8 @@ attained, which turns containment and emptiness into plain comparisons.
 A region is a finite union of such pieces inside a common clipping square.
 
 All bound arithmetic is +, -, min, max and comparisons, so the same code
-runs on Fractions and on pre-scaled ints.
+runs on Fractions and on pre-scaled ints.  The coverage test scales its
+pieces to ints itself, with model.scale_to_ints.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
+
+from .model import format_scalar, scale_to_ints
 
 Bounds = tuple  # (xlo, xhi, ylo, yhi, dlo, dhi)
 
@@ -439,15 +441,6 @@ def bounds_lexmin(p: Bounds) -> tuple:
 _STRICT_SCALE = 8
 
 
-def _scale_to_int(pieces: Sequence[Bounds]) -> list[tuple[int, ...]]:
-    den = 1
-    for p in pieces:
-        for v in p:
-            den = lcm(den, v.denominator if isinstance(v, Fraction) else 1)
-    f = _STRICT_SCALE * den
-    return [tuple(int(v * f) for v in p) for p in pieces]
-
-
 def _cell_bound(cell, k: int, value: int, upper: bool):
     c = list(cell)
     if upper:
@@ -461,7 +454,7 @@ def _cell_bound(cell, k: int, value: int, upper: bool):
 
 def bounds_covered(target: Bounds, cover: Sequence[Bounds]) -> bool:
     """True iff the target piece is inside the union of the cover pieces."""
-    scaled = _scale_to_int([target, *cover])
+    _, scaled = scale_to_ints(target, *cover, factor=_STRICT_SCALE)
     cells = [scaled[0]]
     for q in scaled[1:]:
         if not cells:
@@ -679,8 +672,6 @@ class Region:
 
     def dump_lines(self) -> list[str]:
         """One piece per line, each a counterclockwise vertex list."""
-        from .model import format_scalar
-
         lines = []
         for p in self.pieces:
             verts = p.vertices()

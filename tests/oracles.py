@@ -338,3 +338,29 @@ def min_weak_over_grid(u, v, positions_u=(), positions_v=()):
     choices_u = [grid_point_choices(p, positions_u) for p in u.points]
     choices_v = [grid_point_choices(p, positions_v) for p in v.points]
     return min_weak_over_choices(choices_u, choices_v)
+
+
+# ---------------------------------------------------------------------------
+# Lower-bound value by bisecting Fraction deltas over the decision
+# ---------------------------------------------------------------------------
+
+
+def compute_lb_reference(u, v, tol, strict=False):
+    """The smallest feasible delta to within tol, by halving a Fraction
+    bracket [0, max(span, tol)] and calling decide_lb (which scales its
+    inputs afresh) at every midpoint."""
+    from lbfrechet.lower_bound import decide_lb
+
+    tol = Fraction(tol)
+    (ulo, uhi), (vlo, vhi) = u.span(), v.span()
+    span = max(uhi - vlo, vhi - ulo, Fraction(0))
+    if span == 0:
+        return Fraction(0)
+    lo, hi = Fraction(0), max(span, tol)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if decide_lb(u, v, mid, strict=strict).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi

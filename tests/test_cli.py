@@ -294,22 +294,27 @@ def test_unknown_subcommand_usage_exit(capsys):
     capsys.readouterr()
 
 
+ORACLE = ["oracle", "--variant", "discrete", "--side", "lower"]
+
+
 @pytest.mark.parametrize(
     "env_cap, flags",
     [
-        ("abc", []),
-        ("0", []),
-        (None, ["--resolution", "1"]),
-        (None, ["--resolution", "x"]),
-        (None, ["--cap", "-5"]),
-        (None, ["--jobs", "0"]),
+        ("abc", ORACLE),
+        ("0", ORACLE),
+        (None, [*ORACLE, "--resolution", "1"]),
+        (None, [*ORACLE, "--resolution", "x"]),
+        (None, [*ORACLE, "--cap", "-5"]),
+        (None, [*ORACLE, "--jobs", "0"]),
+        (None, ["weak-lb", "decide", "--delta", "-1"]),
+        (None, ["weak-lb", "value", "--delta", "2"]),
     ],
 )
 def test_bad_numbers_are_usage_errors(write_curve, capsys, monkeypatch, env_cap, flags):
     a = write_curve([interval(0, 1)])
     if env_cap is not None:
         monkeypatch.setenv("LBF_CAP", env_cap)
-    argv = ["oracle", "--variant", "discrete", "--side", "lower", *flags, a, a]
+    argv = [*flags, a, a]
     try:
         code = main(argv)
     except SystemExit as exc:

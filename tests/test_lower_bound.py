@@ -27,6 +27,7 @@ from lbfrechet.regions import (
     mink_bounds,
     normalize_pieces,
 )
+from oracles import compute_lb_reference
 
 
 def ic(*spans):
@@ -325,6 +326,46 @@ def test_compute_lb_identical_precise():
     # identical single points short-circuit to zero
     p = ic(2)
     assert compute_lb(p, p, tol) == 0
+
+
+def _prime_den_curve(rng, max_len):
+    pts = []
+    for _ in range(rng.randint(1, max_len)):
+        lo = F(rng.randint(-12, 12), rng.choice((1, 3, 5, 7, 11, 13)))
+        pts.append(make_interval(lo, lo + F(rng.randint(0, 4), rng.choice((2, 3, 7)))))
+    return UncertainCurve(pts)
+
+
+def test_compute_lb_matches_fraction_bisection():
+    """compute_lb scales once and bisects ints; the reference bisects
+    Fractions over decide_lb.  They must agree exactly."""
+    rng = random.Random(4021)
+    for t in range(80):
+        u = _prime_den_curve(rng, 4)
+        v = _prime_den_curve(rng, 4)
+        if t % 4 == 3:
+            # a tolerance the bracket halves onto exactly
+            (ulo, uhi), (vlo, vhi) = u.span(), v.span()
+            tol = max(uhi - vlo, vhi - ulo) / 2 ** rng.randint(3, 9)
+        else:
+            tol = (F(1, 997), F(3, 1000), F(1, 64))[t % 4]
+        assert compute_lb(u, v, tol) == compute_lb_reference(u, v, tol)
+    # tol at or above the span max(5 - 7/3, 7/3 - 0) returns tol unprobed
+    u, v = ic((0, 1), 5), ic(F(7, 3))
+    span = F(8, 3)
+    for tol in (span, span + F(1, 3), F(100)):
+        assert compute_lb(u, v, tol) == compute_lb_reference(u, v, tol) == tol
+    # a finite-set vertex is hulled with a warning, or rejected when strict
+    w = UncertainCurve([Precise(F(1, 5)), make_set([F(-2), F(3, 7), F(4)]), Precise(F(2))])
+    tol = F(1, 997)
+    with pytest.warns(UserWarning):
+        got = compute_lb(w, v, tol)
+    with pytest.warns(UserWarning):
+        assert got == compute_lb_reference(w, v, tol)
+    with pytest.raises(ValueError):
+        compute_lb(w, v, tol, strict=True)
+    with pytest.raises(ValueError):
+        compute_lb_reference(w, v, tol, strict=True)
 
 
 def test_clip_box_covers_positions():

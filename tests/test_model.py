@@ -1,10 +1,14 @@
 """Scalars, vertex kinds, curves, and the JSON wire format."""
 
+import ast
+import pathlib
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lbfrechet
 from lbfrechet import (
     CurveFormatError,
     FiniteSet,
@@ -22,7 +26,7 @@ from lbfrechet import (
     reverse,
     subcurve,
 )
-from lbfrechet.model import make_interval, make_set, precise_curve
+from lbfrechet.model import make_interval, make_set, precise_curve, scale_to_ints
 
 
 # --- scalars ---------------------------------------------------------------
@@ -76,6 +80,35 @@ def test_format_scalar(value, text):
 def test_scalar_round_trip(num, den):
     q = F(num, den)
     assert parse_scalar(format_scalar(q)) == q
+
+
+exact_scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**4),
+)
+
+
+@given(st.lists(st.lists(exact_scalars, max_size=4), max_size=4), st.sampled_from([1, 2, 8]))
+def test_scale_to_ints(seqs, factor):
+    s, ints = scale_to_ints(*seqs, factor=factor)
+    assert s == factor * lcm(*(F(x).denominator for xs in seqs for x in xs))
+    assert [len(xs) for xs in ints] == [len(xs) for xs in seqs]
+    for xs, ys in zip(seqs, ints):
+        for x, y in zip(xs, ys):
+            assert type(y) is int and y == x * s
+
+
+def test_only_model_takes_an_lcm():
+    """Every scaling to ints goes through model.scale_to_ints: no other
+    module names lcm, so the choice of scale cannot fork."""
+    users = set()
+    for path in pathlib.Path(lbfrechet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "lcm") or (
+                isinstance(node, ast.Attribute) and node.attr == "lcm"
+            ) or (isinstance(node, ast.alias) and node.name == "lcm"):
+                users.add(path.name)
+    assert users == {"model.py"}
 
 
 # --- vertex kinds ----------------------------------------------------------
