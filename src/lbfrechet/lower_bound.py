@@ -10,14 +10,16 @@ cones and are trimmed by the slab of the next vertex and the band
 |x - y| <= delta.  The decision is feasible iff a final region is
 nonempty.
 
-One sweep computes the regions: the base row and base column follow the
-vertex rays out of the start cell, and every interior cell runs the fused
-cone-and-meet kernels of the regions module on a rolling row/column state.
-A traced decision has the same sweep record each region it produces.  A
-realisation pair witnessing feasibility is read back off those tables by
-walking the recurrences in reverse, and which recurrence term contributed
-which piece is recomputed from them on request with the generic Minkowski
-sum and meet; both read the one predecessor table, _PREDS.
+The predecessor table _PREDS is the recurrence: per kind, the (predecessor
+kind, cone) terms whose Minkowski sums make up its region, and the ray along
+the base row or column.  One sweep computes the regions from it with the
+fused cone-and-meet kernels of the regions module; where every predecessor
+region holds one piece, a hand-fused step evaluates the twelve terms at
+once, and where none holds any the cell stays empty.  A traced decision has
+the sweep record each region it produces.  A witness realisation pair is
+read back off those tables by walking _PREDS in reverse, and which term
+contributed which piece is recomputed from them on request with the
+generic Minkowski sum and meet.
 
 Everything runs on integers: decide_lb scales its inputs once by the common
 denominator (model.scale_to_ints), runs the sweep (_sweep) and scales the
@@ -145,14 +147,15 @@ def _reduce(ps: list) -> tuple:
     return tuple(kept)
 
 
-# Each kind's recurrence: the grid step from its predecessor cell, the ray it
-# follows out of a vertex slab, and its (predecessor kind, cone) terms in sweep
-# order.  Off the base row and column a term is mink(pred, cone) met with the
-# slab of the vertex the step lands on.  On the base row (U/D at i = 1) and the
-# base column (R/L at j = 1) the step runs along the other axis instead, over
-# the two kinds of the same axis: the predecessor meets the slab of the vertex
-# it crosses first and then follows the ray, trimmed to the band.  At (1, 1)
-# the ray leaves the start piece x00.
+# The recurrence, read by the sweep, the witness walk and the provenance
+# views.  Per kind: the grid step from its predecessor cell, the ray it follows
+# out of a vertex slab, and its (predecessor kind, cone) terms in sweep order.
+# Off the base row and column a term is mink(pred, cone) met with the slab of
+# the vertex the step lands on.  On the base row (U/D at i = 1) and the base
+# column (R/L at j = 1) the step runs along the other axis instead, over the
+# two kinds of the same axis: the predecessor meets the slab of the vertex it
+# crosses first and then follows the ray, trimmed to the band.  At (1, 1) the
+# ray leaves the start piece x00.
 _PREDS = {
     "U": ((1, 0), Cone.S_U, (("U", Cone.H_U), ("R", Cone.Q_RU), ("L", Cone.Q_LU))),
     "D": ((1, 0), Cone.S_D, (("D", Cone.H_D), ("R", Cone.Q_RD), ("L", Cone.Q_LD))),
@@ -341,36 +344,26 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     assert all(p is not None for p in ipieces[1:] + jpieces[1:])
     x00 = meet_bounds(ipieces[1], jpieces[1])
 
-    # Rays fused with the band trim: the band is the only bound the free
-    # directions can violate.
-    def ray_up(p):
-        return close_bounds(p[0], p[1], p[2], bhi, p[4], d)
+    band = (blo, bhi, blo, bhi, -d, d)
 
-    def ray_down(p):
-        return close_bounds(p[0], p[1], blo, p[3], -d, p[5])
-
-    def ray_right(p):
-        return close_bounds(p[0], bhi, p[2], p[3], -d, p[5])
-
-    def ray_left(p):
-        return close_bounds(blo, p[1], p[2], p[3], p[4], d)
-
-    def base_walk(slabs, count, fwd, back):
+    def base_walk(slabs, count, kinds):
         # The two kinds of one axis along the base row (U/D over j at i = 1)
-        # or the base column (R/L over i at j = 1), indices 1..count-1.
-        a = [()] * (count + 1)
-        b = [()] * (count + 1)
+        # or the base column (R/L over i at j = 1), indices 1..count-1: each
+        # follows its _PREDS ray out of the previous slab, trimmed to the band.
+        rays = [_PREDS[kind][1] for kind in kinds]
+        walks = [[()] * (count + 1) for _ in kinds]
         src: list = [] if x00 is None else [x00]
         for k in range(1, count):
             if k > 1:
                 slab = slabs[k]
-                src = [w for w in (meet_bounds(p, slab) for p in a[k - 1] + b[k - 1]) if w is not None]
-            a[k] = _reduce([q for q in map(fwd, src) if q is not None])
-            b[k] = _reduce([q for q in map(back, src) if q is not None])
-        return a, b
+                src = [w for w in (meet_bounds(p, slab) for walk in walks for p in walk[k - 1]) if w is not None]
+            for walk, ray in zip(walks, rays):
+                rayed = (meet_bounds(mink_bounds(p, ray, blo, bhi), band) for p in src)
+                walk[k] = _reduce([q for q in rayed if q is not None])
+        return walks
 
-    ucol, dcol = base_walk(jpieces, n, ray_up, ray_down)
-    rbase, lbase = base_walk(ipieces, m, ray_right, ray_left)
+    ucol, dcol = base_walk(jpieces, n, "UD")
+    rbase, lbase = base_walk(ipieces, m, "RL")
     tables: dict = {k: {} for k in "UDRL"}
     tu, td, tr, tl = (tables[k] for k in "UDRL")
     if trace:
@@ -381,15 +374,20 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
 
     # --- interior sweep --------------------------------------------------
     # Rolling state: ucol/dcol hold the U/D regions of the current row and
-    # rcur/lcur the R/L regions at (i, j).  The fused kernels from the
-    # regions module compute each recurrence term; the one-piece branch
-    # covers the dominant shape without building lists.  A traced decision
-    # records the four new regions per cell and nothing else.
+    # rcur/lcur the R/L regions at (i, j).  A cell with one piece in every
+    # source takes the hand-fused step, one with no piece at all stays empty,
+    # and any other walks each kind's _PREDS terms and cleans up with _reduce.
+    # A traced decision records the four new regions per cell.
     hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
     qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
-    reduce_ = _reduce
-    two = _two
-    three = _three
+    kernel = {Cone.H_R: hr, Cone.H_L: hl, Cone.H_U: hu, Cone.H_D: hd,
+              Cone.Q_RU: qru, Cone.Q_LU: qlu, Cone.Q_RD: qrd, Cone.Q_LD: qld}
+    # per kind, in U, D, R, L order: (steps along u, ((source, kernel), ...))
+    recurrence = [
+        (_PREDS[kind][0][0], tuple((pk, kernel[cone]) for pk, cone in _PREDS[kind][2]))
+        for kind in "UDRL"
+    ]
+    reduce_, two, three = _reduce, _two, _three
 
     def comb3(a, b, c):
         # containment cleanup of up-to-three kernel results, in order
@@ -412,7 +410,6 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
             dij = dcol[j]
             jnext = jpieces[j + 1]
             if len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
-                # dominant shape: one piece per source, no lists needed
                 pr = rcur[0]
                 pl = lcur[0]
                 pu = uij[0]
@@ -421,63 +418,21 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
                 new_l = comb3(hl(pl, jnext), qlu(pu, jnext), qld(pd, jnext))
                 ucol[j] = comb3(hu(pu, inext), qru(pr, inext), qlu(pl, inext))
                 dcol[j] = comb3(hd(pd, inext), qrd(pr, inext), qld(pl, inext))
+            elif not (rcur or lcur or uij or dij):
+                new_r = new_l = ()  # ucol[j] and dcol[j] stay empty
             else:
-                acc = []
-                for p in rcur:
-                    q = hr(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                for p in uij:
-                    q = qru(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                for p in dij:
-                    q = qrd(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                new_r = reduce_(acc)
-                acc = []
-                for p in lcur:
-                    q = hl(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                for p in uij:
-                    q = qlu(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                for p in dij:
-                    q = qld(p, jnext)
-                    if q is not None:
-                        acc.append(q)
-                new_l = reduce_(acc)
-                acc = []
-                for p in uij:
-                    q = hu(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                for p in rcur:
-                    q = qru(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                for p in lcur:
-                    q = qlu(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                ucol[j] = reduce_(acc)
-                acc = []
-                for p in dij:
-                    q = hd(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                for p in rcur:
-                    q = qrd(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                for p in lcur:
-                    q = qld(p, inext)
-                    if q is not None:
-                        acc.append(q)
-                dcol[j] = reduce_(acc)
+                src = {"U": uij, "D": dij, "R": rcur, "L": lcur}
+                new = []
+                for di, terms in recurrence:
+                    target = inext if di else jnext
+                    acc = []
+                    for pk, mm in terms:
+                        for p in src[pk]:
+                            q = mm(p, target)
+                            if q is not None:
+                                acc.append(q)
+                    new.append(reduce_(acc))
+                ucol[j], dcol[j], new_r, new_l = new
             if trace:
                 tr[(i, j + 1)] = new_r
                 tl[(i, j + 1)] = new_l

@@ -326,9 +326,3 @@ def load_curve(path: str) -> UncertainCurve:
     except json.JSONDecodeError as exc:
         raise CurveFormatError(f"{path}: bad JSON: {exc}") from exc
     return curve_from_json(data)
-
-
-def dump_curve(curve: UncertainCurve, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(curve_to_json(curve), fh, indent=2)
-        fh.write("\n")

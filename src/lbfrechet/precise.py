@@ -176,32 +176,12 @@ def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(prev[n - 1], s)
 
 
-def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """Forward bottleneck recurrence over prefix images.
-
-    Entry (i, j) is the cheapest max-cost of interleaving the first i
-    vertices of a with the first j of b, where advancing a vertex of one
-    curve costs its predecessor's distance to the image of the other
-    curve's processed prefix.
-    """
-    a, b = _check_curves(a, b)
+def _bottleneck(a: list, b: list, aimg: list, bimg: list) -> Fraction:
+    """Forward bottleneck recurrence: entry (i, j) is the cheapest max-cost
+    of interleaving the first i vertices of a with the first j of b, where
+    reaching vertex i of a costs a[i - 1]'s distance to the image bimg[j]
+    of b, and reaching vertex j of b costs b[j - 1]'s distance to aimg[i]."""
     m, n = len(a), len(b)
-    alo: list[Fraction] = []
-    ahi: list[Fraction] = []
-    lo = hi = a[0]
-    for x in a:
-        lo = lo if lo <= x else x
-        hi = hi if hi >= x else x
-        alo.append(lo)
-        ahi.append(hi)
-    blo: list[Fraction] = []
-    bhi: list[Fraction] = []
-    lo = hi = b[0]
-    for y in b:
-        lo = lo if lo <= y else y
-        hi = hi if hi >= y else y
-        blo.append(lo)
-        bhi.append(hi)
     prev = [INF] * n
     for i in range(m):
         cur = [INF] * n
@@ -211,18 +191,36 @@ def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
                 continue
             best = INF
             if i > 0 and prev[j] is not INF:
-                pen = _dist_to_interval(a[i - 1], blo[j], bhi[j])
+                pen = _dist_to_interval(a[i - 1], *bimg[j])
                 cand = prev[j] if prev[j] > pen else pen
                 if cand < best:
                     best = cand
             if j > 0 and cur[j - 1] is not INF:
-                pen = _dist_to_interval(b[j - 1], alo[i], ahi[i])
+                pen = _dist_to_interval(b[j - 1], *aimg[i])
                 cand = cur[j - 1] if cur[j - 1] > pen else pen
                 if cand < best:
                     best = cand
             cur[j] = best
         prev = cur
     return prev[n - 1]
+
+
+def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Forward bottleneck recurrence over prefix images: advancing a vertex
+    of one curve costs its predecessor's distance to the image of the other
+    curve's processed prefix."""
+    a, b = _check_curves(a, b)
+
+    def prefix_hulls(xs):
+        out = []
+        lo = hi = xs[0]
+        for x in xs:
+            lo = lo if lo <= x else x
+            hi = hi if hi >= x else x
+            out.append((lo, hi))
+        return out
+
+    return _bottleneck(a, b, prefix_hulls(a), prefix_hulls(b))
 
 
 def rm_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -230,37 +228,11 @@ def rm_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     the other curve (its image degenerates to the first vertex when no
     edge has been processed yet)."""
     a, b = _check_curves(a, b)
-    m, n = len(a), len(b)
 
-    def edge_img(xs, j):
-        if j == 0:
-            return xs[0], xs[0]
-        lo, hi = xs[j - 1], xs[j]
-        return (lo, hi) if lo <= hi else (hi, lo)
+    def edge_images(xs):
+        return [(xs[0], xs[0])] + [(p, q) if p <= q else (q, p) for p, q in zip(xs, xs[1:])]
 
-    prev = [INF] * n
-    for i in range(m):
-        cur = [INF] * n
-        for j in range(n):
-            if i == 0 and j == 0:
-                cur[0] = abs(a[0] - b[0])
-                continue
-            best = INF
-            if i > 0 and prev[j] is not INF:
-                lo, hi = edge_img(b, j)
-                pen = _dist_to_interval(a[i - 1], lo, hi)
-                cand = prev[j] if prev[j] > pen else pen
-                if cand < best:
-                    best = cand
-            if j > 0 and cur[j - 1] is not INF:
-                lo, hi = edge_img(a, i)
-                pen = _dist_to_interval(b[j - 1], lo, hi)
-                cand = cur[j - 1] if cur[j - 1] > pen else pen
-                if cand < best:
-                    best = cand
-            cur[j] = best
-        prev = cur
-    return prev[n - 1]
+    return _bottleneck(a, b, edge_images(a), edge_images(b))
 
 
 def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

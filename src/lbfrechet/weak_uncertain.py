@@ -132,20 +132,11 @@ def candidate_positions(
     return per_vertex(u), per_vertex(v)
 
 
-def _extend_hull(
-    t: int,
-    val: Fraction,
-    lo: Fraction,
-    hi: Fraction,
-    t_min: int,
-    t_max: int,
-    pin_min: Optional[Fraction],
-    pin_max: Optional[Fraction],
-):
+def _extend_hull(t: int, val: Fraction, lo: Fraction, hi: Fraction, t_min: int, t_max: int):
     """Update a running image when vertex t takes val, honouring the
     extremum indices.  Returns the new (lo, hi) or None when inadmissible."""
     if t == t_min:
-        if val > lo or (pin_min is not None and val != pin_min):
+        if val > lo:
             return None
         lo = val
     elif t > t_min:
@@ -155,7 +146,7 @@ def _extend_hull(
         if val < lo:
             lo = val
     if t == t_max:
-        if val < hi or (pin_max is not None and val != pin_max):
+        if val < hi:
             return None
         hi = val
     elif t > t_max:
@@ -173,8 +164,6 @@ def _weak_dp(
     iext: tuple[int, int],
     jext: tuple[int, int],
     *,
-    x_pins: tuple[Optional[Fraction], Optional[Fraction]] = (None, None),
-    y_pins: tuple[Optional[Fraction], Optional[Fraction]] = (None, None),
     pin_domains: Optional[dict] = None,
     prune_above: Optional[Fraction] = None,
     cap: int = DEFAULT_STATE_CAP,
@@ -191,7 +180,7 @@ def _weak_dp(
     i_min, i_max = iext
     j_min, j_max = jext
 
-    def dom(axis: str, which: str, t: int, values):
+    def dom(axis: str, which: str, values):
         if pin_domains is None:
             return values
         allowed = pin_domains.get((axis, which))
@@ -202,28 +191,28 @@ def _weak_dp(
     def u_choices(t: int):
         vals = pos_u[t - 1]
         if t == i_min:
-            vals = dom("x", "min", t, vals)
+            vals = dom("x", "min", vals)
         if t == i_max:
-            vals = dom("x", "max", t, vals)
+            vals = dom("x", "max", vals)
         return vals
 
     def v_choices(t: int):
         vals = pos_v[t - 1]
         if t == j_min:
-            vals = dom("y", "min", t, vals)
+            vals = dom("y", "min", vals)
         if t == j_max:
-            vals = dom("y", "max", t, vals)
+            vals = dom("y", "max", vals)
         return vals
 
     total_states = 0
     table: dict = {}
     start: dict = {}
     for x1 in u_choices(1):
-        hx = _extend_hull(1, x1, x1, x1, i_min, i_max, x_pins[0], x_pins[1])
+        hx = _extend_hull(1, x1, x1, x1, i_min, i_max)
         if hx is None:
             continue
         for y1 in v_choices(1):
-            hy = _extend_hull(1, y1, y1, y1, j_min, j_max, y_pins[0], y_pins[1])
+            hy = _extend_hull(1, y1, y1, y1, j_min, j_max)
             if hy is None:
                 continue
             val = abs(x1 - y1)
@@ -247,7 +236,7 @@ def _weak_dp(
                     if prune_above is not None and base > prune_above:
                         continue
                     for x2 in u_choices(i):
-                        h = _extend_hull(i, x2, xlo, xhi, i_min, i_max, x_pins[0], x_pins[1])
+                        h = _extend_hull(i, x2, xlo, xhi, i_min, i_max)
                         if h is None:
                             continue
                         key = (x2, y, h[0], h[1], ylo, yhi)
@@ -261,7 +250,7 @@ def _weak_dp(
                     if prune_above is not None and base > prune_above:
                         continue
                     for y2 in v_choices(j):
-                        h = _extend_hull(j, y2, ylo, yhi, j_min, j_max, y_pins[0], y_pins[1])
+                        h = _extend_hull(j, y2, ylo, yhi, j_min, j_max)
                         if h is None:
                             continue
                         key = (x, y2, xlo, xhi, h[0], h[1])
@@ -306,8 +295,12 @@ def min_r_constrained(
         pos_v,
         (rc.i_min, rc.i_max),
         (rc.j_min, rc.j_max),
-        x_pins=(rc.x_min, rc.x_max),
-        y_pins=(rc.y_min, rc.y_max),
+        pin_domains={
+            ("x", "min"): {rc.x_min},
+            ("x", "max"): {rc.x_max},
+            ("y", "min"): {rc.y_min},
+            ("y", "max"): {rc.y_max},
+        },
         cap=cap,
     )
     key = ((rc.x_min, rc.x_max), (rc.y_min, rc.y_max))

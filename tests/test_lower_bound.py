@@ -1,6 +1,7 @@
 """Lower-bound Frechet decision: propagation, traces, witnesses, search."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -173,10 +174,16 @@ def scaled_region(trace, pieces):
 def test_traced_and_fast_paths_agree():
     rng = random.Random(3141)
     checked = 0
-    for _ in range(120):
-        u = random_interval_curve(rng)
-        v = random_interval_curve(rng)
-        delta = F(rng.randint(1, 4), 2)
+    # interior sweep steps by the shape of their four sources: one piece in
+    # each (the fused step), none in any (left empty), and some empty or some
+    # with two pieces (both walk _PREDS); the longer, wider draws at the end
+    # give the two-piece shape more cells
+    shapes = Counter()
+    for k in range(180):
+        wide = k >= 120
+        u = random_interval_curve(rng, max_len=8 if wide else 5)
+        v = random_interval_curve(rng, max_len=8 if wide else 5)
+        delta = F(rng.randint(1, 8 if wide else 4), 2)
         fast = decide_lb(u, v, delta)
         traced = decide_lb(u, v, delta, trace=True)
         assert fast.trace is None and isinstance(traced.trace, LbTrace)
@@ -196,7 +203,13 @@ def test_traced_and_fast_paths_agree():
                 terms = trace.provenance(kind, i, j)
                 assert recorded.equals(scaled_region(trace, [p for _, ps in terms for p in ps]))
                 checked += 1
+        for i in range(1, m):
+            for j in range(1, n):
+                sizes = {len(trace.tables[kind][(i, j)]) for kind in "UDRL"}
+                shape = "two" if 2 in sizes else "one" if sizes == {1} else "none" if sizes == {0} else "some empty"
+                shapes[shape] += 1
     assert checked > 1000
+    assert set(shapes) == {"one", "none", "some empty", "two"}, shapes
 
 
 # Witnesses frozen from the backward walk: (len u, len v, delta, witness u,
