@@ -15,7 +15,8 @@ kind, cone) terms whose Minkowski sums make up its region, and the ray along
 the base row or column.  One sweep computes the regions from it with the
 fused cone-and-meet kernels of the regions module; where every predecessor
 region holds one piece, a hand-fused step evaluates the twelve terms at
-once, and where none holds any the cell stays empty.  A traced decision has
+once, less the quadrant terms that lie inside a half-plane term, and where
+none holds any the cell stays empty.  A traced decision has
 the sweep record each region it produces.  A witness realisation pair is
 read back off those tables by walking _PREDS in reverse, and which term
 contributed which piece is recomputed from them on request with the
@@ -377,6 +378,9 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     # rcur/lcur the R/L regions at (i, j).  A cell with one piece in every
     # source takes the hand-fused step, one with no piece at all stays empty,
     # and any other walks each kind's _PREDS terms and cleans up with _reduce.
+    # The fused step skips (None) each quadrant term that lies inside the
+    # kind's half-plane term, as the cleanup would drop it: its source does
+    # not pass the kind's own source on the one bound that half-plane keeps.
     # A traced decision records the four new regions per cell.
     hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
     qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
@@ -406,18 +410,13 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
         rcur, lcur = rbase[i], lbase[i]
         inext = ipieces[i + 1]
         for j in range(1, n):
-            uij = ucol[j]
-            dij = dcol[j]
-            jnext = jpieces[j + 1]
+            uij, dij, jnext = ucol[j], dcol[j], jpieces[j + 1]
             if len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
-                pr = rcur[0]
-                pl = lcur[0]
-                pu = uij[0]
-                pd = dij[0]
-                new_r = comb3(hr(pr, jnext), qru(pu, jnext), qrd(pd, jnext))
-                new_l = comb3(hl(pl, jnext), qlu(pu, jnext), qld(pd, jnext))
-                ucol[j] = comb3(hu(pu, inext), qru(pr, inext), qlu(pl, inext))
-                dcol[j] = comb3(hd(pd, inext), qrd(pr, inext), qld(pl, inext))
+                pr, pl, pu, pd = rcur[0], lcur[0], uij[0], dij[0]
+                new_r = comb3(hr(pr, jnext), None if pu[0] >= pr[0] else qru(pu, jnext), None if pd[0] >= pr[0] else qrd(pd, jnext))
+                new_l = comb3(hl(pl, jnext), None if pu[1] <= pl[1] else qlu(pu, jnext), None if pd[1] <= pl[1] else qld(pd, jnext))
+                ucol[j] = comb3(hu(pu, inext), None if pr[2] >= pu[2] else qru(pr, inext), None if pl[2] >= pu[2] else qlu(pl, inext))
+                dcol[j] = comb3(hd(pd, inext), None if pr[3] <= pd[3] else qrd(pr, inext), None if pl[3] <= pd[3] else qld(pl, inext))
             elif not (rcur or lcur or uij or dij):
                 new_r = new_l = ()  # ucol[j] and dcol[j] stay empty
             else:
