@@ -158,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("curve_b")
 
     p_value = sub.add_parser(
-        "value", help="lower-bound Frechet value via bisection to a tolerance"
+        "value",
+        help="lower-bound Frechet value to a tolerance: probes endpoint-difference "
+        "candidates, then bisects the tolerance grid",
     )
     p_value.add_argument(
         "--tol", type=_positive_scalar_arg, default=Fraction(1, 1_000_000)

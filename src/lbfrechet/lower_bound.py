@@ -24,8 +24,17 @@ generic Minkowski sum and meet.
 
 Everything runs on integers: decide_lb scales its inputs once by the common
 denominator (model.scale_to_ints), runs the sweep (_sweep) and scales the
-final regions back.  compute_lb scales the curves and its final bisection
-step once and runs the sweep directly on integer multiples of that step.
+final regions back.  compute_lb scales the curves and its grid step once and
+runs the sweep directly on integer deltas.
+
+compute_lb finds the smallest feasible multiple of a grid step within tol.
+Before bisecting the grid it probes candidate values C: 0 and the endpoint
+differences and half differences of both curves, the critical values of the
+1D precise Frechet distance (Alt and Godau 1995).  Each probe is a rank
+pivot among the undecided candidates, picked without listing C (selection in
+sorted matrices, Frederickson and Johnson 1984).  Grid bisection finishes
+the bracket, so the result does not depend on C; that the lower bound's
+value always lies in C is evidence from random pairs, not a proof.
 """
 
 from __future__ import annotations
@@ -551,6 +560,39 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
     return wu, wv
 
 
+def _rank_pivot(lists: tuple, lo: int, hi: int) -> Optional[int]:
+    """A pair difference xs[j] - xs[i] (i < j) of some sorted list of
+    distinct ints with lo < xs[j] - xs[i] < hi, or None if there is none.
+
+    Per row i the live j form one range, found with two pointers; the pivot
+    is the weighted median of the row middles, weighted by row length.  At
+    least half the live pairs sit in rows whose middle is at most the pivot,
+    and at least half of each such row is at most its middle, so a quarter
+    of the live pairs are at most the pivot; likewise at least.  Selection
+    in sorted matrices, after Frederickson and Johnson (1984)."""
+    rows = []
+    for xs in lists:
+        n = len(xs)
+        a = b = 0
+        for x in xs:
+            while a < n and xs[a] - x <= lo:
+                a += 1
+            while b < n and xs[b] - x < hi:
+                b += 1
+            if b > a:
+                rows.append((xs[(a + b - 1) // 2] - x, b - a))
+    if not rows:
+        return None
+    rows.sort()
+    total = sum(w for _, w in rows)
+    acc = 0
+    for mid, w in rows:
+        acc += w
+        if 2 * acc >= total:
+            break
+    return mid
+
+
 def compute_lb(
     u: UncertainCurve,
     v: UncertainCurve,
@@ -558,14 +600,32 @@ def compute_lb(
     *,
     strict: bool = False,
 ) -> Fraction:
-    """Binary-search the smallest feasible delta to within tol.
+    """The smallest feasible delta to within tol.
 
     Returns a delta_hat with decide_lb(delta_hat) feasible and
-    decide_lb(delta_hat - tol) infeasible (deltas <= 0 count as infeasible).
+    decide_lb(delta_hat - tol) infeasible (deltas <= 0 count as infeasible):
+    delta_hat is the smallest feasible multiple g * step, g >= 1, where step
+    is the span halved until it is at most tol.  The span, g = 2^k, is
+    feasible.
 
-    Every probe is a multiple of the final bracket width, so the curves and
-    that width are scaled to ints once and each probe runs the sweep on
-    decide_lb's clip box directly.
+    The curves and step are scaled to ints once (factor 2, so every endpoint
+    is even and half distances are ints) and each probe runs the sweep on
+    decide_lb's clip box directly.  Probes come first from the candidate set
+    C: the pair differences of the sorted distinct endpoints E of both
+    curves, the pair differences of E // 2, and 0.  Each probe is the rank
+    pivot (_rank_pivot) of the candidates still strictly between the largest
+    delta known infeasible and the smallest known feasible, so it removes a
+    quarter of them.  A feasible probe c bounds g above by ceil(c / step),
+    an infeasible one below by floor(c / step), by monotonicity of the
+    decision in delta, which the grid bisection relies on too.  Once no
+    candidate is live, 0 stands for the first grid point (probed if no
+    infeasible bound is known yet), then g - 1 is probed once, and grid
+    bisection finishes whatever bracket is left.  So the result equals the
+    plain grid bisection's whatever C holds; C only decides how many sweeps
+    run.  When delta* lies in C, the bracket is down to one grid step before
+    the grid bisection starts.  In 1D the precise critical values are such
+    distances and half distances (Alt and Godau 1995); that delta* of the
+    lower bound lies in C was seen on every pair tried, but is not proven.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -583,16 +643,37 @@ def compute_lb(
         hi *= 2
     hull_u = _hulled_intervals(u, strict)
     hull_v = _hulled_intervals(v, strict)
-    s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v)
+    s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v, factor=2)
     su, sv = hulls[: len(hull_u)], hulls[len(hull_u) :]
-    end_lo = min(a for a, _ in hulls)
-    end_hi = max(b for _, b in hulls)
+    ends = sorted({x for h in hulls for x in h})
+    end_lo, end_hi = ends[0], ends[-1]
+
+    def feasible(d: int) -> bool:
+        # clip_box_for's box at the scaled delta d
+        *_, final_parts = _sweep(su, sv, d, end_lo - 2 * d - s, end_hi + 2 * d + s, False)
+        return bool(final_parts)
+
+    # g lies in (lo, hi]; deltas in (clo, chi) are undecided
+    clo, chi = 0, hi * unit
+    lists = (ends, [x // 2 for x in ends])
+    while hi - lo > 1:
+        c = _rank_pivot(lists, clo, chi)
+        if c is None:
+            break
+        if feasible(c):
+            chi, hi = c, -(-c // unit)
+        else:
+            clo, lo = c, c // unit
+    # the 0 candidate stands for g = 1; then g - 1 once, and grid bisection
+    for mid in (1, hi - 1):
+        if lo < mid < hi:
+            if feasible(mid * unit):
+                hi = mid
+            else:
+                lo = mid
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        d = mid * unit
-        # clip_box_for's box at delta = mid * step, scaled
-        *_, final_parts = _sweep(su, sv, d, end_lo - 2 * d - s, end_hi + 2 * d + s, False)
-        if final_parts:
+        if feasible(mid * unit):
             hi = mid
         else:
             lo = mid

@@ -374,24 +374,6 @@ def _mm_q_rd(p, q):
     return (xlo, xhi, ylo, yhi, q4, dhi)
 
 
-MINK_MEET = {
-    Cone.H_R: _mm_h_r,
-    Cone.H_L: _mm_h_l,
-    Cone.H_U: _mm_h_u,
-    Cone.H_D: _mm_h_d,
-    Cone.Q_RU: _mm_q_ru,
-    Cone.Q_LU: _mm_q_lu,
-    Cone.Q_RD: _mm_q_rd,
-    Cone.Q_LD: _mm_q_ld,
-}
-
-
-def mink_meet(p: Bounds, cone: Cone, q: Bounds) -> Optional[Bounds]:
-    """meet_bounds(mink_bounds(p, cone, blo, bhi), q) for a closed nonempty
-    q inside the clipping square; defined for quadrant and half-plane cones."""
-    return MINK_MEET[cone](p, q)
-
-
 def bounds_contain(p: Bounds, x, y) -> bool:
     return p[0] <= x <= p[1] and p[2] <= y <= p[3] and p[4] <= y - x <= p[5]
 

@@ -1,11 +1,14 @@
 """Lower-bound Frechet decision: propagation, traces, witnesses, search."""
 
+import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from lbfrechet import lower_bound
 from lbfrechet.lower_bound import (
     LbTrace,
     _reduce,
@@ -16,7 +19,7 @@ from lbfrechet.lower_bound import (
     decide_lb,
     extract_witness,
 )
-from lbfrechet.model import Precise, UncertainCurve, is_realisation, make_interval, make_set
+from lbfrechet.model import FiniteSet, Precise, UncertainCurve, is_realisation, make_interval, make_set
 from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.precise import frechet_decide, frechet_value
 from lbfrechet.regions import (
@@ -379,6 +382,120 @@ def test_compute_lb_matches_fraction_bisection():
         compute_lb(w, v, tol, strict=True)
     with pytest.raises(ValueError):
         compute_lb_reference(w, v, tol, strict=True)
+    # delta* = 0: overlapping or identical interval curves, whose answer is
+    # the first grid point, step
+    tol = F(1, 997)
+    for u, v in (
+        (ic((0, 2)), ic((1, 3))),
+        (ic((0, 3), (1, 2)), ic((0, 3), (1, 2))),
+        (ic((F(-1, 3), 2), 1, (F(1, 2), F(5, 7))), ic((0, F(3, 2)), (F(2, 3), 1))),
+    ):
+        got = compute_lb(u, v, tol)
+        assert got == compute_lb_reference(u, v, tol) == _grid_step(u, v, tol)
+    # the value is half the distance 2 - 1 of the backtrack 2 -> 1, which
+    # is no endpoint difference: only the halved list holds it
+    a, b = [F(0), F(2), F(1), F(3)], [F(0), F(3)]
+    assert frechet_value(a, b) == F(1, 2)
+    u, v = ic(*a), ic((F(-1, 4), 0), 3)
+    for tol in (F(1, 997), F(1, 10**6)):
+        step = _grid_step(u, v, tol)
+        got = compute_lb(u, v, tol)
+        assert got == compute_lb_reference(u, v, tol) == math.ceil(F(1, 2) / step) * step
+    # precise and finite-set vertices mixed with intervals: singleton sets
+    # pass strict mode, wider ones are hulled with a warning
+    rng = random.Random(4022)
+    for t in range(40):
+        u, v = _mixed_curve(rng, wide=t % 2), _mixed_curve(rng, wide=False)
+        tol = (F(1, 997), F(1, 64))[t % 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert compute_lb(u, v, tol) == compute_lb_reference(u, v, tol)
+        if t % 2 == 0:
+            assert compute_lb(u, v, tol, strict=True) == compute_lb_reference(u, v, tol, strict=True)
+
+
+def _grid_step(u, v, tol):
+    """The span halved until it is at most tol."""
+    (ulo, uhi), (vlo, vhi) = u.span(), v.span()
+    step = max(uhi - vlo, vhi - ulo)
+    while step > tol:
+        step /= 2
+    return step
+
+
+def _mixed_curve(rng, wide):
+    pts = []
+    for _ in range(rng.randint(1, 5)):
+        den = rng.choice((1, 2, 3, 7))
+        lo = F(rng.randint(-9, 9), den)
+        kind = rng.randrange(3)
+        if kind == 0:
+            pts.append(Precise(lo))
+        elif kind == 1:
+            pts.append(make_interval(lo, lo + F(rng.randint(0, 4), rng.choice((1, 2, 3)))))
+        elif wide:
+            pts.append(make_set([lo, lo + F(rng.randint(1, 4), den), lo + F(rng.randint(5, 8), den)]))
+        else:
+            pts.append(FiniteSet((lo,)))
+    return UncertainCurve(pts)
+
+
+def test_compute_lb_equals_precise_frechet_value_on_its_grid():
+    """On all-precise curves the lower bound is the Frechet distance, so
+    compute_lb must return the first grid multiple of step at or above
+    precise.frechet_value (and at least step): the candidate probes may
+    neither stop short of it nor overshoot it."""
+    rng = random.Random(4023)
+    tols = (F(1, 997), F(3, 1000), F(1, 64), F(1, 10**6), F(1, 3))
+
+    def curve():
+        return [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(rng.randint(1, 6))]
+
+    for t in range(400):
+        a, b = curve(), curve()
+        u, v = ic(*a), ic(*b)
+        tol = tols[t % len(tols)]
+        span = max(max(a) - min(b), max(b) - min(a), F(0))
+        if span == 0:
+            want = F(0)
+        elif span <= tol:
+            want = tol
+        else:
+            step = _grid_step(u, v, tol)
+            want = max(1, math.ceil(frechet_value(a, b) / step)) * step
+        assert compute_lb(u, v, tol) == want
+    # the short cuts: one shared point, and a span within tol
+    assert compute_lb(ic(F(2, 7)), ic(F(2, 7), F(2, 7)), F(1, 997)) == 0
+    assert compute_lb(ic(0, F(1, 3)), ic(F(1, 7)), F(1, 2)) == F(1, 2)
+
+
+def _alternating_pair(n, scale, shift, offset):
+    """u alternates [0,1],[1,2] and v [1,2],[0,1], moved up by offset, all
+    mapped by x -> scale*x + shift; the value is scale*offset (criterion 5's
+    family, moved apart)."""
+    u = [((i % 2) * scale + shift, (i % 2 + 1) * scale + shift) for i in range(n)]
+    v = [((1 - i % 2 + offset) * scale + shift, (2 - i % 2 + offset) * scale + shift) for i in range(n)]
+    return ic(*u), ic(*v)
+
+
+def test_compute_lb_probe_count(monkeypatch):
+    """The candidate probes pin the alternating family's value in a few
+    sweeps, where bisecting the tol grid takes k = 21 (step = span / 2^k)."""
+    u, v = _alternating_pair(48, F(3, 4), F(-5, 4), F(1, 2))
+    tol = F(1, 10**6)
+    calls = []
+    sweep = lower_bound._sweep
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(lower_bound, "_sweep", counted)
+    got = compute_lb(u, v, tol)
+    step = _grid_step(u, v, tol)
+    assert step == F(15, 8) / 2 ** 21
+    assert got == math.ceil(F(3, 8) / step) * step == F(6291465, 16777216)
+    assert len(calls) <= 6
 
 
 def test_clip_box_covers_positions():

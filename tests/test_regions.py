@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lbfrechet import regions
 from lbfrechet.regions import (
-    MINK_MEET,
     Bounds,
     ClipBox,
     Cone,
@@ -23,7 +23,6 @@ from lbfrechet.regions import (
     hslab,
     meet_bounds,
     mink_bounds,
-    mink_meet,
     normalize_pieces,
     vslab,
 )
@@ -171,8 +170,12 @@ def test_mink_bounds_membership(cone):
 # --- fused kernels -----------------------------------------------------------
 
 
+# Each fused kernel _mm_<cone> against the generic composition of its cone.
+KERNELS = sorted(name for name in vars(regions) if name.startswith("_mm_"))
+
+
 def test_mink_meet_covers_quadrants_and_half_planes():
-    assert set(MINK_MEET) == {
+    assert {Cone[name[4:].upper()] for name in KERNELS} == {
         Cone.Q_RU,
         Cone.Q_LU,
         Cone.Q_RD,
@@ -184,16 +187,20 @@ def test_mink_meet_covers_quadrants_and_half_planes():
     }
 
 
+def _kernel_and_composition(name, p, q):
+    cone = Cone[name[4:].upper()]
+    return getattr(regions, name)(p, q), meet_bounds(mink_bounds(p, cone, BLO, BHI), q)
+
+
 @settings(max_examples=400)
-@given(closed_st, closed_st, st.sampled_from(sorted(MINK_MEET, key=lambda c: c.value)))
-def test_mink_meet_matches_composition(p, q, cone):
-    want = meet_bounds(mink_bounds(p, cone, BLO, BHI), q)
-    assert mink_meet(p, cone, q) == want
+@given(closed_st, closed_st, st.sampled_from(KERNELS))
+def test_mink_meet_matches_composition(p, q, name):
+    got, want = _kernel_and_composition(name, p, q)
+    assert got == want
 
 
 def test_mink_meet_matches_composition_degenerate():
     rng = random.Random(5151)
-    cones = sorted(MINK_MEET, key=lambda c: c.value)
     for _ in range(4000):
         x = rng.randint(BLO, BHI)
         y = rng.randint(BLO, BHI)
@@ -204,8 +211,8 @@ def test_mink_meet_matches_composition_degenerate():
         if other is None:
             continue
         p, q = (point, other) if rng.random() < 0.5 else (other, point)
-        cone = rng.choice(cones)
-        assert mink_meet(p, cone, q) == meet_bounds(mink_bounds(p, cone, BLO, BHI), q)
+        got, want = _kernel_and_composition(rng.choice(KERNELS), p, q)
+        assert got == want
 
 
 # --- piece predicates --------------------------------------------------------
