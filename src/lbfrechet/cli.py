@@ -184,7 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_weak.add_argument("mode", choices=("decide", "value"))
     p_weak.add_argument("--delta", type=_nonnegative_scalar_arg)
-    p_weak.add_argument("--cap", type=_positive_int_arg)
+    p_weak.add_argument(
+        "--cap",
+        type=_positive_int_arg,
+        help="most states one dynamic-program run may reach before exit 4 "
+        f"(default {DEFAULT_STATE_CAP} or LBF_CAP); it bounds each run's "
+        "memory, not the time: one decision makes up to 2*m^2*n^2 runs",
+    )
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")
 

@@ -6,6 +6,11 @@ Interval vertices are sampled at `resolution` evenly spaced positions
 finite sets and precise vertices enumerate exactly.  Enumeration order is
 lexicographic over the per-vertex candidate lists, so results and early
 exits are deterministic.
+
+bound_oracle scales every candidate of both curves, and stop_at, to ints
+in one model.scale_to_ints call (factor 2 for "frechet", whose critical
+values include half distances), scans with the precise module's integer
+cores and converts the bound back to a Fraction once.
 """
 
 from __future__ import annotations
@@ -16,8 +21,12 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from .model import FiniteSet, Interval, Precise, UncertainCurve
-from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
+from .model import FiniteSet, Interval, Precise, UncertainCurve, scale_to_ints
+from .precise import _check_adjacency, _discrete_frechet, _discrete_weak, _frechet_value, _weak
+
+# The public metric of each variant.  The scan calls the integer cores
+# above; perfbench/tracing.py still looks these names up on this module.
+from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d  # noqa: F401
 
 VARIANTS = ("frechet", "discrete", "weak", "discrete-weak")
 
@@ -81,15 +90,17 @@ def enumerate_realisations(
     return itertools.product(*cands)
 
 
-def _metric(variant: str, adjacency: int) -> Callable:
+def _core(variant: str, adjacency: int) -> Callable:
+    """The integer core of a variant, on realisations scaled to ints."""
     if variant == "frechet":
-        return frechet_value
+        return _frechet_value
     if variant == "discrete":
-        return discrete_frechet
+        return _discrete_frechet
     if variant == "weak":
-        return weak_frechet_1d
+        return _weak
     if variant == "discrete-weak":
-        return lambda a, b: discrete_weak(a, b, adjacency)
+        _check_adjacency(adjacency)
+        return lambda a, b: _discrete_weak(a, b, adjacency)
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
@@ -119,22 +130,29 @@ def bound_oracle(
     nu, nv = prod(map(len, cu)), prod(map(len, cv))
     if nu * nv > spec.cap:
         raise CapExceeded(f"{nu} x {nv} realisation pairs exceed cap {spec.cap}")
-    dist = _metric(variant, adjacency)
-    stop = None if stop_at is None else Fraction(stop_at)
+    dist = _core(variant, adjacency)
+    stops = () if stop_at is None else (Fraction(stop_at),)
+    s, scaled = scale_to_ints(
+        *cu, *cv, stops, factor=2 if variant == "frechet" else 1
+    )
+    iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
+    stop = scaled[-1][0] if stops else None
     if jobs > 1:
-        return _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop)
-    return _scan(itertools.product(*cu), cv, dist, side, stop)
+        best = _bound_parallel(iu, iv, variant, side, adjacency, jobs, stop)
+    else:
+        best = _scan(itertools.product(*iu), iv, dist, side, stop)
+    return Fraction(best, s)
 
 
-def _meets(best: Fraction, side: str, stop: Fraction | None) -> bool:
+def _meets(best: int, side: str, stop: int | None) -> bool:
     if stop is None:
         return False
     return best <= stop if side == "lower" else best >= stop
 
 
-def _scan(us, cv, dist, side, stop) -> Fraction | None:
+def _scan(us, cv, dist, side, stop) -> int | None:
     """Min or max of dist over us x product(cv) in order, stopping at the
-    first pair whose value meets stop."""
+    first pair whose value meets stop.  All values are scaled ints."""
     best = None
     for ra in us:
         for rb in itertools.product(*cv):
@@ -146,12 +164,12 @@ def _scan(us, cv, dist, side, stop) -> Fraction | None:
     return best
 
 
-def _eval_chunk(args) -> Fraction | None:
+def _eval_chunk(args) -> int | None:
     cu_chunk, cv, variant, side, adjacency, stop = args
-    return _scan(cu_chunk, cv, _metric(variant, adjacency), side, stop)
+    return _scan(cu_chunk, cv, _core(variant, adjacency), side, stop)
 
 
-def _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop) -> Fraction:
+def _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop) -> int:
     """Deterministic parallel evaluation: split the first curve's
     realisations into chunks, each stopping at its first hit.  The first
     chunk in order that meets stop holds the serial scan's first hit and

@@ -5,10 +5,13 @@ via the classic coupling recurrence, weak Frechet through the prefix-image
 recurrence (run on the curves and on their reversals), and the discrete
 weak variant as a bottleneck path in the vertex-pair grid.
 
-Continuous and discrete Frechet run on ints: each call scales its inputs
-once by the common denominator (model.scale_to_ints) and converts back at
-the end, so results are still Fractions.  Float infinity appears only as
-an unreachable sentinel in min/max chains.
+Every metric runs on ints: the public function scales its inputs once by
+the common denominator (model.scale_to_ints), runs an integer core and
+converts back with Fraction(x, s), so results are still Fractions.  The
+cores (_frechet_value, _discrete_frechet, _weak, _discrete_weak) are
+scale-free, so the oracle scales a whole candidate grid once and calls
+them directly; a result x of theirs means x / s.  Float infinity appears
+only as an unreachable sentinel in min/max chains.
 """
 
 from __future__ import annotations
@@ -21,20 +24,22 @@ from .model import scale_to_ints
 INF = float("inf")
 
 
-def _dist_to_interval(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+def _dist_to_interval(x: int, lo: int, hi: int) -> int:
     if x < lo:
         return lo - x
     if x > hi:
         return x - hi
-    return Fraction(0)
+    return 0
 
 
-def _check_curves(a, b):
+def _scaled(a, b, *extra, factor: int = 1) -> tuple[int, list[list[int]]]:
+    """Check both curves and scale them, and any extra values, to ints:
+    (s, [a, b, *extra]) with every value times s."""
     a = [Fraction(x) for x in a]
     b = [Fraction(y) for y in b]
     if not a or not b:
         raise ValueError("curves need at least one vertex")
-    return a, b
+    return scale_to_ints(a, b, *extra, factor=factor)
 
 
 def _decide(a: list[int], b: list[int], d: int) -> bool:
@@ -115,12 +120,33 @@ def _decide(a: list[int], b: list[int], d: int) -> bool:
 
 def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     """Is the continuous Frechet distance of the two curves <= delta?"""
-    a, b = _check_curves(a, b)
     delta = Fraction(delta)
+    _, (ai, bi, (d,)) = _scaled(a, b, (delta,))
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    _, (ai, bi, (d,)) = scale_to_ints(a, b, (delta,))
     return _decide(ai, bi, d)
+
+
+def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
+    """Smallest critical value the decision accepts.  Inputs must be
+    scaled by an even factor (every value even), so halves are ints."""
+    cands = {0}
+    cands.update(abs(x - y) for x in a for y in b)
+    for xs in (a, b):
+        for i in range(len(xs)):
+            for k in range(i + 1, len(xs)):
+                cands.add(abs(xs[i] - xs[k]) // 2)
+    ordered = sorted(cands)
+    lo, hi = 0, len(ordered) - 1
+    if _decide(a, b, ordered[0]):
+        return ordered[0]
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if _decide(a, b, ordered[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return ordered[hi]
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -131,31 +157,12 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     that candidate set with the decision procedure.  Scaling by twice the
     common denominator keeps the halves integral.
     """
-    a, b = _check_curves(a, b)
-    s, (ai, bi) = scale_to_ints(a, b, factor=2)
-    cands = {0}
-    cands.update(abs(x - y) for x in ai for y in bi)
-    for xs in (ai, bi):
-        for i in range(len(xs)):
-            for k in range(i + 1, len(xs)):
-                cands.add(abs(xs[i] - xs[k]) // 2)
-    ordered = sorted(cands)
-    lo, hi = 0, len(ordered) - 1
-    if _decide(ai, bi, ordered[0]):
-        return Fraction(ordered[0], s)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _decide(ai, bi, ordered[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(ordered[hi], s)
+    s, (ai, bi) = _scaled(a, b, factor=2)
+    return Fraction(_frechet_value(ai, bi), s)
 
 
-def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def _discrete_frechet(a: Sequence[int], b: Sequence[int]) -> int:
     """Classic coupling recurrence, quadratic time, rolling rows."""
-    a, b = _check_curves(a, b)
-    s, (a, b) = scale_to_ints(a, b)
     m, n = len(a), len(b)
     prev = [INF] * n
     for i in range(m):
@@ -173,10 +180,16 @@ def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
                 best = reach if reach > d else d
             cur[j] = best
         prev = cur
-    return Fraction(prev[n - 1], s)
+    return prev[n - 1]
 
 
-def _bottleneck(a: list, b: list, aimg: list, bimg: list) -> Fraction:
+def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """The discrete Frechet distance (coupling recurrence on ints)."""
+    s, (ai, bi) = _scaled(a, b)
+    return Fraction(_discrete_frechet(ai, bi), s)
+
+
+def _bottleneck(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list) -> int:
     """Forward bottleneck recurrence: entry (i, j) is the cheapest max-cost
     of interleaving the first i vertices of a with the first j of b, where
     reaching vertex i of a costs a[i - 1]'s distance to the image bimg[j]
@@ -205,59 +218,62 @@ def _bottleneck(a: list, b: list, aimg: list, bimg: list) -> Fraction:
     return prev[n - 1]
 
 
+def _prefix_hulls(xs: Sequence[int]) -> list[tuple[int, int]]:
+    out = []
+    lo = hi = xs[0]
+    for x in xs:
+        lo = lo if lo <= x else x
+        hi = hi if hi >= x else x
+        out.append((lo, hi))
+    return out
+
+
+def _r_dp(a: Sequence[int], b: Sequence[int]) -> int:
+    return _bottleneck(a, b, _prefix_hulls(a), _prefix_hulls(b))
+
+
 def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Forward bottleneck recurrence over prefix images: advancing a vertex
     of one curve costs its predecessor's distance to the image of the other
     curve's processed prefix."""
-    a, b = _check_curves(a, b)
-
-    def prefix_hulls(xs):
-        out = []
-        lo = hi = xs[0]
-        for x in xs:
-            lo = lo if lo <= x else x
-            hi = hi if hi >= x else x
-            out.append((lo, hi))
-        return out
-
-    return _bottleneck(a, b, prefix_hulls(a), prefix_hulls(b))
+    s, (ai, bi) = _scaled(a, b)
+    return Fraction(_r_dp(ai, bi), s)
 
 
 def rm_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Variant of r_dp whose penalties use only the last processed edge of
     the other curve (its image degenerates to the first vertex when no
     edge has been processed yet)."""
-    a, b = _check_curves(a, b)
+    s, (ai, bi) = _scaled(a, b)
 
     def edge_images(xs):
         return [(xs[0], xs[0])] + [(p, q) if p <= q else (q, p) for p, q in zip(xs, xs[1:])]
 
-    return _bottleneck(a, b, edge_images(a), edge_images(b))
+    return Fraction(_bottleneck(ai, bi, edge_images(ai), edge_images(bi)), s)
+
+
+def _weak(a: Sequence[int], b: Sequence[int]) -> int:
+    """The forward recurrence run from both ends, worse of the two."""
+    fwd = _r_dp(a, b)
+    bwd = _r_dp(a[::-1], b[::-1])
+    return fwd if fwd >= bwd else bwd
 
 
 def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Weak Frechet distance on the line: the forward recurrence run from
     both ends, worse of the two."""
-    a, b = _check_curves(a, b)
-    fwd = r_dp(a, b)
-    bwd = r_dp(a[::-1], b[::-1])
-    return fwd if fwd >= bwd else bwd
+    s, (ai, bi) = _scaled(a, b)
+    return Fraction(_weak(ai, bi), s)
 
 
-def discrete_weak(
-    a: Sequence[Fraction],
-    b: Sequence[Fraction],
-    adjacency: int = 8,
-) -> Fraction:
-    """Bottleneck path value between corners of the vertex-pair grid.
-
-    Spots are vertex pairs weighted by their distance; steps move to grid
-    neighbours (4- or 8-adjacency).  Computed by activating spots in
-    weight order with a union-find until the corners connect.
-    """
-    a, b = _check_curves(a, b)
+def _check_adjacency(adjacency: int) -> None:
     if adjacency not in (4, 8):
         raise ValueError(f"adjacency must be 4 or 8, got {adjacency}")
+
+
+def _discrete_weak(a: Sequence[int], b: Sequence[int], adjacency: int) -> int:
+    """Activate spots in weight order with a union-find until the corner
+    spots connect; the weight that connects them is the value."""
     m, n = len(a), len(b)
     if m == 1 and n == 1:
         return abs(a[0] - b[0])
@@ -296,3 +312,19 @@ def discrete_weak(
         if active[start] and active[goal] and find(start) == find(goal):
             return w
     raise AssertionError("corner spots never connected")
+
+
+def discrete_weak(
+    a: Sequence[Fraction],
+    b: Sequence[Fraction],
+    adjacency: int = 8,
+) -> Fraction:
+    """Bottleneck path value between corners of the vertex-pair grid.
+
+    Spots are vertex pairs weighted by their distance; steps move to grid
+    neighbours (4- or 8-adjacency).  Computed by activating spots in
+    weight order with a union-find until the corners connect.
+    """
+    s, (ai, bi) = _scaled(a, b)
+    _check_adjacency(adjacency)
+    return Fraction(_discrete_weak(ai, bi, adjacency), s)

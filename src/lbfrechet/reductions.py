@@ -90,12 +90,19 @@ class CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Comments and the p-header are optional; a missing
-    terminating 0 on the last clause is tolerated."""
+    terminating 0 on the last clause is tolerated.  An empty clause (a 0
+    that ends no literals) is rejected, except after a "%" line: SATLIB
+    files end with a "%" line and a lone 0."""
     num_vars: Optional[int] = None
-    tokens: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    trailer = False
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("%"):
+            trailer = True
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -108,18 +115,16 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         for tok in line.split():
             try:
-                tokens.append(int(tok))
+                lit = int(tok)
             except ValueError as exc:
                 raise ValueError(f"bad DIMACS token {tok!r}") from exc
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if current:
+            if lit != 0:
+                current.append(lit)
+            elif current:
                 clauses.append(tuple(current))
                 current = []
-        else:
-            current.append(tok)
+            elif not trailer:
+                raise ValueError(f"empty clause {len(clauses) + 1} in DIMACS input")
     if current:
         clauses.append(tuple(current))
     if not clauses:

@@ -11,17 +11,29 @@ assumed to lie on a grid of uncertainty-region endpoints shifted by small
 integer multiples of delta, and optimal deltas among endpoint differences
 divided by small integers, which keeps everything exact and finite.
 
-State counts can still grow quickly; a cap aborts oversized searches with
-CapExceeded rather than stalling.
+wfr_min_decide scales the region endpoints and delta to ints once
+(model.scale_to_ints), builds the position grids on ints and runs the DP
+on ints.  The int grid is an order-preserving image of the Fraction grid,
+so the DP visits the same states and hits the cap at the same point.
+candidate_positions and min_r_constrained are public wrappers over the
+same integer code.
+
+State counts can still grow quickly.  The cap bounds the states of one
+_weak_dp run and raises CapExceeded when a run passes it; it does not
+bound time, because one decision runs up to 2 m^2 n^2 of those DPs (one
+per extremum-index tuple and direction), each under the cap.  One small
+delta on a pair of 4-vertex interval curves can take tens of seconds, and
+larger pairs far longer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import FiniteSet, Interval, Precise, UncertainCurve
+from .model import Interval, UncertainCurve, scale_to_ints
 from .oracle import CapExceeded
 from .precise import INF, _dist_to_interval
 
@@ -102,6 +114,33 @@ def candidate_deltas(u: UncertainCurve, v: UncertainCurve) -> list[Fraction]:
     return sorted(out)
 
 
+def _int_positions(
+    u: UncertainCurve, v: UncertainCurve, delta: Fraction
+) -> tuple[int, int, list[list[int]], list[list[int]]]:
+    """(s, delta * s, grids of u, grids of v): candidate_positions scaled
+    to ints by s, the common denominator of delta and every endpoint."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    base = sorted(set(u.all_endpoints()) | set(v.all_endpoints()))
+    s, (ibase, (d,)) = scale_to_ints(base, (delta,))
+    of = dict(zip(base, ibase))
+    k_max = len(u) + len(v)
+    grid = sorted({e + k * d for e in ibase for k in range(-k_max, k_max + 1)})
+
+    def per_vertex(curve: UncertainCurve) -> list[list[int]]:
+        out = []
+        for p in curve.points:
+            if isinstance(p, Interval):
+                # the grid holds both endpoints (k = 0)
+                out.append(grid[bisect_left(grid, of[p.lo]) : bisect_right(grid, of[p.hi])])
+            else:
+                out.append([of[x] for x in p.endpoints()])
+        return out
+
+    return s, d, per_vertex(u), per_vertex(v)
+
+
 def candidate_positions(
     u: UncertainCurve, v: UncertainCurve, delta: Fraction
 ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -109,30 +148,11 @@ def candidate_positions(
     this delta: region endpoints of both curves shifted by k * delta for
     |k| <= len(u) + len(v), clipped to each vertex region, plus the
     region's own endpoints or elements."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    base = set(u.all_endpoints()) | set(v.all_endpoints())
-    k_max = len(u) + len(v)
-    grid = sorted({e + k * delta for e in base for k in range(-k_max, k_max + 1)})
-
-    def per_vertex(curve: UncertainCurve) -> list[list[Fraction]]:
-        out = []
-        for p in curve.points:
-            if isinstance(p, Precise):
-                out.append([p.x])
-            elif isinstance(p, FiniteSet):
-                out.append(list(p.xs))
-            else:
-                vals = {p.lo, p.hi}
-                vals.update(g for g in grid if p.lo <= g <= p.hi)
-                out.append(sorted(vals))
-        return out
-
-    return per_vertex(u), per_vertex(v)
+    s, _, pos_u, pos_v = _int_positions(u, v, delta)
+    return tuple([[Fraction(x, s) for x in vals] for vals in pos] for pos in (pos_u, pos_v))
 
 
-def _extend_hull(t: int, val: Fraction, lo: Fraction, hi: Fraction, t_min: int, t_max: int):
+def _extend_hull(t: int, val: int, lo: int, hi: int, t_min: int, t_max: int):
     """Update a running image when vertex t takes val, honouring the
     extremum indices.  Returns the new (lo, hi) or None when inadmissible."""
     if t == t_min:
@@ -159,17 +179,17 @@ def _extend_hull(t: int, val: Fraction, lo: Fraction, hi: Fraction, t_min: int, 
 
 
 def _weak_dp(
-    pos_u: Sequence[Sequence[Fraction]],
-    pos_v: Sequence[Sequence[Fraction]],
+    pos_u: Sequence[Sequence[int]],
+    pos_v: Sequence[Sequence[int]],
     iext: tuple[int, int],
     jext: tuple[int, int],
     *,
     pin_domains: Optional[dict] = None,
-    prune_above: Optional[Fraction] = None,
+    prune_above: Optional[int] = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> dict:
-    """Forward bottleneck DP; returns {((xlo,xhi),(ylo,yhi)): value} at the
-    final grid corner.
+    """Forward bottleneck DP on positions scaled to ints; returns
+    {((xlo,xhi),(ylo,yhi)): value} at the final grid corner.
 
     States at grid index (i, j) are keyed by the current vertex values and
     the running images; the value is the best bottleneck so far.  Steps
@@ -290,21 +310,24 @@ def min_r_constrained(
         if not (1 <= t <= bound):
             raise ValueError(f"extremum index {t} out of range")
     pos_u, pos_v = positions
+    pins = (rc.x_min, rc.x_max, rc.y_min, rc.y_max)
+    s, scaled = scale_to_ints(*pos_u, *pos_v, pins)
+    x_min, x_max, y_min, y_max = scaled[-1]
     res = _weak_dp(
-        pos_u,
-        pos_v,
+        scaled[: len(pos_u)],
+        scaled[len(pos_u) : -1],
         (rc.i_min, rc.i_max),
         (rc.j_min, rc.j_max),
         pin_domains={
-            ("x", "min"): {rc.x_min},
-            ("x", "max"): {rc.x_max},
-            ("y", "min"): {rc.y_min},
-            ("y", "max"): {rc.y_max},
+            ("x", "min"): {x_min},
+            ("x", "max"): {x_max},
+            ("y", "min"): {y_min},
+            ("y", "max"): {y_max},
         },
         cap=cap,
     )
-    key = ((rc.x_min, rc.x_max), (rc.y_min, rc.y_max))
-    return res.get(key, INF)
+    val = res.get(((x_min, x_max), (y_min, y_max)))
+    return INF if val is None else Fraction(val, s)
 
 
 def wfr_min_decide(
@@ -320,10 +343,7 @@ def wfr_min_decide(
     matching extremum indices and values: a pair is witnessed exactly when
     both directions stay within delta for the same image constraints.
     """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    pos_u, pos_v = candidate_positions(u, v, delta)
+    _, d, pos_u, pos_v = _int_positions(u, v, delta)
     m, n = len(pos_u), len(pos_v)
     rpos_u = pos_u[::-1]
     rpos_v = pos_v[::-1]
@@ -336,7 +356,7 @@ def wfr_min_decide(
                         pos_v,
                         (i_min, i_max),
                         (j_min, j_max),
-                        prune_above=delta,
+                        prune_above=d,
                         cap=cap,
                     )
                     if not fwd:
@@ -353,7 +373,7 @@ def wfr_min_decide(
                         (m + 1 - i_min, m + 1 - i_max),
                         (n + 1 - j_min, n + 1 - j_max),
                         pin_domains=domains,
-                        prune_above=delta,
+                        prune_above=d,
                         cap=cap,
                     )
                     if any(key in bwd for key in fwd):

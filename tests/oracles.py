@@ -270,6 +270,18 @@ def frechet_decide_reference(a, b, delta):
     return reach_left[m][n - 1] is not None or reach_bot[m - 1][n] is not None
 
 
+def frechet_value_reference(a, b):
+    """The smallest 1D critical value (a distance between the curves'
+    vertices, or half one within a curve) that frechet_decide_reference
+    accepts, found by trying every one of them on Fractions."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    cands = {Fraction(0)} | {abs(x - y) for x in a for y in b}
+    for xs in (a, b):
+        cands.update(abs(p - q) / 2 for p in xs for q in xs)
+    return min(c for c in cands if frechet_decide_reference(a, b, c))
+
+
 def refine_curve(points, k):
     """Subdivide every edge into k equal parts; the discrete Frechet
     distance of refined curves upper-bounds the continuous distance and

@@ -287,6 +287,18 @@ def test_bad_dimacs_is_exit_three(tmp_path, capsys):
     assert err
 
 
+def test_empty_clause_is_exit_three(tmp_path, capsys):
+    # unsatisfiable; dropping the empty clause would report sat and ok
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n0\n")
+    for kind in ("ub", "weak"):
+        code, out, err = run(capsys, ["verify", str(cnf), "--kind", kind])
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "empty clause" in err
+
+
 def test_unknown_subcommand_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

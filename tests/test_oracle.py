@@ -18,6 +18,13 @@ from lbfrechet.oracle import (
 )
 from lbfrechet.precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 
+from oracles import (
+    discrete_frechet_recursive,
+    discrete_weak_bfs,
+    frechet_value_reference,
+    weak_frechet_cells_value,
+)
+
 
 def curve(*pts):
     return UncertainCurve(pts)
@@ -106,36 +113,83 @@ def _metric_fn(variant):
     }[variant]
 
 
-def random_uncertain(rng, max_len=3):
+def random_uncertain(rng, max_len=3, den=1):
+    """Vertices at k/den: precise points, intervals and two-element sets."""
+    def at(k):
+        return F(k, den)
+
     pts = []
     for _ in range(rng.randint(1, max_len)):
         kind = rng.randint(0, 2)
         if kind == 0:
-            pts.append(Precise(rng.randint(-3, 3)))
+            pts.append(Precise(at(rng.randint(-3 * den, 3 * den))))
         elif kind == 1:
-            lo = rng.randint(-3, 2)
-            pts.append(make_interval(lo, lo + rng.randint(1, 2)))
+            lo = rng.randint(-3 * den, 2 * den)
+            pts.append(make_interval(at(lo), at(lo + rng.randint(1, 2 * den))))
         else:
-            xs = sorted({rng.randint(-3, 3) for _ in range(2)})
+            xs = sorted({at(rng.randint(-3 * den, 3 * den)) for _ in range(2)})
             pts.append(make_set(xs))
     return curve(*pts)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_bound_oracle_matches_exhaustive(variant):
-    rng = random.Random(hash(variant) & 0xFFFF)
-    fn = _metric_fn(variant)
-    spec = EnumerationSpec(resolution=3)
-    for _ in range(20):
-        u = random_uncertain(rng)
-        v = random_uncertain(rng)
+# (variant, adjacency, independent Fraction reference from tests/oracles.py)
+REFERENCES = [
+    pytest.param("frechet", 8, frechet_value_reference, id="frechet"),
+    pytest.param("discrete", 8, discrete_frechet_recursive, id="discrete"),
+    pytest.param("weak", 8, weak_frechet_cells_value, id="weak"),
+    pytest.param("discrete-weak", 8, lambda a, b: discrete_weak_bfs(a, b, 8), id="discrete-weak"),
+    pytest.param("discrete-weak", 4, lambda a, b: discrete_weak_bfs(a, b, 4), id="discrete-weak-adj4"),
+]
+
+
+def reference_bound(u, v, fn, side, spec, stop_at=None):
+    """The oracle's scan written out on Fractions: realisation pairs in
+    lexicographic order, stopping at the first best that meets stop_at."""
+    best = None
+    for ra in enumerate_realisations(u, spec):
+        for rb in enumerate_realisations(v, spec):
+            d = fn(list(ra), list(rb))
+            if best is None or (d < best if side == "lower" else d > best):
+                best = d
+            if stop_at is not None and (best <= stop_at if side == "lower" else best >= stop_at):
+                return best
+    return best
+
+
+@pytest.mark.parametrize("variant,adjacency,fn", REFERENCES)
+def test_bound_oracle_matches_exhaustive(variant, adjacency, fn):
+    """Against independent references on draws whose curves, injected
+    position and stop_at each carry their own prime denominator, so the
+    one scaling step must cover all of them."""
+    rng = random.Random(f"{variant}/{adjacency}")
+    for k in range(17):
+        pu, pv, pi, ps = rng.sample((2, 3, 5, 7, 11, 13), 4) if k % 2 else (1, 1, 2, 3)
+        u = random_uncertain(rng, den=pu)
+        v = random_uncertain(rng, den=pv)
+        spec = EnumerationSpec(resolution=3, include_positions=(F(rng.randint(-3 * pi, 3 * pi), pi),))
+        if k == 0:
+            # Frechet values at half an odd distance: (0, 3, 0, 3) to (0, 3)
+            # is 3/2, with the interval's 7/2 making 7/4 another
+            u = curve(Precise(0), make_interval(3, 4), Precise(0), Precise(3))
+            v = curve(Precise(0), Precise(3))
         values = [
             fn(list(ra), list(rb))
             for ra in enumerate_realisations(u, spec)
             for rb in enumerate_realisations(v, spec)
         ]
-        assert bound_oracle(u, v, variant, "lower", spec) == min(values)
-        assert bound_oracle(u, v, variant, "upper", spec) == max(values)
+        lo, hi = min(values), max(values)
+        got_lo = bound_oracle(u, v, variant, "lower", spec, adjacency=adjacency)
+        got_hi = bound_oracle(u, v, variant, "upper", spec, adjacency=adjacency)
+        assert (got_lo, got_hi) == (lo, hi)
+        assert type(got_lo) is F and type(got_hi) is F
+        # a threshold inside (lo, hi) whose denominator carries ps
+        stop_at = lo + (hi - lo) * F(rng.randint(1, 4 * ps - 1), 4 * ps) + F(1, 1000 * ps)
+        if not lo < stop_at < hi:
+            stop_at = F(rng.randint(0, 6 * ps), ps)
+        for side in ("lower", "upper"):
+            want = reference_bound(u, v, fn, side, spec, stop_at)
+            got = bound_oracle(u, v, variant, side, spec, adjacency=adjacency, stop_at=stop_at)
+            assert got == want, (side, stop_at)
 
 
 def test_bound_oracle_adjacency_passthrough():
@@ -161,19 +215,20 @@ def test_bound_oracle_stop_at():
 def test_bound_oracle_parallel_matches_serial():
     rng = random.Random(404)
     spec = EnumerationSpec(resolution=3)
-    for _ in range(5):
-        u = random_uncertain(rng)
-        v = random_uncertain(rng)
-        lo = bound_oracle(u, v, "discrete", "lower", spec)
-        hi = bound_oracle(u, v, "discrete", "upper", spec)
-        # stop thresholds that end the scan at once, partway or never
-        for stop_at in (None, lo, (lo + hi) / 2, hi, hi + 1):
-            for side in ("lower", "upper"):
-                serial = bound_oracle(u, v, "discrete", side, spec, stop_at=stop_at)
-                parallel = bound_oracle(
-                    u, v, "discrete", side, spec, stop_at=stop_at, jobs=2
-                )
-                assert serial == parallel, (side, stop_at)
+    for variant in VARIANTS:
+        for _ in range(5):
+            u = random_uncertain(rng)
+            v = random_uncertain(rng)
+            lo = bound_oracle(u, v, variant, "lower", spec)
+            hi = bound_oracle(u, v, variant, "upper", spec)
+            # stop thresholds that end the scan at once, partway or never
+            for stop_at in (None, lo, (lo + hi) / 2, hi, hi + 1):
+                for side in ("lower", "upper"):
+                    serial = bound_oracle(u, v, variant, side, spec, stop_at=stop_at)
+                    parallel = bound_oracle(
+                        u, v, variant, side, spec, stop_at=stop_at, jobs=2
+                    )
+                    assert serial == parallel, (variant, side, stop_at)
 
 
 def test_bound_oracle_precise_inputs_collapse():

@@ -120,6 +120,9 @@ def test_random_agreement_with_oracles():
     for k in range(400):
         a, b, _ = random_pair(rng, 2 * k + 1)
         assert discrete_frechet(a, b) == discrete_frechet_recursive(a, b)
+        assert discrete_weak(a, b, adjacency=8) == discrete_weak_bfs(a, b, 8)
+        assert discrete_weak(a, b, adjacency=4) == discrete_weak_bfs(a, b, 4)
+        assert weak_frechet_1d(a, b) == weak_frechet_cells_value(a, b)
 
 
 def test_frechet_value_boundary_is_exact():
@@ -162,6 +165,33 @@ def test_large_scale_factor_pair():
     assert not frechet_decide(BIG_A, BIG_B, v - tiny)
     assert not frechet_decide_reference(BIG_A, BIG_B, v - tiny)
     assert discrete_frechet(BIG_A, BIG_B) == discrete_frechet_recursive(BIG_A, BIG_B)
+    for x, y in ((BIG_A, BIG_B), (BIG_B, BIG_A)):
+        assert discrete_weak(x, y, adjacency=8) == discrete_weak_bfs(x, y, 8)
+        assert discrete_weak(x, y, adjacency=4) == discrete_weak_bfs(x, y, 4)
+        assert weak_frechet_1d(x, y) == weak_frechet_cells_value(x, y)
+
+
+PUBLIC_METRICS = (
+    frechet_value,
+    discrete_frechet,
+    weak_frechet_1d,
+    r_dp,
+    rm_dp,
+    lambda a, b: discrete_weak(a, b, adjacency=4),
+    lambda a, b: discrete_weak(a, b, adjacency=8),
+)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [([0], [0]), ([3], [0, 5]), ([0, 4, 1], [2, 2]), ([1, 2], ["1/2", "7/3"]), (BIG_A, BIG_B)],
+)
+def test_every_metric_returns_a_fraction(a, b):
+    # the integer cores must not leak an int (or the float sentinel), also
+    # when the caller passes plain ints or ratio strings
+    for fn in PUBLIC_METRICS:
+        assert type(fn(fr(a), fr(b))) is F
+        assert type(fn(a, b)) is F
 
 
 def test_frechet_value_bounds_other_metrics():

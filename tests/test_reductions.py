@@ -89,6 +89,23 @@ def test_parse_dimacs_missing_header_and_trailing_zero():
     assert f.clauses == ((1, -3), (2, 3))
 
 
+def test_parse_dimacs_satlib_trailer():
+    # SATLIB files end with a "%" line and a lone 0
+    f = parse_dimacs("c uf3\np cnf 3 2\n 1 -2 0\n 2 3 0\n%\n0\n\n")
+    assert f.num_vars == 3
+    assert f.clauses == ((1, -2), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 2 2\n1 2 0\n0\n", "p cnf 2 2\n1 2 0 0\n", "0\n1 2 0\n"],
+    ids=["lone-zero-line", "double-zero", "before-first-clause"],
+)
+def test_parse_dimacs_rejects_empty_clause(text):
+    with pytest.raises(ValueError, match="empty clause"):
+        parse_dimacs(text)
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf x 1\n1 0")

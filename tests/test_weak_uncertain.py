@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from lbfrechet.model import Precise, UncertainCurve, make_interval, make_set
+from lbfrechet.model import Interval, Precise, UncertainCurve, make_interval, make_set
 from lbfrechet.oracle import CapExceeded
-from lbfrechet.precise import weak_frechet_1d
+from lbfrechet.precise import r_dp, weak_frechet_1d
 from lbfrechet.weak_uncertain import (
     RespectConstraint,
     candidate_deltas,
@@ -29,6 +29,25 @@ def ic(*spans):
         else:
             pts.append(Precise(F(s)))
     return UncertainCurve(pts)
+
+
+def random_weak_pair(rng, den_u=1, den_v=1):
+    """Up to three vertices per curve, one of them an interval, all at
+    k/den of the curve."""
+
+    def rnd_curve(den):
+        pts = []
+        n = rng.randint(1, 3)
+        slot = rng.randrange(n)
+        for k in range(n):
+            if k == slot:
+                lo = rng.randint(-2 * den, den)
+                pts.append(make_interval(F(lo, den), F(lo + rng.randint(1, 2 * den), den)))
+            else:
+                pts.append(Precise(F(rng.randint(-2 * den, 2 * den), den)))
+        return UncertainCurve(pts)
+
+    return rnd_curve(den_u), rnd_curve(den_v)
 
 
 def test_candidate_deltas_simple_pair():
@@ -65,6 +84,27 @@ def test_candidate_positions_structure():
     assert all(F(0) <= x <= F(1) for x in pu[0])
 
 
+def test_candidate_positions_match_their_definition():
+    """The grids built on ints equal the definition on Fractions, for
+    curves and a delta that each carry their own prime denominator."""
+    rng = random.Random(6042)
+    for _ in range(40):
+        pu, pv, pd = rng.sample((2, 3, 5, 7, 11), 3)
+        u, v = random_weak_pair(rng, pu, pv)
+        delta = F(rng.randint(0, 3 * pd), pd)
+        base = set(u.all_endpoints()) | set(v.all_endpoints())
+        k_max = len(u) + len(v)
+        grid = {e + k * delta for e in base for k in range(-k_max, k_max + 1)}
+
+        def per_vertex(c):
+            return [
+                sorted(x for x in grid if p.lo <= x <= p.hi) if isinstance(p, Interval) else [p.x]
+                for p in c.points
+            ]
+
+        assert candidate_positions(u, v, delta) == (per_vertex(u), per_vertex(v))
+
+
 def test_decide_monotone_in_delta():
     u = ic((0, 1), (3, 4))
     v = ic((1, 2), (2, 5))
@@ -95,20 +135,14 @@ def oracle_min(u, v):
 def test_value_matches_grid_oracle():
     rng = random.Random(6040)
     for _ in range(12):
-        def rnd_curve():
-            pts = []
-            n = rng.randint(1, 3)
-            slot = rng.randrange(n)
-            for k in range(n):
-                if k == slot:
-                    lo = rng.randint(-2, 1)
-                    pts.append(make_interval(F(lo), F(lo + rng.randint(1, 2))))
-                else:
-                    pts.append(Precise(F(rng.randint(-2, 2))))
-            return UncertainCurve(pts)
-
-        u, v = rnd_curve(), rnd_curve()
+        u, v = random_weak_pair(rng)
         got = wfr_min_value(u, v)
+        assert got == oracle_min(u, v), (u, v)
+    # endpoints k/p: the scaled grid must hold every curve's denominator
+    for _ in range(8):
+        u, v = random_weak_pair(rng, *rng.sample((2, 3, 5, 7), 2))
+        got = wfr_min_value(u, v)
+        assert type(got) is F
         assert got == oracle_min(u, v), (u, v)
 
 
@@ -148,27 +182,65 @@ def test_min_r_constrained_validates_indices():
         RespectConstraint(1, 1, 1, 1, F(2), F(1), F(0), F(1))
 
 
+def brute_min_r(pos_u, pos_v, rc):
+    """min r_dp over grid realisations whose extrema sit at rc's indices
+    with rc's values, or infinity."""
+
+    def respects(r, t_min, t_max, lo, hi):
+        return r[t_min - 1] == min(r) == lo and r[t_max - 1] == max(r) == hi
+
+    best = float("inf")
+    for ra in itertools.product(*pos_u):
+        if not respects(ra, rc.i_min, rc.i_max, rc.x_min, rc.x_max):
+            continue
+        for rb in itertools.product(*pos_v):
+            if respects(rb, rc.j_min, rc.j_max, rc.y_min, rc.y_max):
+                best = min(best, r_dp(list(ra), list(rb)))
+    return best
+
+
 def test_min_r_constrained_brute_force_agreement():
     u = ic((0, 2))
     v = ic((1, 3), 2)
     pos_u, pos_v = candidate_positions(u, v, F(1))
     rc = RespectConstraint(1, 1, 1, 2, F(0), F(0), F(1), F(2))
     got = min_r_constrained(u, v, rc, (pos_u, pos_v))
-    best = None
-    from lbfrechet.precise import r_dp
+    assert got == brute_min_r(pos_u, pos_v, rc) == 1
+    # a pin with a denominator the curves lack: no realisation holds it
+    for pin in (F(1, 7), F(-1, 3)):
+        rc = RespectConstraint(1, 1, 1, 2, pin, pin, F(1), F(2))
+        assert min_r_constrained(u, v, rc, (pos_u, pos_v)) == float("inf")
+    # endpoints k/p, deltas with another prime, and pins that are either
+    # grid values or carry a denominator the curves lack (no realisation
+    # holds them, so the answer is infinity)
+    rng = random.Random(6041)
+    finite = 0
+    for _ in range(60):
+        pu, pv, pd, pin = rng.sample((2, 3, 5, 7, 11), 4)
+        u, v = random_weak_pair(rng, pu, pv)
+        delta = F(rng.randint(1, 3 * pd), pd)
+        pos_u, pos_v = candidate_positions(u, v, delta)
 
-    for ra in itertools.product(*pos_u):
-        if min(ra) != F(0) or max(ra) != F(0) or ra[0] != F(0):
-            continue
-        for rb in itertools.product(*pos_v):
-            if rb[0] != min(rb) or rb[1] != max(rb):
-                continue
-            if min(rb) != F(1) or max(rb) != F(2):
-                continue
-            val = r_dp(list(ra), list(rb))
-            if best is None or val < best:
-                best = val
-    assert got == best
+        def extrema(pos):
+            # the extrema of a random grid realisation, one value sometimes
+            # swapped for an odd multiple of 1/pin
+            r = [rng.choice(xs) for xs in pos]
+            ext = [r.index(min(r)) + 1, r.index(max(r)) + 1, min(r), max(r)]
+            if rng.random() < 0.3:
+                k = rng.randrange(2, 4)
+                ext[k] = F(2 * rng.randint(-3 * pin, 3 * pin) + 1, pin)
+                ext[2:] = sorted(ext[2:])
+            return ext
+
+        (i_min, i_max, x_min, x_max), (j_min, j_max, y_min, y_max) = extrema(pos_u), extrema(pos_v)
+        rc = RespectConstraint(i_min, i_max, j_min, j_max, x_min, x_max, y_min, y_max)
+        got = min_r_constrained(u, v, rc, (pos_u, pos_v))
+        want = brute_min_r(pos_u, pos_v, rc)
+        assert got == want, (u, v, rc)
+        if got != float("inf"):
+            finite += 1
+            assert type(got) is F
+    assert finite >= 10
 
 
 def test_reversed_constraint_roundtrip():
