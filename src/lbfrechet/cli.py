@@ -5,7 +5,8 @@ stdout either way), 2 for usage errors, 3 for unreadable or malformed
 inputs, 4 when an enumeration or state cap is exceeded.  All numeric
 output is exact (decimal or p/q); --output json-lines switches stdout to
 one self-contained JSON record per invocation, carrying the subcommand,
-content hashes of the inputs, and the result string.
+content hashes of the inputs, and the result string.  Usage errors and
+each distinct library warning print as one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -122,8 +124,15 @@ def _emit(
             print(line)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lbf",
         description="Frechet-type distances for uncertain 1D polygonal curves.",
     )
@@ -201,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--side", choices=("lower", "upper"), required=True)
     p_oracle.add_argument("--resolution", type=_int_at_least(2), default=2)
     p_oracle.add_argument("--cap", type=_positive_int_arg)
-    p_oracle.add_argument("--jobs", type=_positive_int_arg, default=1)
     p_oracle.add_argument("--adjacency", type=int, choices=(4, 8), default=8)
     p_oracle.add_argument(
         "--include-position",
@@ -345,7 +353,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         spec,
         adjacency=args.adjacency,
         stop_at=args.stop_at,
-        jobs=args.jobs,
     )
     _emit(args, "oracle", (args.curve_a, args.curve_b), format_scalar(value))
     return 0
@@ -447,17 +454,28 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _DISPATCH[args.command](args)
-    except CliUsageError as exc:
-        print(f"lbf: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"lbf: {exc}", file=sys.stderr)
-        return 4
-    except (CurveFormatError, json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"lbf: {exc}", file=sys.stderr)
-        return 3
+    shown: set = set()
+
+    def show(message, *_):
+        # each distinct library warning, once per invocation, on one line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"lbf: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            return _DISPATCH[args.command](args)
+        except CliUsageError as exc:
+            print(f"lbf: {exc}", file=sys.stderr)
+            return 2
+        except CapExceeded as exc:
+            print(f"lbf: {exc}", file=sys.stderr)
+            return 4
+        except (CurveFormatError, json.JSONDecodeError, OSError, ValueError) as exc:
+            print(f"lbf: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -79,26 +79,21 @@ def clip_box_for(u: UncertainCurve, v: UncertainCurve, delta: Fraction) -> ClipB
     return ClipBox(lo, hi)
 
 
-def _hulled_intervals(curve: UncertainCurve, strict: bool) -> list[tuple[Fraction, Fraction]]:
-    out = []
-    warned = False
-    for p in curve.points:
-        lo, hi = p.span()
-        if isinstance(p, FiniteSet) and len(p.xs) > 1:
-            if strict:
-                raise ValueError(
-                    "finite-set vertices are not supported by the lower-bound "
-                    "decision; rerun without strict mode to hull them"
-                )
-            if not warned:
-                warnings.warn(
-                    "finite-set vertex hulled to its spanning interval for the "
-                    "lower-bound decision",
-                    stacklevel=3,
-                )
-                warned = True
-        out.append((lo, hi))
-    return out
+def _hulled_intervals(u: UncertainCurve, v: UncertainCurve, strict: bool) -> tuple[list, list]:
+    """The vertex intervals of both curves, finite sets hulled to their span
+    with at most one warning per call."""
+    if any(isinstance(p, FiniteSet) and len(p.xs) > 1 for p in u.points + v.points):
+        if strict:
+            raise ValueError(
+                "finite-set vertices are not supported by the lower-bound "
+                "decision; rerun without strict mode to hull them"
+            )
+        warnings.warn(
+            "finite-set vertex hulled to its spanning interval for the "
+            "lower-bound decision",
+            stacklevel=3,
+        )
+    return [p.span() for p in u.points], [p.span() for p in v.points]
 
 
 def _two(p: Bounds, q: Bounds) -> tuple:
@@ -157,8 +152,8 @@ def _reduce(ps: list) -> tuple:
     return tuple(kept)
 
 
-# The recurrence, read by the sweep, the witness walk and the provenance
-# views.  Per kind: the grid step from its predecessor cell, the ray it follows
+# The recurrence, read by the sweep, the witness walk and provenance().
+# Per kind: the grid step from its predecessor cell, the ray it follows
 # out of a vertex slab, and its (predecessor kind, cone) terms in sweep order.
 # Off the base row and column a term is mink(pred, cone) met with the slab of
 # the vertex the step lands on.  On the base row (U/D at i = 1) and the base
@@ -172,18 +167,6 @@ _PREDS = {
     "R": ((0, 1), Cone.S_R, (("R", Cone.H_R), ("U", Cone.Q_RU), ("D", Cone.Q_RD))),
     "L": ((0, 1), Cone.S_L, (("L", Cone.H_L), ("U", Cone.Q_LU), ("D", Cone.Q_LD))),
 }
-
-
-@dataclass
-class CellRegions:
-    """The four direction regions at one grid index, plus, per direction,
-    which recurrence terms contributed which pieces."""
-
-    u: Region
-    d: Region
-    r: Region
-    l: Region
-    provenance: dict
 
 
 @dataclass
@@ -259,27 +242,6 @@ class LbTrace:
                 out.append((name, normalize_pieces(got)))
         return tuple(out)
 
-    @property
-    def prov(self) -> dict:
-        """Provenance of every stored region, keyed (kind, i, j)."""
-        return {
-            (kind, i, j): self.provenance(kind, i, j)
-            for kind in "UDRL"
-            for (i, j) in self.tables[kind]
-        }
-
-    def cell(self, i: int, j: int) -> CellRegions:
-        """Regions at grid index (i, j), 1-based.  U/D live at j <= n-1,
-        R/L at i <= m-1; out-of-range directions come back empty."""
-        regs = {}
-        prov = {}
-        for kind in "UDRL":
-            regs[kind] = self._region(self.tables[kind].get((i, j), ()))
-            prov[kind] = tuple(
-                (name, self._region(pieces)) for name, pieces in self.provenance(kind, i, j)
-            )
-        return CellRegions(regs["U"], regs["D"], regs["R"], regs["L"], prov)
-
     def dump_to(self, directory: str) -> None:
         """Write every stored region, one piece per line as a vertex list."""
         os.makedirs(directory, exist_ok=True)
@@ -314,12 +276,11 @@ def decide_lb(
     """Decide whether some realisation pair has Frechet distance <= delta.
 
     With trace=True the sweep also records every region it produces, which
-    extract_witness and the provenance views read back."""
+    extract_witness and LbTrace.provenance read back."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    hull_u = _hulled_intervals(u, strict)
-    hull_v = _hulled_intervals(v, strict)
+    hull_u, hull_v = _hulled_intervals(u, v, strict)
     box = clip_box_for(u, v, delta)
     s, ((d, blo, bhi), *hulls) = scale_to_ints((delta, box.lo, box.hi), *hull_u, *hull_v)
     m = len(hull_u)
@@ -641,8 +602,7 @@ def compute_lb(
     while step > tol:
         step /= 2
         hi *= 2
-    hull_u = _hulled_intervals(u, strict)
-    hull_v = _hulled_intervals(v, strict)
+    hull_u, hull_v = _hulled_intervals(u, v, strict)
     s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v, factor=2)
     su, sv = hulls[: len(hull_u)], hulls[len(hull_u) :]
     ends = sorted({x for h in hulls for x in h})

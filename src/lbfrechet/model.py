@@ -197,10 +197,6 @@ class UncertainCurve:
         return tuple(p.span()[0] for p in self.points)
 
 
-def precise_curve(values: Iterable[Fraction], name: str = "") -> UncertainCurve:
-    return UncertainCurve(tuple(Precise(Fraction(v)) for v in values), name)
-
-
 def is_realisation(curve: Sequence[Fraction], uncertain: UncertainCurve) -> bool:
     """True iff curve picks one admissible position per vertex of uncertain."""
     if len(curve) != len(uncertain):

@@ -16,10 +16,10 @@ cores and converts the bound back to a Fraction once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .model import FiniteSet, Interval, Precise, UncertainCurve, scale_to_ints
 from .precise import _check_adjacency, _discrete_frechet, _discrete_weak, _frechet_value, _weak
@@ -113,7 +113,6 @@ def bound_oracle(
     *,
     adjacency: int = 8,
     stop_at: Fraction | None = None,
-    jobs: int = 1,
 ) -> Fraction:
     """Min (side="lower") or max (side="upper") of the chosen distance over
     all enumerated realisation pairs.
@@ -137,56 +136,20 @@ def bound_oracle(
     )
     iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
     stop = scaled[-1][0] if stops else None
-    if jobs > 1:
-        best = _bound_parallel(iu, iv, variant, side, adjacency, jobs, stop)
-    else:
-        best = _scan(itertools.product(*iu), iv, dist, side, stop)
-    return Fraction(best, s)
+    return Fraction(_scan(iu, iv, dist, side == "lower", stop), s)
 
 
-def _meets(best: int, side: str, stop: int | None) -> bool:
-    if stop is None:
-        return False
-    return best <= stop if side == "lower" else best >= stop
-
-
-def _scan(us, cv, dist, side, stop) -> int | None:
-    """Min or max of dist over us x product(cv) in order, stopping at the
-    first pair whose value meets stop.  All values are scaled ints."""
+def _scan(cu, cv, dist, lower: bool, stop: int | None) -> int:
+    """Min (lower) or max of dist over product(cu) x product(cv) in order,
+    stopping at the first pair whose value meets stop.  All values are
+    scaled ints."""
     best = None
-    for ra in us:
+    for ra in itertools.product(*cu):
         for rb in itertools.product(*cv):
             d = dist(ra, rb)
-            if best is None or (d < best if side == "lower" else d > best):
+            if best is None or (d < best if lower else d > best):
                 best = d
-            if _meets(best, side, stop):
+            if stop is not None and (best <= stop if lower else best >= stop):
                 return best
     return best
 
-
-def _eval_chunk(args) -> int | None:
-    cu_chunk, cv, variant, side, adjacency, stop = args
-    return _scan(cu_chunk, cv, _core(variant, adjacency), side, stop)
-
-
-def _bound_parallel(cu, cv, variant, side, adjacency, jobs, stop) -> int:
-    """Deterministic parallel evaluation: split the first curve's
-    realisations into chunks, each stopping at its first hit.  The first
-    chunk in order that meets stop holds the serial scan's first hit and
-    returns its value; otherwise reduce with min/max."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    all_u = list(itertools.product(*cu))
-    chunk = max(1, (len(all_u) + jobs - 1) // jobs)
-    tasks = [
-        (all_u[k : k + chunk], cv, variant, side, adjacency, stop)
-        for k in range(0, len(all_u), chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = [r for r in pool.map(_eval_chunk, tasks) if r is not None]
-    for r in results:
-        if _meets(r, side, stop):
-            return r
-    if side == "lower":
-        return min(results)
-    return max(results)

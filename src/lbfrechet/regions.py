@@ -572,9 +572,6 @@ class Piece:
     def bounds(self) -> Bounds:
         return (self.xlo, self.xhi, self.ylo, self.yhi, self.dlo, self.dhi)
 
-    def contains(self, x, y) -> bool:
-        return bounds_contain(self.bounds, x, y)
-
     def vertices(self) -> list[tuple]:
         return bounds_vertices(self.bounds)
 
@@ -587,56 +584,19 @@ class Region:
     box: ClipBox
 
     @staticmethod
-    def empty(box: ClipBox) -> "Region":
-        return Region((), box)
-
-    @staticmethod
     def from_bounds(pieces: Iterable[Optional[Bounds]], box: ClipBox) -> "Region":
         clip = box.full_bounds()
         clipped = [meet_bounds(p, clip) for p in pieces if p is not None]
         return Region(tuple(Piece(*b) for b in normalize_pieces(clipped)), box)
 
-    def _raw(self) -> list[Bounds]:
-        return [p.bounds for p in self.pieces]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pieces
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.pieces)
-
     def contains(self, x, y) -> bool:
         x, y = Fraction(x), Fraction(y)
         return any(bounds_contain(p.bounds, x, y) for p in self.pieces)
 
-    def _check_box(self, other: "Region") -> None:
-        if self.box != other.box:
-            raise ValueError(f"clip box mismatch: {self.box} vs {other.box}")
-
-    def union(self, other: "Region") -> "Region":
-        self._check_box(other)
-        return Region.from_bounds(self._raw() + other._raw(), self.box)
-
-    def intersect(self, other: "Region") -> "Region":
-        self._check_box(other)
-        out = []
-        for a in self._raw():
-            for b in other._raw():
-                out.append(meet_bounds(a, b))
-        return Region.from_bounds(out, self.box)
-
-    def minkowski(self, cone: Cone) -> "Region":
-        box = self.box
-        return Region.from_bounds(
-            [mink_bounds(p, cone, box.lo, box.hi) for p in self._raw()], box
-        )
-
     def subset(self, other: "Region") -> bool:
-        self._check_box(other)
-        cover = other._raw()
-        return all(bounds_covered(p, cover) for p in self._raw())
+        """Every piece of self lies inside the union of other's pieces."""
+        cover = [q.bounds for q in other.pieces]
+        return all(bounds_covered(p.bounds, cover) for p in self.pieces)
 
     def equals(self, other: "Region") -> bool:
         return self.subset(other) and other.subset(self)
@@ -665,35 +625,3 @@ class Region:
             )
         return lines
 
-
-def band(delta: Fraction, box: ClipBox) -> Region:
-    """The diagonal band |x - y| <= delta, clipped."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError(f"band needs delta > 0, got {delta}")
-    full = box.full_bounds()
-    return Region.from_bounds(
-        [close_bounds(full[0], full[1], full[2], full[3], -delta, delta)], box
-    )
-
-
-def vslab(lo: Fraction, hi: Fraction, box: ClipBox) -> Region:
-    """The vertical slab lo <= x <= hi, clipped."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError(f"slab needs lo <= hi, got [{lo}, {hi}]")
-    full = box.full_bounds()
-    return Region.from_bounds(
-        [close_bounds(lo, hi, full[2], full[3], full[4], full[5])], box
-    )
-
-
-def hslab(lo: Fraction, hi: Fraction, box: ClipBox) -> Region:
-    """The horizontal slab lo <= y <= hi, clipped."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError(f"slab needs lo <= hi, got [{lo}, {hi}]")
-    full = box.full_bounds()
-    return Region.from_bounds(
-        [close_bounds(full[0], full[1], lo, hi, full[4], full[5])], box
-    )

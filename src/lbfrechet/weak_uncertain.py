@@ -63,18 +63,6 @@ class RespectConstraint:
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError("extreme values out of order")
 
-    def reversed_for(self, m: int, n: int) -> "RespectConstraint":
-        return RespectConstraint(
-            m + 1 - self.i_min,
-            m + 1 - self.i_max,
-            n + 1 - self.j_min,
-            n + 1 - self.j_max,
-            self.x_min,
-            self.x_max,
-            self.y_min,
-            self.y_max,
-        )
-
 
 def _endpoint_sides(curve: UncertainCurve) -> tuple[list[Fraction], list[Fraction]]:
     """(left endpoints, right endpoints) of all vertex regions."""

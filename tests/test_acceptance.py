@@ -37,6 +37,7 @@ from lbfrechet.reductions import (
     ub_abs_curve,
     verify_reduction,
 )
+from lbfrechet.regions import normalize_pieces
 from lbfrechet.weak_uncertain import candidate_deltas, candidate_positions, wfr_min_value
 
 from oracles import min_weak_over_grid, weak_frechet_cells_value
@@ -103,15 +104,11 @@ def test_criterion_02_region_complexity():
         for kind in "UDRL":
             for (i, j), pieces in tr.tables[kind].items():
                 checked += 1
-                if len(pieces) > 2:
-                    cell = tr.cell(i, j)
-                    reg = {"U": cell.u, "D": cell.d, "R": cell.r, "L": cell.l}[kind]
-                    if reg.piece_count > 2:
-                        violations.append((kind, i, j, reg.piece_count))
-        for (kind, i, j), terms in tr.prov.items():
-            for name, pieces in terms:
-                if name == "base" and len(pieces) > 1:
-                    violations.append(("base", kind, i, j, len(pieces)))
+                if len(pieces) > 2 and len(normalize_pieces(pieces)) > 2:
+                    violations.append((kind, i, j, len(normalize_pieces(pieces))))
+                for name, got in tr.provenance(kind, i, j):
+                    if name == "base" and len(got) > 1:
+                        violations.append(("base", kind, i, j, len(got)))
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed < 60.0
     report(2, ok, f"{checked} regions, {len(violations)} violations, {elapsed:.1f}s")

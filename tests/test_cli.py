@@ -317,7 +317,7 @@ ORACLE = ["oracle", "--variant", "discrete", "--side", "lower"]
         (None, [*ORACLE, "--resolution", "1"]),
         (None, [*ORACLE, "--resolution", "x"]),
         (None, [*ORACLE, "--cap", "-5"]),
-        (None, [*ORACLE, "--jobs", "0"]),
+        (None, [*ORACLE, "--stop-at", "1/0"]),
         (None, ["weak-lb", "decide", "--delta", "-1"]),
         (None, ["weak-lb", "value", "--delta", "2"]),
     ],
@@ -334,3 +334,27 @@ def test_bad_numbers_are_usage_errors(write_curve, capsys, monkeypatch, env_cap,
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err
+
+
+def test_unknown_option_is_one_line_usage_error(write_curve, capsys):
+    a = write_curve([interval(0, 1)])
+    with pytest.raises(SystemExit) as exc:
+        main([*ORACLE, "--no-such-option", "2", a, a])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert "Traceback" not in out.err and "--no-such-option" in out.err
+
+
+@pytest.mark.parametrize("mode", [[], ["--output", "json-lines"]])
+@pytest.mark.parametrize("command", [["value"], ["decide", "--delta", "1"]])
+def test_library_warning_is_one_line(write_curve, capsys, mode, command):
+    a = write_curve([make_set([F(0), F(1)]), interval(2, 3)])
+    b = write_curve([interval(0, 1), make_set([F(2), F(4)])])
+    code, out, err = run(capsys, [*mode, *command, a, b])
+    assert code == 0 and out
+    assert err == (
+        "lbf: warning: finite-set vertex hulled to its spanning interval "
+        "for the lower-bound decision\n"
+    )

@@ -97,6 +97,16 @@ def test_finite_set_vertices_hulled_with_warning():
     assert got.final_region.equals(want.final_region)
 
 
+def test_finite_sets_on_both_curves_warn_once_per_call():
+    u = UncertainCurve([make_set([F(0), F(1)]), Precise(F(2))])
+    v = UncertainCurve([Precise(F(0)), make_set([F(1), F(3)])])
+    for call in (lambda: decide_lb(u, v, F(1)), lambda: compute_lb(u, v, F(1, 4))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [UserWarning]
+
+
 def test_single_vertex_pair():
     u = ic((0, 1))
     v = ic((5, 6))
@@ -272,13 +282,17 @@ def test_trace_cell_and_provenance():
     trace = out.trace
     seen = set()
     for kind in "UDRL":
-        for (i, j) in trace.tables[kind]:
-            cell = trace.cell(i, j)
-            for name, region in cell.provenance.get(kind, ()):
+        for (i, j), stored in trace.tables[kind].items():
+            terms = trace.provenance(kind, i, j)
+            for name, pieces in terms:
                 seen.add(name)
-                assert not region.is_empty or region.piece_count == 0
+                assert pieces and pieces == normalize_pieces(pieces)
+            # the stored region is the union of its terms' pieces
+            union = [p for _, pieces in terms for p in pieces]
+            assert normalize_pieces(stored) == normalize_pieces(union), (kind, i, j)
     assert seen <= {"base", "U", "D", "R", "L"}
     assert "base" in seen
+    assert trace.provenance("U", 99, 99) == ()
 
 
 def test_trace_dump_writes_files(tmp_path):

@@ -26,7 +26,7 @@ from lbfrechet import (
     reverse,
     subcurve,
 )
-from lbfrechet.model import make_interval, make_set, precise_curve, scale_to_ints
+from lbfrechet.model import make_interval, make_set, scale_to_ints
 
 
 # --- scalars ---------------------------------------------------------------
@@ -111,6 +111,18 @@ def test_only_model_takes_an_lcm():
     assert users == {"model.py"}
 
 
+def test_star_import_binds_exactly_all():
+    """Every name in __all__ resolves, once, and a star import binds
+    nothing else, so no deleted name lingers as an export."""
+    names = lbfrechet.__all__
+    assert len(names) == len(set(names))
+    namespace: dict = {}
+    exec("from lbfrechet import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(names)
+    assert all(getattr(lbfrechet, name) is namespace[name] for name in names)
+
+
 # --- vertex kinds ----------------------------------------------------------
 
 
@@ -175,12 +187,6 @@ def test_uncertain_curve_basics():
         UncertainCurve(())
     with pytest.raises(ValueError):
         c.as_precise()
-
-
-def test_precise_curve_round_trip():
-    c = precise_curve([F(1), F(-2), F(3)])
-    assert c.is_precise
-    assert c.as_precise() == (F(1), F(-2), F(3))
 
 
 def test_is_realisation():

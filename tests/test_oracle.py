@@ -212,25 +212,6 @@ def test_bound_oracle_stop_at():
     assert bound_oracle(u, v, "discrete", "upper", stop_at=F(100)) == 3
 
 
-def test_bound_oracle_parallel_matches_serial():
-    rng = random.Random(404)
-    spec = EnumerationSpec(resolution=3)
-    for variant in VARIANTS:
-        for _ in range(5):
-            u = random_uncertain(rng)
-            v = random_uncertain(rng)
-            lo = bound_oracle(u, v, variant, "lower", spec)
-            hi = bound_oracle(u, v, variant, "upper", spec)
-            # stop thresholds that end the scan at once, partway or never
-            for stop_at in (None, lo, (lo + hi) / 2, hi, hi + 1):
-                for side in ("lower", "upper"):
-                    serial = bound_oracle(u, v, variant, side, spec, stop_at=stop_at)
-                    parallel = bound_oracle(
-                        u, v, variant, side, spec, stop_at=stop_at, jobs=2
-                    )
-                    assert serial == parallel, (variant, side, stop_at)
-
-
 def test_bound_oracle_precise_inputs_collapse():
     u = curve(Precise(1), Precise(5))
     v = curve(Precise(0), Precise(4))

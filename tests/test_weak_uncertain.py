@@ -241,10 +241,3 @@ def test_min_r_constrained_brute_force_agreement():
             finite += 1
             assert type(got) is F
     assert finite >= 10
-
-
-def test_reversed_constraint_roundtrip():
-    rc = RespectConstraint(1, 2, 3, 1, F(0), F(5), F(-1), F(4))
-    rev = rc.reversed_for(4, 3)
-    assert (rev.i_min, rev.i_max, rev.j_min, rev.j_max) == (4, 3, 1, 3)
-    assert rev.reversed_for(4, 3) == rc
