@@ -13,11 +13,14 @@ nonempty.
 The predecessor table _PREDS is the recurrence: per kind, the (predecessor
 kind, cone) terms whose Minkowski sums make up its region, and the ray along
 the base row or column.  One sweep computes the regions from it with the
-fused cone-and-meet kernels of the regions module; where every predecessor
-region holds one piece, a hand-fused step evaluates the twelve terms at
-once, less the quadrant terms that lie inside a half-plane term, and where
-none holds any the cell stays empty.  A traced decision has
-the sweep record each region it produces.  A witness realisation pair is
+fused cone-and-meet kernels of the regions module.  Inside the sweep an
+empty region is one piece beyond the clip box, which every kernel maps to
+nothing; so where every predecessor region holds one piece or is empty, a
+hand-fused step evaluates the twelve terms at once, and where all four are
+empty the cell stays empty.  Every cell skips the quadrant terms that lie
+inside a half-plane term, and with two pieces in a kind's own predecessor
+only the one reaching furthest gives a half-plane term.  A traced decision
+has the sweep record each region it produces.  A witness realisation pair is
 read back off those tables by walking _PREDS in reverse, and which term
 contributed which piece is recomputed from them on request with the
 generic Minkowski sum and meet.
@@ -43,6 +46,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, itemgetter, lt
 from typing import Optional
 
 from . import precise
@@ -52,6 +56,7 @@ from .regions import (
     ClipBox,
     Cone,
     Region,
+    _KEEP,
     _mm_h_d,
     _mm_h_l,
     _mm_h_r,
@@ -345,29 +350,40 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
 
     # --- interior sweep --------------------------------------------------
     # Rolling state: ucol/dcol hold the U/D regions of the current row and
-    # rcur/lcur the R/L regions at (i, j).  A cell with one piece in every
-    # source takes the hand-fused step, one with no piece at all stays empty,
-    # and any other walks each kind's _PREDS terms and cleans up with _reduce.
-    # The fused step skips (None) each quadrant term that lies inside the
+    # rcur/lcur the R/L regions at (i, j).  An empty region is the shared
+    # stand-in E, one piece beyond the box on every bound, which each _mm_*
+    # kernel maps to None.  A cell with E in all four sources stays empty,
+    # one with one piece (or E) in every source takes the hand-fused step,
+    # and any other walks each kind's _PREDS terms and cleans up with
+    # _reduce.  Both skip (None) each quadrant term that lies inside the
     # kind's half-plane term, as the cleanup would drop it: its source does
-    # not pass the kind's own source on the one bound that half-plane keeps.
-    # A traced decision records the four new regions per cell.
+    # not pass the kind's own source on the one bound that half-plane keeps
+    # (E as a quadrant source never passes; every piece passes E as the own
+    # source).  Of two own pieces only the one extreme on that bound gives a
+    # half-plane term; the other's lies inside it.  A traced decision
+    # records the four new regions per cell, () for E.
+    E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
+    ucol, dcol, rbase, lbase = ([w or E for w in walk] for walk in (ucol, dcol, rbase, lbase))
     hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
     qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
     kernel = {Cone.H_R: hr, Cone.H_L: hl, Cone.H_U: hu, Cone.H_D: hd,
               Cone.Q_RU: qru, Cone.Q_LU: qlu, Cone.Q_RD: qrd, Cone.Q_LD: qld}
-    # per kind, in U, D, R, L order: (steps along u, ((source, kernel), ...))
-    recurrence = [
-        (_PREDS[kind][0][0], tuple((pk, kernel[cone]) for pk, cone in _PREDS[kind][2]))
-        for kind in "UDRL"
-    ]
+    # per kind, in U, D, R, L order: (steps along u, own source, half-plane
+    # kernel, the bound b it keeps, min or max for its extreme, the test that
+    # a quadrant source passes it on b, ((source, quadrant kernel), ...))
+    recurrence = []
+    for kind in "UDRL":
+        (di, _), _, ((own, half), *quads) = _PREDS[kind]
+        b = _KEEP[half].index(True)
+        recurrence.append((di, own, kernel[half], b, max if b % 2 else min, gt if b % 2 else lt,
+                           tuple((pk, kernel[cone]) for pk, cone in quads)))
     reduce_, two, three = _reduce, _two, _three
 
     def comb3(a, b, c):
         # containment cleanup of up-to-three kernel results, in order
         if a is None:
             if b is None:
-                return () if c is None else (c,)
+                return E if c is None else (c,)
             return (b,) if c is None else two(b, c)
         if b is None:
             return (a,) if c is None else two(a, c)
@@ -381,32 +397,36 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
         inext = ipieces[i + 1]
         for j in range(1, n):
             uij, dij, jnext = ucol[j], dcol[j], jpieces[j + 1]
-            if len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
+            if rcur is E and lcur is E and uij is E and dij is E:
+                new_r = new_l = E  # ucol[j] and dcol[j] stay empty
+            elif len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
                 pr, pl, pu, pd = rcur[0], lcur[0], uij[0], dij[0]
                 new_r = comb3(hr(pr, jnext), None if pu[0] >= pr[0] else qru(pu, jnext), None if pd[0] >= pr[0] else qrd(pd, jnext))
                 new_l = comb3(hl(pl, jnext), None if pu[1] <= pl[1] else qlu(pu, jnext), None if pd[1] <= pl[1] else qld(pd, jnext))
                 ucol[j] = comb3(hu(pu, inext), None if pr[2] >= pu[2] else qru(pr, inext), None if pl[2] >= pu[2] else qlu(pl, inext))
                 dcol[j] = comb3(hd(pd, inext), None if pr[3] <= pd[3] else qrd(pr, inext), None if pl[3] <= pd[3] else qld(pl, inext))
-            elif not (rcur or lcur or uij or dij):
-                new_r = new_l = ()  # ucol[j] and dcol[j] stay empty
             else:
                 src = {"U": uij, "D": dij, "R": rcur, "L": lcur}
                 new = []
-                for di, terms in recurrence:
+                for di, own, half, b, extreme, passes, quads in recurrence:
                     target = inext if di else jnext
-                    acc = []
-                    for pk, mm in terms:
+                    p = extreme(src[own], key=itemgetter(b))
+                    edge = p[b]
+                    q = half(p, target)
+                    acc = [] if q is None else [q]
+                    for pk, mm in quads:
                         for p in src[pk]:
-                            q = mm(p, target)
-                            if q is not None:
-                                acc.append(q)
-                    new.append(reduce_(acc))
+                            if passes(p[b], edge):
+                                q = mm(p, target)
+                                if q is not None:
+                                    acc.append(q)
+                    new.append(reduce_(acc) or E)
                 ucol[j], dcol[j], new_r, new_l = new
             if trace:
-                tr[(i, j + 1)] = new_r
-                tl[(i, j + 1)] = new_l
-                tu[(i + 1, j)] = ucol[j]
-                td[(i + 1, j)] = dcol[j]
+                tr[(i, j + 1)] = () if new_r is E else new_r
+                tl[(i, j + 1)] = () if new_l is E else new_l
+                tu[(i + 1, j)] = () if ucol[j] is E else ucol[j]
+                td[(i + 1, j)] = () if dcol[j] is E else dcol[j]
             rcur, lcur = new_r, new_l
         rlast, llast = rcur, lcur
 

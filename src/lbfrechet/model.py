@@ -294,8 +294,9 @@ def curve_from_json(data: object) -> UncertainCurve:
             raise CurveFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CurveFormatError("curve JSON must be an object")
-    if data.get("dimension", 1) != 1:
-        raise CurveFormatError(f"only 1D curves are supported, got dimension {data.get('dimension')!r}")
+    dim = data.get("dimension", 1)
+    if type(dim) is not int or dim != 1:  # True and 1.0 also compare equal to 1
+        raise CurveFormatError(f"only 1D curves are supported, got dimension {dim!r}")
     pts = data.get("points")
     if not isinstance(pts, list) or not pts:
         raise CurveFormatError("curve needs a nonempty points list")

@@ -148,7 +148,11 @@ def mink_bounds(p: Bounds, cone: Cone, blo, bhi) -> Bounds:
 #
 # Each _mm_* computes meet_bounds(mink_bounds(p, cone, blo, bhi), q) under
 # two preconditions that the sweep guarantees: q is closed, nonempty, and
-# lies inside the clipping square, and p is closed and nonempty.  The box
+# lies inside the clipping square, and p is closed and nonempty, or else p
+# is the sweep's stand-in for an empty region, (bhi + 1, blo - 1, bhi + 1,
+# blo - 1, bhi - blo + 1, blo - bhi - 1), which lies beyond the square on
+# every bound: every kernel (and meet_bounds) returns None for it, as q's
+# bounds lie inside the square, with |y - x| <= bhi - blo.  The box
 # arguments disappear because meeting with a piece already inside the square
 # makes the relax-to-square step a no-op.  Only the components the cone
 # keeps survive into the meet, so most of the generic closure collapses:

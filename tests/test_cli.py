@@ -213,6 +213,15 @@ def test_malformed_curve_json(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("dim", ["true", "1.0"])
+def test_non_integer_dimension_is_exit_three(tmp_path, capsys, dim):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"dimension": {dim}, "points": [{{"type": "precise", "x": "0"}}]}}')
+    code, out, err = run(capsys, ["decide", "--delta", "1", str(bad), str(bad)])
+    assert (code, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1 and "dimension" in err
+
+
 def test_reduce_ub_sat_and_verify(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")

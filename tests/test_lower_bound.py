@@ -188,9 +188,9 @@ def test_traced_and_fast_paths_agree():
     rng = random.Random(3141)
     checked = 0
     # interior sweep steps by the shape of their four sources: one piece in
-    # each (the fused step), none in any (left empty), and some empty or some
-    # with two pieces (both walk _PREDS); the longer, wider draws at the end
-    # give the two-piece shape more cells
+    # each or some empty and the rest one piece (the fused step), none in
+    # any (left empty), and some with two pieces (walks _PREDS); the longer,
+    # wider draws at the end give the two-piece shape more cells
     shapes = Counter()
     for k in range(180):
         wide = k >= 120
@@ -204,6 +204,13 @@ def test_traced_and_fast_paths_agree():
         assert fast.final_region.equals(traced.final_region)
         trace = traced.trace
         m, n = len(u), len(v)
+        # the sweep's stand-in for an empty region, beyond the box, never
+        # leaks into the recorded regions or the final parts
+        blo, bhi = trace.box_scaled
+        stored = [p for kind in "UDRL" for ps in trace.tables[kind].values() for p in ps]
+        for p in stored + [p for *_, ps in trace.final_parts for p in ps]:
+            assert blo <= p[0] <= p[1] <= bhi and blo <= p[2] <= p[3] <= bhi, p
+            assert blo - bhi <= p[4] <= p[5] <= bhi - blo, p
         for kind in "UD":
             assert set(trace.tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
         for kind in "RL":
@@ -223,6 +230,36 @@ def test_traced_and_fast_paths_agree():
                 shapes[shape] += 1
     assert checked > 1000
     assert set(shapes) == {"one", "none", "some empty", "two"}, shapes
+
+
+def test_skipped_terms_leave_the_cleanup_unchanged():
+    """Each interior region the sweep records equals, as a tuple, the
+    cleanup (_reduce) of all its _PREDS terms: the sweep skips only terms
+    the cleanup would drop, so the pieces and their order, which the dump
+    files print, stay those of the full recurrence."""
+    rng = random.Random(1)
+
+    def curve():
+        pts = []
+        for _ in range(rng.randint(1, 8)):
+            a, b = sorted(F(rng.randint(-12, 12), 2) for _ in range(2))
+            pts.append(make_interval(a, b))
+        return UncertainCurve(pts)
+
+    checked = 0
+    for _ in range(300):
+        u, v = curve(), curve()
+        trace = decide_lb(u, v, F(rng.randint(1, 12), 2), trace=True).trace
+        blo, bhi = trace.box_scaled
+        for kind in "UDRL":
+            for (i, j), pieces in trace.tables[kind].items():
+                cell, slab, target, terms = trace.terms(kind, i, j)
+                if cell is None or slab is not None:
+                    continue  # the start cell and the base row and column
+                got = (meet_bounds(mink_bounds(p, cone, blo, bhi), target) for _, cone, ps in terms for p in ps)
+                assert pieces == _reduce([q for q in got if q is not None]), (kind, i, j)
+                checked += 1
+    assert checked > 10000
 
 
 # Witnesses frozen from the backward walk: (len u, len v, delta, witness u,

@@ -270,6 +270,8 @@ def test_curve_json_round_trip():
         "not json {",
         '["a", "list"]',
         '{"dimension": 2, "points": []}',
+        '{"dimension": true, "points": [{"type": "precise", "x": "1"}]}',
+        '{"dimension": 1.0, "points": [{"type": "precise", "x": "1"}]}',
         '{"points": [{"type": "blob", "x": "1"}]}',
         '{"points": [{"type": "interval", "lo": "2", "hi": "1"}]}',
         '{"points": [{"type": "set", "xs": []}]}',
@@ -280,3 +282,8 @@ def test_curve_json_round_trip():
 def test_curve_json_rejects(payload):
     with pytest.raises((CurveFormatError, ValueError)):
         curve_from_json(payload)
+
+
+def test_curve_json_missing_dimension_means_one():
+    points = '"points": [{"type": "precise", "x": "1"}]'
+    assert curve_from_json(f"{{{points}}}") == curve_from_json(f'{{"dimension": 1, {points}}}')

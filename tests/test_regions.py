@@ -212,6 +212,25 @@ def test_mink_meet_matches_composition_degenerate():
         assert got == want
 
 
+def test_kernels_map_the_beyond_box_stand_in_to_none():
+    """The sweep stands in for an empty region with one piece beyond the clip
+    box on every bound; every kernel, and meet_bounds, must map it to None
+    against any closed slab inside the box, however wide the box."""
+    rng = random.Random(6060)
+    for blo, bhi in ((BLO, BHI), (-(2**1100) - 3, 2**1101 + 5)):
+        empty = (bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1)
+        span = bhi - blo
+        slabs = [(blo, blo, 0), (bhi, bhi, span), (blo, bhi, 0), (blo, bhi, span)]
+        for _ in range(200):
+            lo, hi = sorted((rng.randint(blo, bhi), rng.randint(blo, bhi)))
+            slabs.append((lo, hi, rng.randint(0, span)))
+        for lo, hi, d in slabs:
+            for q in (close_bounds(lo, hi, blo, bhi, -d, d), close_bounds(blo, bhi, lo, hi, -d, d)):
+                assert meet_bounds(empty, q) is None
+                for name in KERNELS:
+                    assert getattr(regions, name)(empty, q) is None, (name, q)
+
+
 # --- piece predicates --------------------------------------------------------
 
 
