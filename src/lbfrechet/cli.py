@@ -12,6 +12,7 @@ each distinct library warning print as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -451,9 +452,13 @@ _DISPATCH = {
 }
 
 
+# One parser per process: parsing keeps no state in it, and LBF_CAP is
+# read when a command runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     shown: set = set()
 
     def show(message, *_):

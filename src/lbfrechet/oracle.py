@@ -11,6 +11,15 @@ bound_oracle scales every candidate of both curves, and stop_at, to ints
 in one model.scale_to_ints call (factor 2 for "frechet", whose critical
 values include half distances), scans with the precise module's integer
 cores and converts the bound back to a Fraction once.
+
+On that int grid every value is an int, so "strictly better than best"
+is "<= best - 1" on the lower side and "not <= best" on the upper side.
+The scan computes a pair's full value only when the variant's integer
+decision says so; on the lower side it first skips pairs whose endpoint
+distance max(|a[0] - b[0]|, |a[-1] - b[-1]|), a lower bound on every
+variant, is already >= best.  A skipped pair cannot change best, and
+stop_at can only trigger when best changes, so best, the stop position
+and the result are those of scanning every pair in full.
 """
 
 from __future__ import annotations
@@ -22,7 +31,17 @@ from math import prod
 from typing import Callable, Iterator
 
 from .model import FiniteSet, Interval, Precise, UncertainCurve, scale_to_ints
-from .precise import _check_adjacency, _discrete_frechet, _discrete_weak, _frechet_value, _weak
+from .precise import (
+    _check_adjacency,
+    _decide,
+    _discrete_decide,
+    _discrete_frechet,
+    _discrete_weak,
+    _discrete_weak_decide,
+    _frechet_value,
+    _weak,
+    _weak_decide,
+)
 
 # The public metric of each variant.  The scan calls the integer cores
 # above; perfbench/tracing.py still looks these names up on this module.
@@ -90,17 +109,21 @@ def enumerate_realisations(
     return itertools.product(*cands)
 
 
-def _core(variant: str, adjacency: int) -> Callable:
-    """The integer core of a variant, on realisations scaled to ints."""
+def _core(variant: str, adjacency: int) -> tuple[Callable, Callable]:
+    """The integer value core of a variant and its decision core (is the
+    value <= d?), on realisations scaled to ints."""
     if variant == "frechet":
-        return _frechet_value
+        return _frechet_value, _decide
     if variant == "discrete":
-        return _discrete_frechet
+        return _discrete_frechet, _discrete_decide
     if variant == "weak":
-        return _weak
+        return _weak, _weak_decide
     if variant == "discrete-weak":
         _check_adjacency(adjacency)
-        return lambda a, b: _discrete_weak(a, b, adjacency)
+        return (
+            lambda a, b: _discrete_weak(a, b, adjacency),
+            lambda a, b, d: _discrete_weak_decide(a, b, d, adjacency),
+        )
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
@@ -120,35 +143,49 @@ def bound_oracle(
     With stop_at set, enumeration stops as soon as the bound is at least
     as strong as stop_at (lower <= stop_at, upper >= stop_at); the result
     is then decision grade only.  The pair product must fit the cap.
+
+    A pair's full value is computed only when an integer decision says it
+    beats the best so far (see the module docstring); the pairs skipped
+    cannot change the best, so neither the result nor where stop_at stops
+    the scan differs from a full scan.
     """
     spec = spec or EnumerationSpec()
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    dist, decide = _core(variant, adjacency)
     cu = vertex_candidates(u, spec)
     cv = vertex_candidates(v, spec)
     nu, nv = prod(map(len, cu)), prod(map(len, cv))
     if nu * nv > spec.cap:
         raise CapExceeded(f"{nu} x {nv} realisation pairs exceed cap {spec.cap}")
-    dist = _core(variant, adjacency)
     stops = () if stop_at is None else (Fraction(stop_at),)
     s, scaled = scale_to_ints(
         *cu, *cv, stops, factor=2 if variant == "frechet" else 1
     )
     iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
     stop = scaled[-1][0] if stops else None
-    return Fraction(_scan(iu, iv, dist, side == "lower", stop), s)
+    return Fraction(_scan(iu, iv, dist, decide, side == "lower", stop), s)
 
 
-def _scan(cu, cv, dist, lower: bool, stop: int | None) -> int:
+def _scan(cu, cv, dist, decide, lower: bool, stop: int | None) -> int:
     """Min (lower) or max of dist over product(cu) x product(cv) in order,
     stopping at the first pair whose value meets stop.  All values are
-    scaled ints."""
+    scaled ints; after the first pair, dist runs only on the pairs that
+    decide shows strictly better than best (see the module docstring)."""
     best = None
     for ra in itertools.product(*cu):
         for rb in itertools.product(*cv):
-            d = dist(ra, rb)
-            if best is None or (d < best if lower else d > best):
-                best = d
+            if best is not None:
+                if lower:
+                    if (
+                        abs(ra[0] - rb[0]) >= best
+                        or abs(ra[-1] - rb[-1]) >= best
+                        or not decide(ra, rb, best - 1)
+                    ):
+                        continue
+                elif decide(ra, rb, best):
+                    continue
+            best = dist(ra, rb)
             if stop is not None and (best <= stop if lower else best >= stop):
                 return best
     return best

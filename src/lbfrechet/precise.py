@@ -10,8 +10,11 @@ the common denominator (model.scale_to_ints), runs an integer core and
 converts back with Fraction(x, s), so results are still Fractions.  The
 cores (_frechet_value, _discrete_frechet, _weak, _discrete_weak) are
 scale-free, so the oracle scales a whole candidate grid once and calls
-them directly; a result x of theirs means x / s.  Float infinity appears
-only as an unreachable sentinel in min/max chains.
+them directly; a result x of theirs means x / s.  Next to each value core
+sits a decision core (_decide, _discrete_decide, _weak_decide,
+_discrete_weak_decide) answering "is the value <= d?" on the same ints,
+which the oracle uses to skip pairs that cannot beat its best.  Float
+infinity appears only as an unreachable sentinel in min/max chains.
 """
 
 from __future__ import annotations
@@ -127,6 +130,20 @@ def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     return _decide(ai, bi, d)
 
 
+def _least(cands, accepts) -> int:
+    """The smallest candidate that the monotone decision accepts(d)
+    accepts, by bisection; the largest candidate must be accepted."""
+    ordered = sorted(cands)
+    lo, hi = -1, len(ordered) - 1
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if accepts(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return ordered[hi]
+
+
 def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
     """Smallest critical value the decision accepts.  Inputs must be
     scaled by an even factor (every value even), so halves are ints."""
@@ -136,17 +153,7 @@ def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
         for i in range(len(xs)):
             for k in range(i + 1, len(xs)):
                 cands.add(abs(xs[i] - xs[k]) // 2)
-    ordered = sorted(cands)
-    lo, hi = 0, len(ordered) - 1
-    if _decide(a, b, ordered[0]):
-        return ordered[0]
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _decide(a, b, ordered[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return ordered[hi]
+    return _least(cands, lambda d: _decide(a, b, d))
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -183,6 +190,23 @@ def _discrete_frechet(a: Sequence[int], b: Sequence[int]) -> int:
     return prev[n - 1]
 
 
+def _discrete_decide(a: Sequence[int], b: Sequence[int], d: int) -> bool:
+    """Is the discrete Frechet distance <= d?  The coupling recurrence on
+    booleans, row by row, giving up on a row with no reachable pair."""
+    n = len(b)
+    prev = [False] * n
+    for i, x in enumerate(a):
+        cur = [False] * n
+        for j, y in enumerate(b):
+            cur[j] = -d <= x - y <= d and (
+                (i == 0 and j == 0) or prev[j] or (j > 0 and (cur[j - 1] or prev[j - 1]))
+            )
+        if not any(cur):
+            return False
+        prev = cur
+    return prev[-1]
+
+
 def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """The discrete Frechet distance (coupling recurrence on ints)."""
     s, (ai, bi) = _scaled(a, b)
@@ -216,6 +240,26 @@ def _bottleneck(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list) -> i
             cur[j] = best
         prev = cur
     return prev[n - 1]
+
+
+def _bottleneck_decide(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list, d: int) -> bool:
+    """Is _bottleneck(a, b, aimg, bimg) <= d?  The same recurrence on
+    booleans: an entry is reachable when a neighbour is and its step's
+    penalty is at most d."""
+    m, n = len(a), len(b)
+    prev = [False] * n
+    for i in range(m):
+        cur = [False] * n
+        lo, hi = aimg[i]
+        for j in range(n):
+            if i == 0 and j == 0:
+                cur[0] = -d <= a[0] - b[0] <= d
+            else:
+                cur[j] = (
+                    prev[j] and bimg[j][0] - d <= a[i - 1] <= bimg[j][1] + d
+                ) or (j > 0 and cur[j - 1] and lo - d <= b[j - 1] <= hi + d)
+        prev = cur
+    return prev[-1]
 
 
 def _prefix_hulls(xs: Sequence[int]) -> list[tuple[int, int]]:
@@ -259,6 +303,14 @@ def _weak(a: Sequence[int], b: Sequence[int]) -> int:
     return fwd if fwd >= bwd else bwd
 
 
+def _weak_decide(a: Sequence[int], b: Sequence[int], d: int) -> bool:
+    """Is _weak(a, b) <= d?  Both directions of the boolean recurrence."""
+    return all(
+        _bottleneck_decide(xs, ys, _prefix_hulls(xs), _prefix_hulls(ys), d)
+        for xs, ys in ((a, b), (a[::-1], b[::-1]))
+    )
+
+
 def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Weak Frechet distance on the line: the forward recurrence run from
     both ends, worse of the two."""
@@ -266,52 +318,42 @@ def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(_weak(ai, bi), s)
 
 
+# grid steps of each adjacency
+_STEPS = {
+    4: ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    8: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)),
+}
+
+
 def _check_adjacency(adjacency: int) -> None:
-    if adjacency not in (4, 8):
+    if adjacency not in _STEPS:
         raise ValueError(f"adjacency must be 4 or 8, got {adjacency}")
 
 
 def _discrete_weak(a: Sequence[int], b: Sequence[int], adjacency: int) -> int:
-    """Activate spots in weight order with a union-find until the corner
-    spots connect; the weight that connects them is the value."""
+    """The smallest spot weight whose flood fill connects the corners."""
+    weights = {abs(x - y) for x in a for y in b}
+    return _least(weights, lambda d: _discrete_weak_decide(a, b, d, adjacency))
+
+
+def _discrete_weak_decide(a: Sequence[int], b: Sequence[int], d: int, adjacency: int) -> bool:
+    """Is _discrete_weak(a, b, adjacency) <= d?  A flood fill from the
+    first corner over the spots of weight <= d."""
     m, n = len(a), len(b)
-    if m == 1 and n == 1:
-        return abs(a[0] - b[0])
-    weights = sorted(
-        (abs(a[i] - b[j]), i * n + j) for i in range(m) for j in range(n)
-    )
-    parent = list(range(m * n))
-    active = [False] * (m * n)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if adjacency == 4:
-        steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    else:
-        steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-    start, goal = 0, m * n - 1
-    k = 0
-    total = len(weights)
-    while k < total:
-        w = weights[k][0]
-        while k < total and weights[k][0] == w:
-            spot = weights[k][1]
-            i, j = divmod(spot, n)
-            active[spot] = True
-            for di, dj in steps:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < n and active[ii * n + jj]:
-                    ra, rb = find(spot), find(ii * n + jj)
-                    if ra != rb:
-                        parent[ra] = rb
-            k += 1
-        if active[start] and active[goal] and find(start) == find(goal):
-            return w
-    raise AssertionError("corner spots never connected")
+    if abs(a[0] - b[0]) > d or abs(a[-1] - b[-1]) > d:
+        return False
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        if i == m - 1 and j == n - 1:
+            return True
+        for di, dj in _STEPS[adjacency]:
+            ii, jj = i + di, j + dj
+            if 0 <= ii < m and 0 <= jj < n and (ii, jj) not in seen and -d <= a[ii] - b[jj] <= d:
+                seen.add((ii, jj))
+                stack.append((ii, jj))
+    return False
 
 
 def discrete_weak(
@@ -322,8 +364,8 @@ def discrete_weak(
     """Bottleneck path value between corners of the vertex-pair grid.
 
     Spots are vertex pairs weighted by their distance; steps move to grid
-    neighbours (4- or 8-adjacency).  Computed by activating spots in
-    weight order with a union-find until the corners connect.
+    neighbours (4- or 8-adjacency).  Computed by bisecting the spot
+    weights with a flood fill over the spots of weight at most each.
     """
     s, (ai, bi) = _scaled(a, b)
     _check_adjacency(adjacency)

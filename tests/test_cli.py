@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lbfrechet import cli
 from lbfrechet.cli import main
 from lbfrechet.model import Precise, UncertainCurve, curve_to_json, make_interval, make_set
 
@@ -367,3 +368,40 @@ def test_library_warning_is_one_line(write_curve, capsys, mode, command):
         "lbf: warning: finite-set vertex hulled to its spanning interval "
         "for the lower-bound decision\n"
     )
+
+
+def _run_any(capsys, argv):
+    """(exit code, stdout, stderr), with argparse's SystemExit as a code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_reuse_matches_fresh_parser(write_curve, capsys):
+    """main builds its parser once per process; calls in a row must each
+    give what the same call gives on a freshly built parser."""
+    a = write_curve([interval(0, 2)])
+    b = write_curve([Precise(F(1, 3))])
+    oracle = ["oracle", "--variant", "discrete", "--side", "lower"]
+    calls = [
+        # an append default that leaked would keep 1/3 in the second call
+        [*oracle, "--include-position", "1/3", a, b],
+        [*oracle, a, b],
+        [*oracle, a, b],
+        ["--output", "json-lines", *oracle, a, b],
+        [*oracle, "--resolution", "1", a, b],
+        [*oracle, "--resolution", "3", a, b],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_run_any(capsys, argv))
+    assert [r[1].strip() for r in fresh[:3]] == ["0", "1/3", "1/3"]
+    assert json.loads(fresh[3][1])["result"] == "1/3"
+    assert fresh[4][0] == 2 and fresh[5][0] == 0
+    cli._parser.cache_clear()
+    assert [_run_any(capsys, argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1

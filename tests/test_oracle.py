@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lbfrechet.oracle
 from lbfrechet.model import Precise, UncertainCurve, make_interval, make_set
 from lbfrechet.oracle import (
     VARIANTS,
@@ -17,6 +18,7 @@ from lbfrechet.oracle import (
     vertex_candidates,
 )
 from lbfrechet.precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
+from lbfrechet.reductions import CnfFormula, build_weak_discrete_indecisive
 
 from oracles import (
     discrete_frechet_recursive,
@@ -102,6 +104,12 @@ def test_bound_oracle_validates_arguments():
         bound_oracle(u, u, "frechet", "middle")
     with pytest.raises(ValueError):
         bound_oracle(u, u, "euclidean", "lower")
+    # a bad variant or adjacency is reported before the cap is checked
+    w = curve(make_interval(0, 1), make_interval(0, 1))
+    with pytest.raises(ValueError, match="unknown variant"):
+        bound_oracle(w, w, "euclidean", "lower", EnumerationSpec(cap=3))
+    with pytest.raises(ValueError, match="adjacency"):
+        bound_oracle(w, w, "discrete-weak", "lower", EnumerationSpec(cap=3), adjacency=6)
 
 
 def _metric_fn(variant):
@@ -219,3 +227,31 @@ def test_bound_oracle_precise_inputs_collapse():
         lo = bound_oracle(u, v, variant, "lower")
         hi = bound_oracle(u, v, variant, "upper")
         assert lo == hi == _metric_fn(variant)([F(1), F(5)], [F(0), F(4)])
+
+
+def test_scan_evaluates_only_strict_improvements(monkeypatch):
+    """On a weak-discrete verify instance the scan computes full values
+    only for pairs that beat the best so far: each value it computes is
+    strictly better than the one before, and on the lower side there are
+    far fewer of them than enumerated pairs."""
+    inst = build_weak_discrete_indecisive(CnfFormula(2, ((1, 2), (-1, 2), (1, -2))))
+    spec = EnumerationSpec()
+    pairs = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
+    want = {
+        side: bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)
+        for side in ("lower", "upper")
+    }
+    core = lbfrechet.oracle._discrete_weak
+    values = []
+
+    def counting(a, b, adjacency):
+        values.append(core(a, b, adjacency))
+        return values[-1]
+
+    monkeypatch.setattr(lbfrechet.oracle, "_discrete_weak", counting)
+    for side, better in (("lower", lambda x, y: y < x), ("upper", lambda x, y: y > x)):
+        values.clear()
+        got = bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)
+        assert got == want[side] == values[-1]
+        assert all(better(x, y) for x, y in zip(values, values[1:])), side
+        assert len(values) * 20 <= pairs

@@ -6,8 +6,16 @@ from math import lcm
 
 import pytest
 
-from lbfrechet.model import growing_curve
+from lbfrechet.model import growing_curve, scale_to_ints
 from lbfrechet.precise import (
+    _decide,
+    _discrete_decide,
+    _discrete_frechet,
+    _discrete_weak,
+    _discrete_weak_decide,
+    _frechet_value,
+    _weak,
+    _weak_decide,
     discrete_frechet,
     discrete_weak,
     frechet_decide,
@@ -21,6 +29,7 @@ from oracles import (
     discrete_frechet_recursive,
     discrete_weak_bfs,
     frechet_decide_reference,
+    weak_frechet_cells_decide,
     weak_frechet_cells_value,
 )
 
@@ -280,3 +289,52 @@ def test_weak_is_two_sided_r_dp():
         fwd = r_dp(a, b)
         bwd = r_dp(list(reversed(a)), list(reversed(b)))
         assert weak_frechet_1d(a, b) == max(fwd, bwd)
+
+
+# (name, value core, decision core, scale factor) of the integer cores
+INT_CORES = [
+    ("frechet", _frechet_value, _decide, 2),
+    ("discrete", _discrete_frechet, _discrete_decide, 1),
+    ("weak", _weak, _weak_decide, 1),
+    ("discrete-weak-8", lambda a, b: _discrete_weak(a, b, 8), lambda a, b, d: _discrete_weak_decide(a, b, d, 8), 1),
+    ("discrete-weak-4", lambda a, b: _discrete_weak(a, b, 4), lambda a, b, d: _discrete_weak_decide(a, b, d, 4), 1),
+]
+
+
+@pytest.mark.parametrize("name,value,decide,factor", INT_CORES, ids=[c[0] for c in INT_CORES])
+def test_int_decisions_match_value_cores(name, value, decide, factor):
+    """Each decision core answers "value <= d" exactly at the value and
+    one step either side of it, on scaled int curves of 1-5 vertices."""
+    rng = random.Random(name)
+    for _ in range(300):
+        a, b = ([factor * rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] for _ in range(2))
+        v = value(a, b)
+        for d in (v - 1, v, v + 1):
+            assert decide(a, b, d) == (v <= d), (a, b, d)
+
+
+# (name, independent Fraction decision from tests/oracles.py, decision core, factor)
+FRACTION_DECISIONS = [
+    ("frechet", frechet_decide_reference, _decide, 2),
+    ("discrete", lambda a, b, d: discrete_frechet_recursive(a, b) <= d, _discrete_decide, 1),
+    ("weak", weak_frechet_cells_decide, _weak_decide, 1),
+    ("discrete-weak-8", lambda a, b, d: discrete_weak_bfs(a, b, 8) <= d, lambda a, b, d: _discrete_weak_decide(a, b, d, 8), 1),
+    ("discrete-weak-4", lambda a, b, d: discrete_weak_bfs(a, b, 4) <= d, lambda a, b, d: _discrete_weak_decide(a, b, d, 4), 1),
+]
+
+
+@pytest.mark.parametrize("name,reference,decide,factor", FRACTION_DECISIONS, ids=[c[0] for c in FRACTION_DECISIONS])
+def test_int_decisions_match_references(name, reference, decide, factor):
+    """Each decision core, on curves and delta scaled together, against an
+    independent Fraction decision, with delta at a vertex distance or half
+    of one (a critical value) and one 1/97 either side of it."""
+    rng = random.Random(name)
+    for k in range(200):
+        a, b, _ = random_pair(rng, k, max_len=5)
+        x, y = rng.choice(a + b), rng.choice(a + b)
+        base = abs(x - y) / rng.choice((1, 2))
+        for delta in (base - F(1, 97), base, base + F(1, 97)):
+            if delta < 0:
+                continue
+            _, (ai, bi, (d,)) = scale_to_ints(a, b, (delta,), factor=factor)
+            assert decide(ai, bi, d) == reference(a, b, delta), (a, b, delta)
