@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_weak.add_argument(
         "--cap",
         type=_positive_int_arg,
-        help="most states one dynamic-program run may reach before exit 4 "
-        f"(default {DEFAULT_STATE_CAP} or LBF_CAP); it bounds each run's "
-        "memory, not the time: one decision makes up to 2*m^2*n^2 runs",
+        help="most states one decision may reach, summed over all its "
+        f"dynamic-program runs, before exit 4 (default {DEFAULT_STATE_CAP} "
+        "or LBF_CAP); it bounds each decision's time and memory, and value "
+        "makes about log2 of the candidate count decisions",
     )
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")

@@ -38,7 +38,12 @@ def parse_scalar(text: str) -> Fraction:
     if not _SCALAR_RE.match(t):
         raise CurveFormatError(f"not a decimal or ratio literal: {text!r}")
     try:
-        return Fraction(t)
+        if "." in t:
+            return Fraction(t)
+        # integers and p/q from int parts: parsing them as a Fraction
+        # string costs several times more
+        num, _, den = t.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise CurveFormatError(f"bad scalar {text!r}: {exc}") from exc
 

@@ -14,54 +14,51 @@ divided by small integers, which keeps everything exact and finite.
 wfr_min_decide scales the region endpoints and delta to ints once
 (model.scale_to_ints), builds the position grids on ints and runs the DP
 on ints.  The int grid is an order-preserving image of the Fraction grid,
-so the DP visits the same states and hits the cap at the same point.
-candidate_positions and min_r_constrained are public wrappers over the
-same integer code.
+so the DP visits the same states.  candidate_positions is a public
+wrapper over the same integer code.
 
-State counts can still grow quickly.  The cap bounds the states of one
-_weak_dp run and raises CapExceeded when a run passes it; it does not
-bound time, because one decision runs up to 2 m^2 n^2 of those DPs (one
-per extremum-index tuple and direction), each under the cap.  One small
-delta on a pair of 4-vertex interval curves can take tens of seconds, and
-larger pairs far longer.
+A decision only runs the extremum-index tuples whose vertices can hold
+their curve's extrema: vertex t can hold the minimum only if its lowest
+position is at most every vertex's highest one, and the maximum only if
+its highest position is at least every vertex's lowest one.  Any other
+tuple has an empty forward table, because _extend_hull rejects all of its
+realisations.
+
+State counts can still grow quickly.  The cap is a budget for one
+decision: the states of all its _weak_dp runs (one per admissible tuple
+and direction) are summed, and CapExceeded is raised once the sum passes
+the cap; a table stops growing as soon as it alone passes what is left.
+So the cap bounds a decision's time as well as its memory, and
+wfr_min_value, which makes about log2 of the candidate count decisions,
+spends at most that many budgets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import Interval, UncertainCurve, scale_to_ints
 from .oracle import CapExceeded
-from .precise import INF, _dist_to_interval
+from .precise import _dist_to_interval
 
 DEFAULT_STATE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class RespectConstraint:
-    """Where each curve attains its global extrema, and with which values.
+class _Budget:
+    """States one decision may still spend across its _weak_dp runs."""
 
-    Indices are 1-based vertex indices; a realisation respects the
-    constraint when vertex i_min holds the curve minimum x_min, vertex
-    i_max the maximum x_max, and likewise (j_min, j_max, y_min, y_max)
-    for the second curve.
-    """
+    __slots__ = ("cap", "left")
 
-    i_min: int
-    i_max: int
-    j_min: int
-    j_max: int
-    x_min: Fraction
-    x_max: Fraction
-    y_min: Fraction
-    y_max: Fraction
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.left = cap
 
-    def __post_init__(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError("extreme values out of order")
+    def spend(self, states: int) -> None:
+        self.left -= states
+        if self.left < 0:
+            raise CapExceeded(f"weak DP states of one decision exceeded cap {self.cap}")
 
 
 def _endpoint_sides(curve: UncertainCurve) -> tuple[list[Fraction], list[Fraction]]:
@@ -174,7 +171,7 @@ def _weak_dp(
     *,
     pin_domains: Optional[dict] = None,
     prune_above: Optional[int] = None,
-    cap: int = DEFAULT_STATE_CAP,
+    budget: Optional[_Budget] = None,
 ) -> dict:
     """Forward bottleneck DP on positions scaled to ints; returns
     {((xlo,xhi),(ylo,yhi)): value} at the final grid corner.
@@ -182,7 +179,8 @@ def _weak_dp(
     States at grid index (i, j) are keyed by the current vertex values and
     the running images; the value is the best bottleneck so far.  Steps
     advance one curve, paying that curve's leaving vertex against the
-    other's running image.
+    other's running image.  Every table's states are drawn from budget,
+    a fresh DEFAULT_STATE_CAP one when none is given.
     """
     m, n = len(pos_u), len(pos_v)
     i_min, i_max = iext
@@ -212,7 +210,7 @@ def _weak_dp(
             vals = dom("y", "max", vals)
         return vals
 
-    total_states = 0
+    budget = budget or _Budget(DEFAULT_STATE_CAP)
     table: dict = {}
     start: dict = {}
     for x1 in u_choices(1):
@@ -228,17 +226,20 @@ def _weak_dp(
                 continue
             start[(x1, y1, hx[0], hx[1], hy[0], hy[1])] = val
     table[(1, 1)] = start
-    total_states += len(start)
-    if total_states > cap:
-        raise CapExceeded(f"weak DP state count exceeded cap {cap}")
+    budget.spend(len(start))
 
     for i in range(1, m + 1):
         for j in range(1, n + 1):
             if i == 1 and j == 1:
                 continue
+            # one cell's table can outgrow the budget: stop filling it
+            # there, and spend() below raises
+            left = budget.left
             cur: dict = {}
             if i > 1:
                 for (x, y, xlo, xhi, ylo, yhi), val in table.get((i - 1, j), {}).items():
+                    if len(cur) > left:
+                        break
                     pen = _dist_to_interval(x, ylo, yhi)
                     base = val if val >= pen else pen
                     if prune_above is not None and base > prune_above:
@@ -253,6 +254,8 @@ def _weak_dp(
                             cur[key] = base
             if j > 1:
                 for (x, y, xlo, xhi, ylo, yhi), val in table.get((i, j - 1), {}).items():
+                    if len(cur) > left:
+                        break
                     pen = _dist_to_interval(y, xlo, xhi)
                     base = val if val >= pen else pen
                     if prune_above is not None and base > prune_above:
@@ -266,9 +269,7 @@ def _weak_dp(
                         if old is None or base < old:
                             cur[key] = base
             table[(i, j)] = cur
-            total_states += len(cur)
-            if total_states > cap:
-                raise CapExceeded(f"weak DP state count exceeded cap {cap}")
+            budget.spend(len(cur))
         # rows above the previous one are never read again
         if i >= 2:
             for j in range(1, n + 1):
@@ -283,39 +284,17 @@ def _weak_dp(
     return out
 
 
-def min_r_constrained(
-    u: UncertainCurve,
-    v: UncertainCurve,
-    rc: RespectConstraint,
-    positions: tuple[Sequence[Sequence[Fraction]], Sequence[Sequence[Fraction]]],
-    *,
-    cap: int = DEFAULT_STATE_CAP,
-):
-    """Minimum forward bottleneck over realisation pairs respecting rc,
-    or float infinity when none does."""
-    m, n = len(u), len(v)
-    for t, bound in ((rc.i_min, m), (rc.i_max, m), (rc.j_min, n), (rc.j_max, n)):
-        if not (1 <= t <= bound):
-            raise ValueError(f"extremum index {t} out of range")
-    pos_u, pos_v = positions
-    pins = (rc.x_min, rc.x_max, rc.y_min, rc.y_max)
-    s, scaled = scale_to_ints(*pos_u, *pos_v, pins)
-    x_min, x_max, y_min, y_max = scaled[-1]
-    res = _weak_dp(
-        scaled[: len(pos_u)],
-        scaled[len(pos_u) : -1],
-        (rc.i_min, rc.i_max),
-        (rc.j_min, rc.j_max),
-        pin_domains={
-            ("x", "min"): {x_min},
-            ("x", "max"): {x_max},
-            ("y", "min"): {y_min},
-            ("y", "max"): {y_max},
-        },
-        cap=cap,
+def _extremum_slots(pos: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(vertices that can hold the curve minimum, vertices that can hold
+    its maximum), 1-based: lowest position at most every vertex's highest,
+    highest position at least every vertex's lowest."""
+    los = [min(p) for p in pos]
+    his = [max(p) for p in pos]
+    low, high = min(his), max(los)
+    return (
+        [t for t, x in enumerate(los, 1) if x <= low],
+        [t for t, x in enumerate(his, 1) if x >= high],
     )
-    val = res.get(((x_min, x_max), (y_min, y_max)))
-    return INF if val is None else Fraction(val, s)
 
 
 def wfr_min_decide(
@@ -330,22 +309,26 @@ def wfr_min_decide(
     Joins the forward table with the table of the reversed curves over
     matching extremum indices and values: a pair is witnessed exactly when
     both directions stay within delta for the same image constraints.
+    All runs draw on one budget of cap states.
     """
     _, d, pos_u, pos_v = _int_positions(u, v, delta)
     m, n = len(pos_u), len(pos_v)
     rpos_u = pos_u[::-1]
     rpos_v = pos_v[::-1]
-    for i_min in range(1, m + 1):
-        for i_max in range(1, m + 1):
-            for j_min in range(1, n + 1):
-                for j_max in range(1, n + 1):
+    u_mins, u_maxs = _extremum_slots(pos_u)
+    v_mins, v_maxs = _extremum_slots(pos_v)
+    budget = _Budget(cap)
+    for i_min in u_mins:
+        for i_max in u_maxs:
+            for j_min in v_mins:
+                for j_max in v_maxs:
                     fwd = _weak_dp(
                         pos_u,
                         pos_v,
                         (i_min, i_max),
                         (j_min, j_max),
                         prune_above=d,
-                        cap=cap,
+                        budget=budget,
                     )
                     if not fwd:
                         continue
@@ -362,7 +345,7 @@ def wfr_min_decide(
                         (n + 1 - j_min, n + 1 - j_max),
                         pin_domains=domains,
                         prune_above=d,
-                        cap=cap,
+                        budget=budget,
                     )
                     if any(key in bwd for key in fwd):
                         return True
@@ -375,8 +358,21 @@ def wfr_min_value(
     *,
     cap: int = DEFAULT_STATE_CAP,
 ) -> Fraction:
-    """Smallest candidate delta accepted by the decision procedure."""
-    for delta in candidate_deltas(u, v):
-        if wfr_min_decide(u, v, delta, cap=cap):
-            return delta
-    raise AssertionError("no candidate delta was feasible")
+    """Smallest candidate delta accepted by the decision procedure.
+
+    The decision is exact, so it is monotone in delta: false below the
+    minimum and true from it on.  Bisection over the sorted candidate
+    deltas therefore finds it in about log2(len(candidates)) decisions,
+    each with its own budget of cap states.
+    """
+    cands = candidate_deltas(u, v)
+    lo, hi = 0, len(cands)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if wfr_min_decide(u, v, cands[mid], cap=cap):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(cands):
+        raise AssertionError("no candidate delta was feasible")
+    return cands[lo]

@@ -376,3 +376,19 @@ def compute_lb_reference(u, v, tol, strict=False):
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Uncertain weak minimum by scanning the candidate deltas from the bottom
+# ---------------------------------------------------------------------------
+
+
+def wfr_min_value_linear(u, v):
+    """The smallest candidate delta the decision accepts, found by trying
+    every candidate in increasing order instead of bisecting them."""
+    from lbfrechet.weak_uncertain import candidate_deltas, wfr_min_decide
+
+    for delta in candidate_deltas(u, v):
+        if wfr_min_decide(u, v, delta):
+            return delta
+    raise AssertionError("no candidate delta was feasible")

@@ -147,6 +147,18 @@ def test_weak_lb_cap_exit(write_curve, capsys):
     assert "cap" in err
 
 
+def test_weak_lb_cap_is_a_decision_budget(write_curve, capsys):
+    """Every DP run of the first probed decision stays under the cap, but
+    their sum does not (see test_cap_is_one_budget_per_decision)."""
+    a = write_curve([interval(0, 1), interval(2, 3), interval(0, 1)])
+    b = write_curve([interval(1, 2), interval(0, 1), interval(2, 3)])
+    code, out, err = run(capsys, ["weak-lb", "value", "--cap", "400", a, b])
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["lbf: weak DP states of one decision exceeded cap 400"]
+    code, out, _ = run(capsys, ["weak-lb", "value", a, b])
+    assert code == 0 and out.strip() == "1"
+
+
 def test_lbf_cap_env(write_curve, capsys, monkeypatch):
     a = write_curve([interval(0, 1)] * 4)
     monkeypatch.setenv("LBF_CAP", "2")

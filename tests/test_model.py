@@ -55,6 +55,36 @@ def test_parse_scalar_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0", "-0", "+7", "  42 ", "\t-3\n", "007", "-007",
+        "-0/5", "+0/3", "0012/0008", "10/4", "-7/2", "+22/7", " 1/3 ",
+        "123456789012345678901234567890123/7", "-98765432109876543210987654321",
+        "0.5", "-2.25", ".5", "-.75", "5.", "+1.250", " -0.000 ", "00.10",
+        "\u0661\u0662", "\u0661\u0662/\u0663",
+    ],
+)
+def test_parse_scalar_matches_fraction(text):
+    """Integers and ratios are built from int parts; the result must equal
+    Fraction's own parse of the literal."""
+    got = parse_scalar(text)
+    assert type(got) is F and got == F(text)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", " ", "abc", "1/0", "-0/0", "007/000", "1.2.3", "1 / 2", "1/", "/2", "1/2/3",
+        "1/-2", "1.5/2", "1/2.0", ".", "+", "-", "+-1", "--1", "1e3", "inf", "nan",
+        "0x10", "1_000", "1/1_0",
+    ],
+)
+def test_parse_scalar_rejects_every_malformed_form(bad):
+    with pytest.raises(CurveFormatError):
+        parse_scalar(bad)
+
+
 def test_parse_scalar_rejects_non_string():
     with pytest.raises(CurveFormatError):
         parse_scalar(1.5)

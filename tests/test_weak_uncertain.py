@@ -6,19 +6,28 @@ from fractions import Fraction as F
 
 import pytest
 
-from lbfrechet.model import Interval, Precise, UncertainCurve, make_interval, make_set
+import lbfrechet.weak_uncertain as wu
+from lbfrechet.model import (
+    Interval,
+    Precise,
+    UncertainCurve,
+    make_interval,
+    make_set,
+    scale_to_ints,
+)
 from lbfrechet.oracle import CapExceeded
 from lbfrechet.precise import r_dp, weak_frechet_1d
 from lbfrechet.weak_uncertain import (
-    RespectConstraint,
+    _extremum_slots,
+    _int_positions,
+    _weak_dp,
     candidate_deltas,
     candidate_positions,
-    min_r_constrained,
     wfr_min_decide,
     wfr_min_value,
 )
 
-from oracles import min_weak_over_grid
+from oracles import min_weak_over_grid, wfr_min_value_linear
 
 
 def ic(*spans):
@@ -48,6 +57,22 @@ def random_weak_pair(rng, den_u=1, den_v=1):
         return UncertainCurve(pts)
 
     return rnd_curve(den_u), rnd_curve(den_v)
+
+
+def random_mixed_curve(rng, n_min, n_max):
+    """n_min..n_max vertices, each a precise point, an interval or a
+    two-element set, with small integer endpoints so that ties are common."""
+    pts = []
+    for _ in range(rng.randint(n_min, n_max)):
+        lo = rng.randint(-2, 3)
+        kind = rng.random()
+        if kind < 0.4:
+            pts.append(Precise(F(lo)))
+        elif kind < 0.8:
+            pts.append(make_interval(F(lo), F(lo + rng.randint(1, 2))))
+        else:
+            pts.append(make_set([F(lo), F(lo + rng.randint(1, 3))]))
+    return UncertainCurve(pts)
 
 
 def test_candidate_deltas_simple_pair():
@@ -170,46 +195,113 @@ def test_cap_exceeded():
         wfr_min_value(u, v, cap=3)
 
 
-def test_min_r_constrained_validates_indices():
-    u = ic((0, 1), (2, 3))
-    v = ic((0, 1))
-    pos = candidate_positions(u, v, F(1))
-    with pytest.raises(ValueError):
-        min_r_constrained(
-            u, v, RespectConstraint(3, 1, 1, 1, F(0), F(3), F(0), F(1)), pos
-        )
-    with pytest.raises(ValueError):
-        RespectConstraint(1, 1, 1, 1, F(2), F(1), F(0), F(1))
+def test_extremum_filter_drops_only_empty_tuples():
+    """Every extremum-index tuple the decision skips has an empty forward
+    table even without delta pruning, so skipping it changes no answer."""
+    rng = random.Random(6043)
+    dropped = 0
+    for _ in range(120):
+        u, v = random_mixed_curve(rng, 1, 4), random_mixed_curve(rng, 1, 4)
+        for delta in (F(0), F(1, 2), F(1)):
+            _, _, pos_u, pos_v = _int_positions(u, v, delta)
+            u_mins, u_maxs = _extremum_slots(pos_u)
+            v_mins, v_maxs = _extremum_slots(pos_v)
+            m, n = len(pos_u), len(pos_v)
+            for i_min, i_max, j_min, j_max in itertools.product(
+                range(1, m + 1), range(1, m + 1), range(1, n + 1), range(1, n + 1)
+            ):
+                if i_min in u_mins and i_max in u_maxs and j_min in v_mins and j_max in v_maxs:
+                    continue
+                dropped += 1
+                assert _weak_dp(pos_u, pos_v, (i_min, i_max), (j_min, j_max)) == {}, (
+                    u, v, delta, (i_min, i_max, j_min, j_max),
+                )
+    assert dropped >= 1000
 
 
-def brute_min_r(pos_u, pos_v, rc):
-    """min r_dp over grid realisations whose extrema sit at rc's indices
-    with rc's values, or infinity."""
+def test_value_bisection_matches_linear_scan():
+    """Bisecting the candidate deltas finds the same value as trying them
+    from the bottom, on pairs of 2-4 mixed vertices."""
+    rng = random.Random(6044)
+    for _ in range(200):
+        u, v = random_mixed_curve(rng, 2, 4), random_mixed_curve(rng, 2, 4)
+        assert wfr_min_value(u, v) == wfr_min_value_linear(u, v), (u, v)
 
-    def respects(r, t_min, t_max, lo, hi):
+
+def test_cap_is_one_budget_per_decision(monkeypatch):
+    """The cap bounds the states summed over all DP runs of a decision:
+    a cap above every single run but below their sum is exceeded."""
+    u = ic((0, 1), (2, 3), (0, 1))
+    v = ic((1, 2), (0, 1), (2, 3))
+    delta = F(1, 3)
+    runs = []
+
+    def counted(*args, budget, **kwargs):
+        before = budget.left
+        try:
+            return _weak_dp(*args, budget=budget, **kwargs)
+        finally:
+            runs.append(before - budget.left)
+
+    monkeypatch.setattr(wu, "_weak_dp", counted)
+    assert not wfr_min_decide(u, v, delta)
+    assert len(runs) >= 2 and max(runs) < 400 < sum(runs)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="cap 400"):
+        wfr_min_decide(u, v, delta, cap=400)
+    # a value makes several decisions, each with a fresh budget
+    assert wfr_min_value(u, v, cap=sum(runs)) == F(1)
+
+
+def brute_min_r(pos_u, pos_v, ext_u, ext_v):
+    """min r_dp over grid realisations whose extrema sit at the given
+    (index of min, index of max, min, max) of each curve, or infinity."""
+
+    def respects(r, ext):
+        t_min, t_max, lo, hi = ext
         return r[t_min - 1] == min(r) == lo and r[t_max - 1] == max(r) == hi
 
     best = float("inf")
     for ra in itertools.product(*pos_u):
-        if not respects(ra, rc.i_min, rc.i_max, rc.x_min, rc.x_max):
+        if not respects(ra, ext_u):
             continue
         for rb in itertools.product(*pos_v):
-            if respects(rb, rc.j_min, rc.j_max, rc.y_min, rc.y_max):
+            if respects(rb, ext_v):
                 best = min(best, r_dp(list(ra), list(rb)))
     return best
 
 
-def test_min_r_constrained_brute_force_agreement():
+def dp_min_r(pos_u, pos_v, ext_u, ext_v):
+    """The same minimum from one _weak_dp run on the grids and pins scaled
+    to ints, with each extremum's domain pinned to its value."""
+    (i_min, i_max, *x_ext), (j_min, j_max, *y_ext) = ext_u, ext_v
+    s, scaled = scale_to_ints(*pos_u, *pos_v, (*x_ext, *y_ext))
+    x_min, x_max, y_min, y_max = scaled[-1]
+    res = _weak_dp(
+        scaled[: len(pos_u)],
+        scaled[len(pos_u) : -1],
+        (i_min, i_max),
+        (j_min, j_max),
+        pin_domains={
+            ("x", "min"): {x_min},
+            ("x", "max"): {x_max},
+            ("y", "min"): {y_min},
+            ("y", "max"): {y_max},
+        },
+    )
+    val = res.get(((x_min, x_max), (y_min, y_max)))
+    return float("inf") if val is None else F(val, s)
+
+
+def test_pinned_dp_brute_force_agreement():
     u = ic((0, 2))
     v = ic((1, 3), 2)
     pos_u, pos_v = candidate_positions(u, v, F(1))
-    rc = RespectConstraint(1, 1, 1, 2, F(0), F(0), F(1), F(2))
-    got = min_r_constrained(u, v, rc, (pos_u, pos_v))
-    assert got == brute_min_r(pos_u, pos_v, rc) == 1
+    ext_u, ext_v = (1, 1, F(0), F(0)), (1, 2, F(1), F(2))
+    assert dp_min_r(pos_u, pos_v, ext_u, ext_v) == brute_min_r(pos_u, pos_v, ext_u, ext_v) == 1
     # a pin with a denominator the curves lack: no realisation holds it
     for pin in (F(1, 7), F(-1, 3)):
-        rc = RespectConstraint(1, 1, 1, 2, pin, pin, F(1), F(2))
-        assert min_r_constrained(u, v, rc, (pos_u, pos_v)) == float("inf")
+        assert dp_min_r(pos_u, pos_v, (1, 1, pin, pin), ext_v) == float("inf")
     # endpoints k/p, deltas with another prime, and pins that are either
     # grid values or carry a denominator the curves lack (no realisation
     # holds them, so the answer is infinity)
@@ -232,11 +324,10 @@ def test_min_r_constrained_brute_force_agreement():
                 ext[2:] = sorted(ext[2:])
             return ext
 
-        (i_min, i_max, x_min, x_max), (j_min, j_max, y_min, y_max) = extrema(pos_u), extrema(pos_v)
-        rc = RespectConstraint(i_min, i_max, j_min, j_max, x_min, x_max, y_min, y_max)
-        got = min_r_constrained(u, v, rc, (pos_u, pos_v))
-        want = brute_min_r(pos_u, pos_v, rc)
-        assert got == want, (u, v, rc)
+        ext_u, ext_v = extrema(pos_u), extrema(pos_v)
+        got = dp_min_r(pos_u, pos_v, ext_u, ext_v)
+        want = brute_min_r(pos_u, pos_v, ext_u, ext_v)
+        assert got == want, (u, v, ext_u, ext_v)
         if got != float("inf"):
             finite += 1
             assert type(got) is F
