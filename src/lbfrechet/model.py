@@ -37,13 +37,12 @@ def parse_scalar(text: str) -> Fraction:
     t = text.strip()
     if not _SCALAR_RE.match(t):
         raise CurveFormatError(f"not a decimal or ratio literal: {text!r}")
+    # the form is checked, so build from int parts: parsing a Fraction
+    # string costs several times more
+    num, _, den = t.partition("/")
+    whole, _, frac = num.partition(".")
     try:
-        if "." in t:
-            return Fraction(t)
-        # integers and p/q from int parts: parsing them as a Fraction
-        # string costs several times more
-        num, _, den = t.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(int(whole + frac), int(den) if den else 10 ** len(frac))
     except (ValueError, ZeroDivisionError) as exc:
         raise CurveFormatError(f"bad scalar {text!r}: {exc}") from exc
 

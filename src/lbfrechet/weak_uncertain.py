@@ -363,16 +363,20 @@ def wfr_min_value(
     The decision is exact, so it is monotone in delta: false below the
     minimum and true from it on.  Bisection over the sorted candidate
     deltas therefore finds it in about log2(len(candidates)) decisions,
-    each with its own budget of cap states.
+    each with its own budget of cap states.  The first probe is the
+    smallest candidate, 0: overlapping regions often reach it, and its
+    decision prunes the most states, while a decision at a middle
+    candidate can cost minutes on curves of five or six intervals.
     """
     cands = candidate_deltas(u, v)
     lo, hi = 0, len(cands)
+    mid = 0
     while lo < hi:
-        mid = (lo + hi) // 2
         if wfr_min_decide(u, v, cands[mid], cap=cap):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     if lo == len(cands):
         raise AssertionError("no candidate delta was feasible")
     return cands[lo]

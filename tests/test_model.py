@@ -62,11 +62,12 @@ def test_parse_scalar_rejects(bad):
         "-0/5", "+0/3", "0012/0008", "10/4", "-7/2", "+22/7", " 1/3 ",
         "123456789012345678901234567890123/7", "-98765432109876543210987654321",
         "0.5", "-2.25", ".5", "-.75", "5.", "+1.250", " -0.000 ", "00.10",
-        "\u0661\u0662", "\u0661\u0662/\u0663",
+        "+.5", "-5.", "0.125", "-12345678901234567890.0987654321",
+        "\u0661\u0662", "\u0661\u0662/\u0663", "-\u0661.\u0665",
     ],
 )
 def test_parse_scalar_matches_fraction(text):
-    """Integers and ratios are built from int parts; the result must equal
+    """Every accepted form is built from int parts; the result must equal
     Fraction's own parse of the literal."""
     got = parse_scalar(text)
     assert type(got) is F and got == F(text)

@@ -228,6 +228,25 @@ def test_value_bisection_matches_linear_scan():
         assert wfr_min_value(u, v) == wfr_min_value_linear(u, v), (u, v)
 
 
+def test_value_probes_zero_first(monkeypatch):
+    """Overlapping regions reach 0 in one decision; a pair that does not
+    costs one more than plain bisection would."""
+    probes = []
+
+    def counted(u, v, delta, **kwargs):
+        probes.append(delta)
+        return wfr_min_decide(u, v, delta, **kwargs)
+
+    monkeypatch.setattr(wu, "wfr_min_decide", counted)
+    u, v = ic((0, 2), (1, 3), (0, 2)), ic((1, 3), (0, 2))
+    assert wfr_min_value(u, v) == 0 and probes == [0]
+    probes.clear()
+    u, v = ic(0, 2), ic((3, 4), (5, 6))
+    n = len(candidate_deltas(u, v))
+    assert wfr_min_value(u, v) > 0
+    assert probes[0] == 0 and len(probes) <= n.bit_length() + 1
+
+
 def test_cap_is_one_budget_per_decision(monkeypatch):
     """The cap bounds the states summed over all DP runs of a decision:
     a cap above every single run but below their sum is exceeded."""
