@@ -98,15 +98,20 @@ def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
     return prod(map(len, vertex_candidates(curve, spec)))
 
 
-def enumerate_realisations(
-    curve: UncertainCurve, spec: EnumerationSpec
-) -> Iterator[tuple[Fraction, ...]]:
-    """All candidate realisations in lexicographic order."""
+def capped_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list[Fraction]]:
+    """vertex_candidates, after checking that their realisations fit the cap."""
     cands = vertex_candidates(curve, spec)
     size = prod(map(len, cands))
     if size > spec.cap:
         raise CapExceeded(f"enumeration of {size} realisations exceeds cap {spec.cap}")
-    return itertools.product(*cands)
+    return cands
+
+
+def enumerate_realisations(
+    curve: UncertainCurve, spec: EnumerationSpec
+) -> Iterator[tuple[Fraction, ...]]:
+    """All candidate realisations in lexicographic order."""
+    return itertools.product(*capped_candidates(curve, spec))
 
 
 def _core(variant: str, adjacency: int) -> tuple[Callable, Callable]:

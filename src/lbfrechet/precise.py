@@ -20,6 +20,7 @@ infinity appears only as an unreachable sentinel in min/max chains.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from .model import scale_to_ints
@@ -146,13 +147,14 @@ def _least(cands, accepts) -> int:
 
 def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
     """Smallest critical value the decision accepts.  Inputs must be
-    scaled by an even factor (every value even), so halves are ints."""
+    scaled by an even factor (every value even), so halves are ints.  The
+    candidates come from each curve's distinct values: a repeated value
+    adds no new distance, and equal values give 0, a candidate anyway."""
+    sa, sb = set(a), set(b)
     cands = {0}
-    cands.update(abs(x - y) for x in a for y in b)
-    for xs in (a, b):
-        for i in range(len(xs)):
-            for k in range(i + 1, len(xs)):
-                cands.add(abs(xs[i] - xs[k]) // 2)
+    cands.update(abs(x - y) for x in sa for y in sb)
+    for xs in (sa, sb):
+        cands.update(abs(x - y) // 2 for x, y in combinations(xs, 2))
     return _least(cands, lambda d: _decide(a, b, d))
 
 
@@ -169,25 +171,25 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def _discrete_frechet(a: Sequence[int], b: Sequence[int]) -> int:
-    """Classic coupling recurrence, quadratic time, rolling rows."""
-    m, n = len(a), len(b)
-    prev = [INF] * n
-    for i in range(m):
-        cur = [INF] * n
-        for j in range(n):
-            d = abs(a[i] - b[j])
-            if i == 0 and j == 0:
-                best = d
-            else:
-                reach = min(
-                    prev[j] if i > 0 else INF,
-                    cur[j - 1] if j > 0 else INF,
-                    prev[j - 1] if i > 0 and j > 0 else INF,
-                )
-                best = reach if reach > d else d
-            cur[j] = best
+    """Coupling recurrence of Eiter & Mannila (1994), quadratic time, on
+    rolling rows.  The first row and column have one predecessor, so they
+    are unrolled, and every other cell takes a few plain comparisons."""
+    prev = list(accumulate((abs(a[0] - y) for y in b), max))
+    y0, rest = b[0], b[1:]
+    for x in a[1:]:
+        diag = prev[0]
+        left = max(diag, abs(x - y0))
+        cur = [left]
+        for up, y in zip(prev[1:], rest):
+            reach = up if up < left else left
+            if diag < reach:
+                reach = diag
+            d = x - y if x > y else y - x
+            left = reach if reach > d else d
+            cur.append(left)
+            diag = up
         prev = cur
-    return prev[n - 1]
+    return prev[-1]
 
 
 def _discrete_decide(a: Sequence[int], b: Sequence[int], d: int) -> bool:

@@ -20,7 +20,9 @@ matchings into lockstep; no 2D solver is provided here.
 
 verify_reduction replays a built instance against brute-force
 satisfiability and the enumeration oracle and reports whether the
-advertised equivalences actually hold.
+advertised equivalences actually hold.  For verify --kind ub it scales
+candidates, sibling, samples and the precise curve once (factor 2) and
+runs each distinct realisation once on the precise integer cores.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .model import (
@@ -38,9 +41,14 @@ from .model import (
     format_scalar,
     make_interval,
     make_set,
+    scale_to_ints,
 )
-from .oracle import EnumerationSpec, bound_oracle, enumerate_realisations, enumeration_size
-from .precise import discrete_frechet, frechet_value
+from .oracle import EnumerationSpec, bound_oracle, capped_candidates, enumeration_size
+from .precise import _discrete_frechet, _frechet_value
+
+# perfbench/tracing.py still looks these public names up on this module
+from .oracle import enumerate_realisations  # noqa: F401
+from .precise import discrete_frechet, frechet_value  # noqa: F401
 
 MODELS = ("indecisive", "imprecise")
 
@@ -594,28 +602,29 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
     """
     problems: dict[str, list[str]] = {"frechet": [], "discrete": []}
     v = eff.num_vars
-    catch = ub_abs_curve(v).as_precise()
-    catch2 = ub_abs2_curve().as_precise()
-    for metric, label in ((frechet_value, "frechet"), (discrete_frechet, "discrete")):
-        d = metric(catch2, catch)
-        if d != _ONE:
-            problems[label].append(f"catch2 vs catch: {label} distance {d} != 1")
-    for idx, cl in enumerate(eff.clauses):
-        cg = ub_clause_gadget(cl, v).as_precise()
-        for metric, label in ((frechet_value, "frechet"), (discrete_frechet, "discrete")):
-            d = metric(catch, cg)
-            if d != _ONE:
-                problems[label].append(f"catch vs clause {idx}: {label} distance {d} != 1")
-        if v <= 3:
-            for bits in itertools.product((False, True), repeat=v):
-                stack = realise_variable_stack(v, bits)
-                want = _THREE_HALVES if eff.clause_satisfied(idx, bits) else _ONE
-                for metric, label in ((frechet_value, "frechet"), (discrete_frechet, "discrete")):
-                    d = metric(stack, cg)
-                    if d != want:
-                        problems[label].append(
-                            f"clause {idx} under {bits}: {label} distance {d} != {want}"
-                        )
+    assignments = list(itertools.product((False, True), repeat=v)) if v <= 3 else []
+    # one scaling (factor 2 for the continuous halves) for every curve
+    s, (catch, catch2, (one, top), *rest) = scale_to_ints(
+        ub_abs_curve(v).as_precise(), ub_abs2_curve().as_precise(), (_ONE, _THREE_HALVES),
+        *(ub_clause_gadget(cl, v).as_precise() for cl in eff.clauses),
+        *(realise_variable_stack(v, bits) for bits in assignments), factor=2,
+    )
+    gadgets, stacks = rest[: len(eff.clauses)], rest[len(eff.clauses) :]
+
+    def check(a, b, want, what):
+        for metric, label in ((_frechet_value, "frechet"), (_discrete_frechet, "discrete")):
+            d = metric(a, b)
+            if d != want:
+                problems[label].append(
+                    f"{what}: {label} distance {Fraction(d, s)} != {Fraction(want, s)}"
+                )
+
+    check(catch2, catch, one, "catch2 vs catch")
+    for idx, cg in enumerate(gadgets):
+        check(catch, cg, one, f"catch vs clause {idx}")
+        for bits, stack in zip(assignments, stacks):
+            want = top if eff.clause_satisfied(idx, bits) else one
+            check(stack, cg, want, f"clause {idx} under {bits}")
     return GadgetCheck(
         discrete_ok=not problems["discrete"],
         continuous_ok=not problems["frechet"],
@@ -625,23 +634,31 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
 
 def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
     sat = satisfiable(inst.formula)
-    rv = inst.v.as_precise()
-    count = 0
-    max_f = None
-    max_d = None
-    range_ok = True
-    values_f: set = set()
-    values_d: set = set()
-    for ru in enumerate_realisations(inst.u, spec):
-        count += 1
-        df = frechet_value(ru, rv)
-        dd = discrete_frechet(ru, rv)
-        values_f.add(df)
-        values_d.add(dd)
-        if not (_ONE <= df <= _THREE_HALVES and _ONE <= dd <= _THREE_HALVES):
-            range_ok = False
-        max_f = df if max_f is None or df > max_f else max_f
-        max_d = dd if max_d is None or dd > max_d else max_d
+    imprecise = inst.model == "imprecise"
+    cu = capped_candidates(inst.u, spec)
+    cs, ts = [], []
+    if imprecise:
+        # the indecisive sibling's realisations are the endpoint realisations
+        cs = capped_candidates(build_ub_sat(inst.formula, model="indecisive").u, spec)
+        ts = [Fraction(k, 6) for k in range(1, 6)]
+    samples = [
+        [p.x if isinstance(p, Precise) else p.lo + t * (p.hi - p.lo) for p in inst.u.points]
+        for t in ts
+    ]
+    s, (rv, (one, top), *rest) = scale_to_ints(
+        inst.v.as_precise(), (_ONE, _THREE_HALVES), *cu, *cs, *samples, factor=2
+    )
+    n, k = len(cu), len(cs)
+    iu, isib, isamp = rest[:n], rest[n : n + k], rest[n + k :]
+
+    @cache  # one entry per distinct scaled realisation, for this call only
+    def values(ru: tuple[int, ...]) -> tuple[int, int]:
+        return _frechet_value(ru, rv), _discrete_frechet(ru, rv)
+
+    results = [values(ru) for ru in itertools.product(*iu)]
+    values_f, values_d = map(set, zip(*results))
+    range_ok = all(one <= min(xs) and max(xs) <= top for xs in (values_f, values_d))
+    max_f, max_d = Fraction(max(values_f), s), Fraction(max(values_d), s)
     expected = _THREE_HALVES if sat else _ONE
     equivalence_ok = max_f == expected and max_d == expected
     threshold_ok = ((max_f == _ONE) != sat) and ((max_d == _ONE) != sat)
@@ -664,32 +681,21 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
             "continuous upper collapses to 1 despite satisfiability; only the "
             "discrete threshold separates"
         )
-    if inst.model == "imprecise":
-        sibling = build_ub_sat(inst.formula, model="indecisive")
-        sib_f: set = set()
-        sib_d: set = set()
-        srv = sibling.v.as_precise()
-        for ru in enumerate_realisations(sibling.u, spec):
-            sib_f.add(frechet_value(ru, srv))
-            sib_d.add(discrete_frechet(ru, srv))
+    if imprecise:
+        sib_f, sib_d = map(set, zip(*(values(ru) for ru in itertools.product(*isib))))
         hull_ok = sib_f <= values_f and sib_d <= values_d
         if not hull_ok:
             notes.append("endpoint realisations missed an indecisive distance value")
         # Endpoint realisations decide the equivalence; interior positions
         # of the interval vertices must still stay under the 1.5 ceiling.
-        for k in range(1, 6):
-            t = Fraction(k, 6)
-            ru = tuple(
-                p.x if isinstance(p, Precise) else p.lo + t * (p.hi - p.lo)
-                for p in inst.u.points
-            )
-            df = frechet_value(ru, rv)
-            dd = discrete_frechet(ru, rv)
-            if df > _THREE_HALVES or dd > _THREE_HALVES:
+        for t, ru in zip(ts, isamp):
+            df, dd = values(tuple(ru))
+            if df > top or dd > top:
                 range_ok = False
                 notes.append(
                     f"interior sample t={format_scalar(t)} exceeds 1.5: "
-                    f"frechet {format_scalar(df)}, discrete {format_scalar(dd)}"
+                    f"frechet {format_scalar(Fraction(df, s))}, "
+                    f"discrete {format_scalar(Fraction(dd, s))}"
                 )
 
     ok = lengths_ok and equivalence_ok and range_ok and gadget_ok and hull_ok in (None, True)
@@ -705,7 +711,7 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
         gadget_ok=gadget_ok,
         hull_ok=hull_ok,
         adjacency_used=None,
-        realisations=count,
+        realisations=len(results),
         ok=ok,
         notes=tuple(notes),
     )

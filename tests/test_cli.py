@@ -281,6 +281,29 @@ def test_verify_json_lines(tmp_path, capsys):
     assert record["distances"] == {"frechet_upper": "1", "discrete_upper": "1"}
 
 
+@pytest.mark.parametrize("model", ["indecisive", "imprecise"])
+def test_verify_ub_cap_exit(tmp_path, capsys, model):
+    """Three variables give 2**3 realisations of the variable curve."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("1 2 3 0\n-1 -2 -3 0\n")
+    argv = ["verify", str(cnf), "--kind", "ub", "--model", model, "--cap", "4"]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["lbf: enumeration of 8 realisations exceeds cap 4"]
+    code, out, _ = run(capsys, argv[:-2] + ["--cap", "8"])
+    assert code == 0 and "realisations=8 " in out
+
+
+@pytest.mark.parametrize("model", ["indecisive", "imprecise"])
+def test_verify_reduction_ub_raises_cap_exceeded(model):
+    from lbfrechet.oracle import CapExceeded, EnumerationSpec
+    from lbfrechet.reductions import CnfFormula, build_ub_sat, verify_reduction
+
+    inst = build_ub_sat(CnfFormula(3, ((1, 2, 3), (-1, -2, -3))), model=model)
+    with pytest.raises(CapExceeded, match="enumeration of 8 realisations exceeds cap 4"):
+        verify_reduction(inst, EnumerationSpec(cap=4))
+
+
 def test_reduce_lift2d(write_curve, tmp_path, capsys):
     a = write_curve([interval(0, 1), Precise(F(2))])
     b = write_curve([Precise(F(1))])

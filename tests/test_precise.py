@@ -29,6 +29,7 @@ from oracles import (
     discrete_frechet_recursive,
     discrete_weak_bfs,
     frechet_decide_reference,
+    frechet_value_reference,
     weak_frechet_cells_decide,
     weak_frechet_cells_value,
 )
@@ -338,3 +339,46 @@ def test_int_decisions_match_references(name, reference, decide, factor):
                 continue
             _, (ai, bi, (d,)) = scale_to_ints(a, b, (delta,), factor=factor)
             assert decide(ai, bi, d) == reference(a, b, delta), (a, b, delta)
+
+
+def repetitive_curve(rng, pool):
+    """1-7 int vertices, most drawn from a small shared pool of values, a
+    third of the curves one vertex long."""
+    n = 1 if rng.random() < 0.3 else rng.randint(2, 7)
+    return [rng.choice(pool) if rng.random() < 0.7 else rng.randint(-9, 9) for _ in range(n)]
+
+
+def test_value_cores_on_repeated_values():
+    """The int value cores against the independent Fraction references on
+    pairs with many repeated values and many one-vertex curves: the
+    continuous core builds its candidates from distinct values only, and
+    the discrete core unrolls the first row and column."""
+    rng = random.Random(1212)
+    for _ in range(400):
+        pool = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+        a, b = repetitive_curve(rng, pool), repetitive_curve(rng, pool)
+        assert _discrete_frechet(a, b) == discrete_frechet_recursive(a, b), (a, b)
+        got = _frechet_value([2 * x for x in a], [2 * y for y in b])
+        assert got == 2 * frechet_value_reference(a, b), (a, b)
+
+
+def test_value_cores_on_reduction_curves():
+    """The 37 x 29 upper-bound reduction curves (three variables, three
+    clauses), every realisation: about 10 distinct values per curve.  The
+    continuous value is checked two-sided with the reference decision, at
+    the value and at the next smaller critical value."""
+    from lbfrechet.oracle import EnumerationSpec, enumerate_realisations
+    from lbfrechet.reductions import CnfFormula, build_ub_sat
+
+    inst = build_ub_sat(CnfFormula(3, ((1, 2, 3), (-1, -2, -3), (1, -2, 3))))
+    rv = inst.v.as_precise()
+    for ru in enumerate_realisations(inst.u, EnumerationSpec()):
+        assert (len(ru), len(rv)) == (37, 29)
+        s, (ai, bi) = scale_to_ints(ru, rv, factor=2)
+        assert F(_discrete_frechet(ai, bi), s) == discrete_frechet_recursive(ru, rv)
+        value = F(_frechet_value(ai, bi), s)
+        crit = {abs(x - y) for x in ru for y in rv}
+        crit.update(abs(x - y) / 2 for xs in (ru, rv) for x in xs for y in xs)
+        below = max(c for c in crit if c < value)
+        assert frechet_decide_reference(ru, rv, value)
+        assert not frechet_decide_reference(ru, rv, below)

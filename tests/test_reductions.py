@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lbfrechet.model import FiniteSet, Interval, Precise
+from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.reductions import (
     CnfFormula,
     GadgetCheck,
@@ -247,6 +248,47 @@ def test_gadget_clause_vs_stack():
         stack = realise_variable_stack(2, bits)
         want = F(3, 2) if f.clause_satisfied(0, bits) else F(1)
         assert discrete_frechet(stack, cg) == want
+
+
+# A subset of the acceptance suite's formula family: satisfiable and
+# unsatisfiable, one to three variables, with the continuous undercut
+# (two clauses over three variables) and collapse (one narrow clause).
+UB_TWO_SIDED = [
+    CnfFormula(1, ((1,), (-1,))),
+    CnfFormula(2, ((1,),)),
+    CnfFormula(2, ((1, -2), (-1, 2))),
+    CnfFormula(2, ((1, 2), (-1, 2), (-2,))),
+    CnfFormula(3, ((1, 3), (-1, 2, -3))),
+    CnfFormula(3, ((-3,), (3,))),
+    CnfFormula(3, ((1, 2, 3), (-1, -2, -3), (1, -2, 3))),
+]
+
+
+@pytest.mark.parametrize("model", ["indecisive", "imprecise"])
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_ub_verify_agrees_with_bound_oracle(model, resolution):
+    """The verifier's upper distances against bound_oracle's independent
+    pruned scan of the same realisations, and its range check against the
+    oracle's lower and upper bounds (plus the interior samples' notes)."""
+    spec = EnumerationSpec(resolution=resolution)
+    for f in UB_TWO_SIDED:
+        inst = build_ub_sat(f, model=model)
+        rep = verify_reduction(inst, spec)
+        bounds = {
+            (variant, side): bound_oracle(inst.u, inst.v, variant, side, spec)
+            for variant in ("frechet", "discrete")
+            for side in ("lower", "upper")
+        }
+        assert rep.distances == {
+            "frechet_upper": bounds["frechet", "upper"],
+            "discrete_upper": bounds["discrete", "upper"],
+        }, f
+        in_range = all(
+            bounds[variant, "lower"] >= 1 and bounds[variant, "upper"] <= F(3, 2)
+            for variant in ("frechet", "discrete")
+        )
+        sampled_over = any(n.startswith("interior sample") for n in rep.notes)
+        assert rep.range_ok == (in_range and not sampled_over), f
 
 
 # --- weak-discrete construction -----------------------------------------------
