@@ -30,14 +30,28 @@ denominator (model.scale_to_ints), runs the sweep (_sweep) and scales the
 final regions back.  compute_lb scales the curves and its grid step once and
 runs the sweep directly on integer deltas.
 
+Before any cell is swept, an untraced sweep compares delta with the reach
+bound L of the vertex regions (model.reach_bound), an O(m + n) filter in
+the manner of the endpoint and bounding-box filters of Bringmann,
+Kunnemann and Nusser ("Walking the dog fast in practice", SoCG 2019).
+Every realisation pair within delta matches the first vertices to each
+other and the last to each other, and matches every vertex of one curve to
+a point of the other curve, which lies in the span of that curve's vertex
+regions.  So no pair is within any delta below L, the largest of those
+gaps, and the sweep returns no final part there.  Traced sweeps skip the
+filter and record every cell, so dumps and witnesses do not change.
+
 compute_lb finds the smallest feasible multiple of a grid step within tol.
 Before bisecting the grid it probes candidate values C: 0 and the endpoint
 differences and half differences of both curves, the critical values of the
-1D precise Frechet distance (Alt and Godau 1995).  Each probe is a rank
-pivot among the undecided candidates, picked without listing C (selection in
-sorted matrices, Frederickson and Johnson 1984).  Grid bisection finishes
-the bracket, so the result does not depend on C; that the lower bound's
-value always lies in C is evidence from random pairs, not a proof.
+1D precise Frechet distance (Alt and Godau 1995).  L is one of them, an
+endpoint difference, and it is probed first, with every delta below it
+known infeasible; most pairs tried have their value at L.  Each further
+probe is a rank pivot among the undecided candidates, picked without
+listing C (selection in sorted matrices, Frederickson and Johnson 1984).
+Grid bisection finishes the bracket, so the result does not depend on C;
+that the lower bound's value always lies in C is evidence from random
+pairs, not a proof.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from operator import gt, itemgetter, lt
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve, scale_to_ints
+from .model import FiniteSet, PolyCurve, UncertainCurve, reach_bound, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -311,7 +325,8 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     half-width d, clip box [blo, bhi].  Returns the vertex slabs of both
     curves, the start piece, the recorded tables (empty unless trace) and
     the final parts (kind, i, j, pieces); the decision is feasible iff
-    some final part is left."""
+    some final part is left.  Untraced, a d below the reach bound of su and
+    sv returns no final part without sweeping a cell."""
     m, n = len(su), len(sv)
 
     # Vertex slabs already trimmed to the band and the box.
@@ -319,6 +334,10 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     jpieces = [None] + [close_bounds(blo, bhi, lo, hi, -d, d) for lo, hi in sv]
     assert all(p is not None for p in ipieces[1:] + jpieces[1:])
     x00 = meet_bounds(ipieces[1], jpieces[1])
+    tables: dict = {k: {} for k in "UDRL"}
+    if not trace and d < reach_bound(su, sv):
+        # no realisation pair reaches delta: no final part survives
+        return ipieces, jpieces, x00, tables, []
 
     band = (blo, bhi, blo, bhi, -d, d)
 
@@ -340,7 +359,6 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
 
     ucol, dcol = base_walk(jpieces, n, "UD")
     rbase, lbase = base_walk(ipieces, m, "RL")
-    tables: dict = {k: {} for k in "UDRL"}
     tu, td, tr, tl = (tables[k] for k in "UDRL")
     if trace:
         for k in range(1, n):
@@ -593,20 +611,26 @@ def compute_lb(
     is even and half distances are ints) and each probe runs the sweep on
     decide_lb's clip box directly.  Probes come first from the candidate set
     C: the pair differences of the sorted distinct endpoints E of both
-    curves, the pair differences of E // 2, and 0.  Each probe is the rank
-    pivot (_rank_pivot) of the candidates still strictly between the largest
-    delta known infeasible and the smallest known feasible, so it removes a
-    quarter of them.  A feasible probe c bounds g above by ceil(c / step),
-    an infeasible one below by floor(c / step), by monotonicity of the
-    decision in delta, which the grid bisection relies on too.  Once no
-    candidate is live, 0 stands for the first grid point (probed if no
-    infeasible bound is known yet), then g - 1 is probed once, and grid
-    bisection finishes whatever bracket is left.  So the result equals the
-    plain grid bisection's whatever C holds; C only decides how many sweeps
-    run.  When delta* lies in C, the bracket is down to one grid step before
-    the grid bisection starts.  In 1D the precise critical values are such
-    distances and half distances (Alt and Godau 1995); that delta* of the
-    lower bound lies in C was seen on every pair tried, but is not proven.
+    curves, the pair differences of E // 2, and 0.  The first probe is the
+    reach bound L (model.reach_bound), itself a pair difference of E: a
+    realisation pair within delta matches its first vertices, its last
+    vertices, and each vertex to a point in the span of the other curve's
+    regions, so every delta below L is infeasible without a sweep.  When L
+    is feasible the bracket is then one grid step wide and one sweep settles
+    the value.  Each later probe is the rank pivot (_rank_pivot) of the
+    candidates still strictly between the largest delta known infeasible
+    and the smallest known feasible, so it removes a quarter of them.  A
+    feasible probe c bounds g above by ceil(c / step), an infeasible one
+    below by floor(c / step), by monotonicity of the decision in delta,
+    which the grid bisection relies on too.  Once no candidate is live, 0
+    stands for the first grid point (probed if no infeasible bound is known
+    yet), then g - 1 is probed once, and grid bisection finishes whatever
+    bracket is left.  So the result equals the plain grid bisection's
+    whatever C holds; C only decides how many sweeps run.  When delta* lies
+    in C, the bracket is down to one grid step before the grid bisection
+    starts.  In 1D the precise critical values are such distances and half
+    distances (Alt and Godau 1995); that delta* of the lower bound lies in
+    C was seen on every pair tried, but is not proven.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -635,9 +659,14 @@ def compute_lb(
 
     # g lies in (lo, hi]; deltas in (clo, chi) are undecided
     clo, chi = 0, hi * unit
+    reach = reach_bound(su, sv)
+    if 0 < reach < chi:
+        # every delta below the reach bound is infeasible
+        clo, lo = reach - 1, (reach - 1) // unit
     lists = (ends, [x // 2 for x in ends])
     while hi - lo > 1:
-        c = _rank_pivot(lists, clo, chi)
+        # the reach bound is the first probe, then rank pivots
+        c = reach if clo < reach < chi else _rank_pivot(lists, clo, chi)
         if c is None:
             break
         if feasible(c):

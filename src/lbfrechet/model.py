@@ -77,6 +77,28 @@ def scale_to_ints(*seqs: Sequence[Fraction], factor: int = 1) -> tuple[int, list
     return s, [[x.numerator * (s // x.denominator) for x in xs] for xs in seqs]
 
 
+def reach_bound(hull_u: Sequence[tuple], hull_v: Sequence[tuple]):
+    """L, below which no realisation pair of these vertex hulls ((lo, hi)
+    per vertex, ints or Fractions alike) is within any Frechet-type
+    distance, continuous or weak; 0 when nothing is excluded.  O(m + n).
+
+    Every matching within delta pairs the first vertices with each other
+    and the last with each other, and matches each vertex of one curve to
+    a point of the other curve, which lies in the span of that curve's
+    vertex hulls.  So delta is at least the gap between the two first
+    hulls, between the two last hulls, and between each vertex hull and
+    the other curve's span; L is the largest of these gaps."""
+    def gap(a: tuple, b: tuple):
+        return max(a[0] - b[1], b[0] - a[1])
+
+    span_u = (min(lo for lo, _ in hull_u), max(hi for _, hi in hull_u))
+    span_v = (min(lo for lo, _ in hull_v), max(hi for _, hi in hull_v))
+    return max(
+        0, gap(hull_u[0], hull_v[0]), gap(hull_u[-1], hull_v[-1]),
+        *(gap(h, span_v) for h in hull_u), *(gap(h, span_u) for h in hull_v),
+    )
+
+
 @dataclass(frozen=True)
 class Precise:
     x: Fraction

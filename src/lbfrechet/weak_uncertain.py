@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import Interval, UncertainCurve, scale_to_ints
+from .model import Interval, UncertainCurve, reach_bound, scale_to_ints
 from .oracle import CapExceeded
 from .precise import _dist_to_interval
 
@@ -363,14 +363,23 @@ def wfr_min_value(
     The decision is exact, so it is monotone in delta: false below the
     minimum and true from it on.  Bisection over the sorted candidate
     deltas therefore finds it in about log2(len(candidates)) decisions,
-    each with its own budget of cap states.  The first probe is the
-    smallest candidate, 0: overlapping regions often reach it, and its
-    decision prunes the most states, while a decision at a middle
+    each with its own budget of cap states.
+
+    The bisection starts at the reach bound L of the vertex spans
+    (model.reach_bound), an endpoint difference and so a candidate: a
+    realisation pair within weak distance delta still matches its first
+    vertices, its last vertices, and each vertex to a point of the other
+    curve's image, which lies in the span of that curve's regions, so no
+    candidate below L is feasible.  L is the first probe: most pairs have
+    their minimum there (L = 0 for overlapping regions), and a decision at
+    the smallest live delta prunes the most states, while one at a middle
     candidate can cost minutes on curves of five or six intervals.
+    wfr_min_decide itself stays the exact DP at every delta.
     """
     cands = candidate_deltas(u, v)
-    lo, hi = 0, len(cands)
-    mid = 0
+    reach = reach_bound([p.span() for p in u.points], [p.span() for p in v.points])
+    lo = mid = bisect_left(cands, reach)
+    hi = len(cands)
     while lo < hi:
         if wfr_min_decide(u, v, cands[mid], cap=cap):
             hi = mid

@@ -7,7 +7,8 @@ import pytest
 
 from lbfrechet import cli
 from lbfrechet.cli import main
-from lbfrechet.model import Precise, UncertainCurve, curve_to_json, make_interval, make_set
+from lbfrechet.lower_bound import decide_lb
+from lbfrechet.model import Precise, UncertainCurve, curve_to_json, make_interval, make_set, reach_bound
 
 
 @pytest.fixture
@@ -67,6 +68,38 @@ def test_decide_dump_regions(write_curve, capsys, tmp_path):
     code, _, _ = run(capsys, ["decide", "--delta", "1", "--dump-regions", str(dump), a, b])
     assert code == 0
     assert (dump / "final.txt").exists()
+
+
+def test_traced_decide_on_a_pair_the_reach_bound_rejects(write_curve, capsys, tmp_path):
+    """The reach filter skips only untraced sweeps.  On a pair it rejects
+    (u's last vertex 5 is 4 from v's span [0, 1]), --dump-regions writes
+    the full traced sweep's tables, every cell of every kind, and
+    --witness prints false and no witness lines."""
+    pts_u = [interval(0, 1)] * 3 + [Precise(F(5))]
+    pts_v = [interval(0, 1)] * 3
+    a, b = write_curve(pts_u), write_curve(pts_v)
+    u, v = UncertainCurve(pts_u), UncertainCurve(pts_v)
+    assert reach_bound([p.span() for p in pts_u], [p.span() for p in pts_v]) == 4
+    dump = tmp_path / "regions"
+    code, out, _ = run(capsys, ["decide", "--delta", "1", "--dump-regions", str(dump), a, b])
+    assert code == 0 and out.strip() == "false"
+    trace = decide_lb(u, v, F(1), trace=True).trace
+    m, n = 4, 3
+    for kind in "UD":
+        assert set(trace.tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
+    for kind in "RL":
+        assert set(trace.tables[kind]) == {(i, j) for i in range(1, m) for j in range(1, n + 1)}
+    want = tmp_path / "want"
+    trace.dump_to(str(want))
+    for kind in "UDRL":
+        text = (dump / f"{kind}.txt").read_text()
+        assert text == (want / f"{kind}.txt").read_text()
+        cells = {tuple(int(x) for x in line.split()[:2]) for line in text.splitlines()}
+        assert cells == {cell for cell, pieces in trace.tables[kind].items() if pieces}
+        assert cells, kind
+    assert (dump / "final.txt").read_text() == ""
+    code, out, _ = run(capsys, ["decide", "--delta", "1", "--witness", a, b])
+    assert code == 0 and out.splitlines() == ["false"]
 
 
 def test_decide_json_lines(write_curve, capsys):
@@ -148,13 +181,17 @@ def test_weak_lb_cap_exit(write_curve, capsys):
 
 
 def test_weak_lb_cap_is_a_decision_budget(write_curve, capsys):
-    """Every DP run of the first probed decision stays under the cap, but
-    their sum does not (see test_cap_is_one_budget_per_decision)."""
+    """Every DP run of the decision at 1/2 stays under the cap, but their
+    sum does not (see test_cap_is_one_budget_per_decision).  The value
+    probes the reach bound 1 first (last vertices [0, 1] and [2, 3]), which
+    is feasible and decided under the same cap, so it never probes 1/2."""
     a = write_curve([interval(0, 1), interval(2, 3), interval(0, 1)])
     b = write_curve([interval(1, 2), interval(0, 1), interval(2, 3)])
-    code, out, err = run(capsys, ["weak-lb", "value", "--cap", "400", a, b])
+    code, out, err = run(capsys, ["weak-lb", "decide", "--delta", "1/2", "--cap", "400", a, b])
     assert code == 4 and out == ""
     assert err.splitlines() == ["lbf: weak DP states of one decision exceeded cap 400"]
+    code, out, _ = run(capsys, ["weak-lb", "value", "--cap", "400", a, b])
+    assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, ["weak-lb", "value", a, b])
     assert code == 0 and out.strip() == "1"
 

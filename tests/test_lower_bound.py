@@ -19,7 +19,15 @@ from lbfrechet.lower_bound import (
     decide_lb,
     extract_witness,
 )
-from lbfrechet.model import FiniteSet, Precise, UncertainCurve, is_realisation, make_interval, make_set
+from lbfrechet.model import (
+    FiniteSet,
+    Precise,
+    UncertainCurve,
+    is_realisation,
+    make_interval,
+    make_set,
+    reach_bound,
+)
 from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.precise import frechet_decide, frechet_value
 from lbfrechet.regions import (
@@ -530,8 +538,9 @@ def _alternating_pair(n, scale, shift, offset):
 
 
 def test_compute_lb_probe_count(monkeypatch):
-    """The candidate probes pin the alternating family's value in a few
-    sweeps, where bisecting the tol grid takes k = 21 (step = span / 2^k)."""
+    """The alternating family's value is its reach bound 3/8, so the first
+    probe, at that bound, pins it in one sweep, where bisecting the tol
+    grid takes k = 21 (step = span / 2^k)."""
     u, v = _alternating_pair(48, F(3, 4), F(-5, 4), F(1, 2))
     tol = F(1, 10**6)
     calls = []
@@ -546,7 +555,79 @@ def test_compute_lb_probe_count(monkeypatch):
     step = _grid_step(u, v, tol)
     assert step == F(15, 8) / 2 ** 21
     assert got == math.ceil(F(3, 8) / step) * step == F(6291465, 16777216)
-    assert len(calls) <= 6
+    assert len(calls) == 1
+
+
+def _reach(u, v):
+    return reach_bound([p.span() for p in u.points], [p.span() for p in v.points])
+
+
+def test_reach_filter_rejects_only_infeasible_decisions():
+    """Two-sided check of the untraced sweep's reach filter against the
+    traced sweep, which never filters: on 2000 pairs of precise, interval,
+    hulled finite-set and one-vertex curves both agree on every decision,
+    and every delta below the reach bound L is infeasible.  Each pair with
+    L > 0 is also decided at L itself, so a filter that rejects a feasible
+    delta at the bound fails here."""
+    rng = random.Random(5150)
+    below = at_bound = one_vertex = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide finite sets are hulled
+        for t in range(2000):
+            u, v = _mixed_curve(rng, wide=t % 2), _mixed_curve(rng, wide=t % 3 == 0)
+            one_vertex += len(u) == 1 or len(v) == 1
+            reach = _reach(u, v)
+            deltas = {F(rng.randint(1, 12), rng.choice((1, 2, 3)))}
+            if reach > 0:
+                deltas |= {reach, reach * F(rng.randint(1, 6), 7)}
+            for delta in deltas:
+                fast = decide_lb(u, v, delta)
+                traced = decide_lb(u, v, delta, trace=True)
+                assert fast.feasible == traced.feasible, (u, v, delta)
+                assert fast.final_region.equals(traced.final_region)
+                if delta < reach:
+                    assert not traced.feasible, (u, v, delta)
+                    below += 1
+                elif delta == reach and traced.feasible:
+                    at_bound += 1
+    assert below >= 1000 and at_bound >= 300 and one_vertex >= 500, (below, at_bound, one_vertex)
+
+
+def test_compute_lb_at_and_above_the_reach_bound():
+    """compute_lb probes the reach bound L first.  On pairs whose value is
+    L and on pairs where L is infeasible it equals the Fraction bisection,
+    and the traced sweep, which never filters, confirms that the result is
+    the first feasible grid point."""
+    rng = random.Random(5151)
+    kinds = Counter()
+    for t in range(200):
+        if t % 2:
+            u, v = _mixed_curve(rng, wide=False), _mixed_curve(rng, wide=False)
+        else:
+            # a zigzag against a segment near its ends: the backtracking,
+            # not the reach bound, often sets the value
+            k, o = rng.randint(3, 6), rng.randint(0, 2)
+            u = ic(0, *(rng.randint(0, k) for _ in range(rng.randint(1, 4))), k)
+            v = ic(o, k + rng.randint(-1, 1))
+        tol = (F(1, 997), F(1, 64), F(3, 1000))[t % 3]
+        got = compute_lb(u, v, tol)
+        assert got == compute_lb_reference(u, v, tol), (u, v, tol)
+        (ulo, uhi), (vlo, vhi) = u.span(), v.span()
+        if max(uhi - vlo, vhi - ulo) <= tol:
+            continue  # the short cuts, 0 or tol, probe nothing
+        reach, step = _reach(u, v), _grid_step(u, v, tol)
+        assert decide_lb(u, v, got, trace=True).feasible
+        if got > step:
+            assert not decide_lb(u, v, got - step, trace=True).feasible
+        if reach == 0:
+            kinds["zero"] += 1
+        elif decide_lb(u, v, reach, trace=True).feasible:
+            kinds["at"] += 1
+            assert got == max(1, math.ceil(reach / step)) * step
+        else:
+            kinds["above"] += 1
+            assert got > reach
+    assert kinds["at"] >= 150 and kinds["above"] >= 15, kinds
 
 
 def test_clip_box_covers_positions():

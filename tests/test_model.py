@@ -26,7 +26,7 @@ from lbfrechet import (
     reverse,
     subcurve,
 )
-from lbfrechet.model import make_interval, make_set, scale_to_ints
+from lbfrechet.model import make_interval, make_set, reach_bound, scale_to_ints
 
 
 # --- scalars ---------------------------------------------------------------
@@ -140,6 +140,51 @@ def test_only_model_takes_an_lcm():
             ) or (isinstance(node, ast.alias) and node.name == "lcm"):
                 users.add(path.name)
     assert users == {"model.py"}
+
+
+def test_reach_bound_by_hand():
+    # the gap of the first hulls, of the last hulls, and of a vertex hull
+    # to the other curve's span, each the largest in turn; 0 on overlap
+    assert reach_bound([(0, 1)], [(3, 4)]) == 2
+    assert reach_bound([(0, 1), (5, 6)], [(1, 2), (8, 9)]) == 2
+    assert reach_bound([(0, 1), (9, 9), (0, 1)], [(0, 2), (1, 3)]) == 6
+    assert reach_bound([(0, 1), (0, 1)], [(0, 1), (6, 7), (0, 1)]) == 5
+    assert reach_bound([(0, 2), (1, 3)], [(1, 2), (2, 4)]) == 0
+    assert reach_bound([(F(1, 3), F(1, 2))], [(F(-1, 4), 0)]) == F(1, 3)
+
+
+@given(
+    st.lists(st.tuples(exact_scalars, exact_scalars), min_size=1, max_size=5),
+    st.lists(st.tuples(exact_scalars, exact_scalars), min_size=1, max_size=5),
+)
+def test_reach_bound_scales_with_its_hulls(u, v):
+    """The bound on ints scaled by s is s times the bound on Fractions, and
+    it is symmetric in the two curves."""
+    hull_u = [(min(a, b), max(a, b)) for a, b in u]
+    hull_v = [(min(a, b), max(a, b)) for a, b in v]
+    s, ints = scale_to_ints(*hull_u, *hull_v)
+    reach = reach_bound(hull_u, hull_v)
+    assert reach >= 0 and reach == reach_bound(hull_v, hull_u)
+    assert reach_bound(ints[: len(u)], ints[len(u) :]) == reach * s
+
+
+def test_reach_bound_has_three_callers():
+    """model.reach_bound is the one reach filter: the untraced sweep, the
+    lower-bound value search and the weak-minimum value call it, and
+    nothing else does (the weak decision stays the exact DP)."""
+    callers = set()
+    for path in pathlib.Path(lbfrechet.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reach_bound":
+                        callers.add((path.name, fn.name))
+    assert callers == {
+        ("lower_bound.py", "_sweep"),
+        ("lower_bound.py", "compute_lb"),
+        ("weak_uncertain.py", "wfr_min_value"),
+    }
 
 
 def test_star_import_binds_exactly_all():

@@ -13,6 +13,7 @@ from lbfrechet.model import (
     UncertainCurve,
     make_interval,
     make_set,
+    reach_bound,
     scale_to_ints,
 )
 from lbfrechet.oracle import CapExceeded
@@ -59,12 +60,13 @@ def random_weak_pair(rng, den_u=1, den_v=1):
     return rnd_curve(den_u), rnd_curve(den_v)
 
 
-def random_mixed_curve(rng, n_min, n_max):
+def random_mixed_curve(rng, n_min, n_max, shift=0):
     """n_min..n_max vertices, each a precise point, an interval or a
-    two-element set, with small integer endpoints so that ties are common."""
+    two-element set, with small integer endpoints (moved up by shift) so
+    that ties are common."""
     pts = []
     for _ in range(rng.randint(n_min, n_max)):
-        lo = rng.randint(-2, 3)
+        lo = rng.randint(-2, 3) + shift
         kind = rng.random()
         if kind < 0.4:
             pts.append(Precise(F(lo)))
@@ -228,9 +230,28 @@ def test_value_bisection_matches_linear_scan():
         assert wfr_min_value(u, v) == wfr_min_value_linear(u, v), (u, v)
 
 
-def test_value_probes_zero_first(monkeypatch):
-    """Overlapping regions reach 0 in one decision; a pair that does not
-    costs one more than plain bisection would."""
+def test_value_bisection_from_the_reach_bound_matches_linear_scan():
+    """The bisection starts at the reach bound L, below which no
+    realisation pair is within delta; on 200 pairs of 1-4 and 2-4 mixed
+    vertices, the second curve moved up by 0-3, it finds the bottom-up
+    scan's value, both when the value is L and when it lies above."""
+    rng = random.Random(6046)
+    kinds = {"at": 0, "above": 0}
+    for t in range(200):
+        u, v = random_mixed_curve(rng, 1, 4), random_mixed_curve(rng, 2, 4, shift=t % 4)
+        reach = reach_bound([p.span() for p in u.points], [p.span() for p in v.points])
+        got = wfr_min_value(u, v)
+        assert got == wfr_min_value_linear(u, v), (u, v)
+        assert got >= reach
+        kinds["at" if got == reach else "above"] += 1
+    assert kinds["at"] >= 150 and kinds["above"] >= 10, kinds
+
+
+def test_value_probes_the_reach_bound_first(monkeypatch):
+    """The first probe is the reach bound L (model.reach_bound), a
+    candidate no realisation pair beats: overlapping regions have L = 0 and
+    reach it in one decision, and a pair whose value is L > 0 takes one
+    decision too."""
     probes = []
 
     def counted(u, v, delta, **kwargs):
@@ -241,10 +262,9 @@ def test_value_probes_zero_first(monkeypatch):
     u, v = ic((0, 2), (1, 3), (0, 2)), ic((1, 3), (0, 2))
     assert wfr_min_value(u, v) == 0 and probes == [0]
     probes.clear()
+    # L = 3: the first vertices 0 and [3, 4], and the last 2 and [5, 6]
     u, v = ic(0, 2), ic((3, 4), (5, 6))
-    n = len(candidate_deltas(u, v))
-    assert wfr_min_value(u, v) > 0
-    assert probes[0] == 0 and len(probes) <= n.bit_length() + 1
+    assert wfr_min_value(u, v) == 3 and probes == [3]
 
 
 def test_cap_is_one_budget_per_decision(monkeypatch):
