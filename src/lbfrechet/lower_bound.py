@@ -60,7 +60,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, itemgetter, lt
 from typing import Optional
 
 from . import precise
@@ -96,6 +95,12 @@ def clip_box_for(u: UncertainCurve, v: UncertainCurve, delta: Fraction) -> ClipB
     lo = min(pts) - 2 * delta - 1
     hi = max(pts) + 2 * delta + 1
     return ClipBox(lo, hi)
+
+
+def _clip_ints(hulls: list, d: int, s: int) -> tuple[int, int]:
+    """clip_box_for's box on the scale s, from the scaled vertex intervals
+    hulls and the scaled delta d: its (lo, hi) times s."""
+    return min(lo for lo, _ in hulls) - 2 * d - s, max(hi for _, hi in hulls) + 2 * d + s
 
 
 def _hulled_intervals(u: UncertainCurve, v: UncertainCurve, strict: bool) -> tuple[list, list]:
@@ -300,12 +305,13 @@ def decide_lb(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     hull_u, hull_v = _hulled_intervals(u, v, strict)
-    box = clip_box_for(u, v, delta)
-    s, ((d, blo, bhi), *hulls) = scale_to_ints((delta, box.lo, box.hi), *hull_u, *hull_v)
+    s, ((d,), *hulls) = scale_to_ints((delta,), *hull_u, *hull_v)
+    blo, bhi = _clip_ints(hulls, d, s)
     m = len(hull_u)
     ipieces, jpieces, x00, tables, final_parts = _sweep(hulls[:m], hulls[m:], d, blo, bhi, trace)
 
     feasible = bool(final_parts)
+    box = ClipBox(Fraction(blo, s), Fraction(bhi, s))
     final_region = Region.from_bounds(
         [tuple(Fraction(x, s) for x in p) for _, _, _, pieces in final_parts for p in pieces],
         box,
@@ -380,21 +386,26 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     # source).  Of two own pieces only the one extreme on that bound gives a
     # half-plane term; the other's lies inside it.  A traced decision
     # records the four new regions per cell, () for E.
+    # In the fused step a kind whose two quadrant terms are both skipped is
+    # its half-plane term alone, with no cleanup.  The multi-piece step holds
+    # the sources by position in U, D, R, L order and takes the own extreme
+    # with a plain loop, the first on ties.  Every kernel is read from this
+    # module's globals when the sweep starts, where a tracer can patch it.
     E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
     ucol, dcol, rbase, lbase = ([w or E for w in walk] for walk in (ucol, dcol, rbase, lbase))
     hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
     qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
     kernel = {Cone.H_R: hr, Cone.H_L: hl, Cone.H_U: hu, Cone.H_D: hd,
               Cone.Q_RU: qru, Cone.Q_LU: qlu, Cone.Q_RD: qrd, Cone.Q_LD: qld}
-    # per kind, in U, D, R, L order: (steps along u, own source, half-plane
-    # kernel, the bound b it keeps, min or max for its extreme, the test that
-    # a quadrant source passes it on b, ((source, quadrant kernel), ...))
+    # per kind, in U, D, R, L order: (steps along u, own source position,
+    # half-plane kernel, the bound b it keeps, whether b is an upper bound,
+    # ((source position, quadrant kernel), ...))
     recurrence = []
     for kind in "UDRL":
         (di, _), _, ((own, half), *quads) = _PREDS[kind]
         b = _KEEP[half].index(True)
-        recurrence.append((di, own, kernel[half], b, max if b % 2 else min, gt if b % 2 else lt,
-                           tuple((pk, kernel[cone]) for pk, cone in quads)))
+        recurrence.append((di, "UDRL".index(own), kernel[half], b, b % 2 == 1,
+                           tuple(("UDRL".index(pk), kernel[cone]) for pk, cone in quads)))
     reduce_, two, three = _reduce, _two, _three
 
     def comb3(a, b, c):
@@ -418,24 +429,49 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
             if rcur is E and lcur is E and uij is E and dij is E:
                 new_r = new_l = E  # ucol[j] and dcol[j] stay empty
             elif len(rcur) == 1 and len(lcur) == 1 and len(uij) == 1 and len(dij) == 1:
-                pr, pl, pu, pd = rcur[0], lcur[0], uij[0], dij[0]
-                new_r = comb3(hr(pr, jnext), None if pu[0] >= pr[0] else qru(pu, jnext), None if pd[0] >= pr[0] else qrd(pd, jnext))
-                new_l = comb3(hl(pl, jnext), None if pu[1] <= pl[1] else qlu(pu, jnext), None if pd[1] <= pl[1] else qld(pd, jnext))
-                ucol[j] = comb3(hu(pu, inext), None if pr[2] >= pu[2] else qru(pr, inext), None if pl[2] >= pu[2] else qlu(pl, inext))
-                dcol[j] = comb3(hd(pd, inext), None if pr[3] <= pd[3] else qrd(pr, inext), None if pl[3] <= pd[3] else qld(pl, inext))
+                (pr,), (pl,), (pu,), (pd,) = rcur, lcur, uij, dij
+                r0, _, r2, r3, _, _ = pr
+                _, l1, l2, l3, _, _ = pl
+                u0, u1, u2, _, _, _ = pu
+                d0, d1, _, d3, _, _ = pd
+                a = hr(pr, jnext)
+                if u0 >= r0 and d0 >= r0:
+                    new_r = E if a is None else (a,)
+                else:
+                    new_r = comb3(a, None if u0 >= r0 else qru(pu, jnext), None if d0 >= r0 else qrd(pd, jnext))
+                a = hl(pl, jnext)
+                if u1 <= l1 and d1 <= l1:
+                    new_l = E if a is None else (a,)
+                else:
+                    new_l = comb3(a, None if u1 <= l1 else qlu(pu, jnext), None if d1 <= l1 else qld(pd, jnext))
+                a = hu(pu, inext)
+                if r2 >= u2 and l2 >= u2:
+                    ucol[j] = E if a is None else (a,)
+                else:
+                    ucol[j] = comb3(a, None if r2 >= u2 else qru(pr, inext), None if l2 >= u2 else qlu(pl, inext))
+                a = hd(pd, inext)
+                if r3 <= d3 and l3 <= d3:
+                    dcol[j] = E if a is None else (a,)
+                else:
+                    dcol[j] = comb3(a, None if r3 <= d3 else qrd(pr, inext), None if l3 <= d3 else qld(pl, inext))
             else:
-                src = {"U": uij, "D": dij, "R": rcur, "L": lcur}
+                src = (uij, dij, rcur, lcur)
                 new = []
-                for di, own, half, b, extreme, passes, quads in recurrence:
+                for di, own, half, b, upper, quads in recurrence:
                     target = inext if di else jnext
-                    p = extreme(src[own], key=itemgetter(b))
+                    pieces = src[own]
+                    p = pieces[0]
                     edge = p[b]
+                    for o in pieces:
+                        # the first extreme piece on ties, as min/max by key
+                        if o[b] > edge if upper else o[b] < edge:
+                            p, edge = o, o[b]
                     q = half(p, target)
                     acc = [] if q is None else [q]
                     for pk, mm in quads:
-                        for p in src[pk]:
-                            if passes(p[b], edge):
-                                q = mm(p, target)
+                        for o in src[pk]:
+                            if o[b] > edge if upper else o[b] < edge:
+                                q = mm(o, target)
                                 if q is not None:
                                     acc.append(q)
                     new.append(reduce_(acc) or E)
@@ -650,11 +686,9 @@ def compute_lb(
     s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v, factor=2)
     su, sv = hulls[: len(hull_u)], hulls[len(hull_u) :]
     ends = sorted({x for h in hulls for x in h})
-    end_lo, end_hi = ends[0], ends[-1]
 
     def feasible(d: int) -> bool:
-        # clip_box_for's box at the scaled delta d
-        *_, final_parts = _sweep(su, sv, d, end_lo - 2 * d - s, end_hi + 2 * d + s, False)
+        *_, final_parts = _sweep(su, sv, d, *_clip_ints(hulls, d, s), False)
         return bool(final_parts)
 
     # g lies in (lo, hi]; deltas in (clo, chi) are undecided

@@ -43,7 +43,9 @@ def parse_scalar(text: str) -> Fraction:
     whole, _, frac = num.partition(".")
     try:
         return Fraction(int(whole + frac), int(den) if den else 10 ** len(frac))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise CurveFormatError(f"bad scalar {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise CurveFormatError(f"bad scalar {text!r}: {exc}") from exc
 
 

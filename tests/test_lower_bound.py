@@ -27,6 +27,7 @@ from lbfrechet.model import (
     make_interval,
     make_set,
     reach_bound,
+    scale_to_ints,
 )
 from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.precise import frechet_decide, frechet_value
@@ -240,11 +241,48 @@ def test_traced_and_fast_paths_agree():
     assert set(shapes) == {"one", "none", "some empty", "two"}, shapes
 
 
+# Odd primes for planted pairs whose scale factor, the lcm of every
+# denominator, reaches about 64 bits.
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _planted_prime_pair(rng, n):
+    """(u, v, delta), feasible at delta: x_i walks within [-3 delta,
+    3 delta], y_i = x_i + e_i with |e_i| <= delta, and vertex i of u (of v)
+    widens x_i (y_i) by up to three times delta on each side, every value
+    with a random odd prime denominator (doubled until its range holds
+    one).  Matching vertex i with vertex i stays within delta."""
+
+    def num(lo, hi):
+        den = rng.choice(PRIMES)
+        while math.ceil(lo * den) > math.floor(hi * den):
+            den *= 2
+        return F(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den)
+
+    delta = num(F(1, 2), F(2))
+    widths = (F(0), delta / 4, delta, 3 * delta)
+    x = F(0)
+    spans = ([], [])
+    for _ in range(n):
+        x += num(-delta, delta)
+        if abs(x) > 3 * delta:
+            x = (6 * delta - abs(x)) * (1 if x > 0 else -1)
+        y = x + num(-delta, delta)
+        for centre, out in zip((x, y), spans):
+            lo = centre - num(F(0), rng.choice(widths))
+            out.append(make_interval(lo, centre + num(F(0), rng.choice(widths))))
+    return UncertainCurve(spans[0]), UncertainCurve(spans[1]), delta
+
+
 def test_skipped_terms_leave_the_cleanup_unchanged():
     """Each interior region the sweep records equals, as a tuple, the
     cleanup (_reduce) of all its _PREDS terms: the sweep skips only terms
     the cleanup would drop, so the pieces and their order, which the dump
-    files print, stay those of the full recurrence."""
+    files print, stay those of the full recurrence.  Two corpora: small
+    random pairs, and planted pairs with prime denominators, whose scale
+    factors pass 60 bits and whose wide vertex regions give hundreds of
+    interior cells a two-piece source, the sweep's multi-piece step.  The
+    untraced sweep's final parts equal the traced ones as tuples."""
     rng = random.Random(1)
 
     def curve():
@@ -254,10 +292,12 @@ def test_skipped_terms_leave_the_cleanup_unchanged():
             pts.append(make_interval(a, b))
         return UncertainCurve(pts)
 
-    checked = 0
-    for _ in range(300):
-        u, v = curve(), curve()
-        trace = decide_lb(u, v, F(rng.randint(1, 12), 2), trace=True).trace
+    small = [(curve(), curve(), F(rng.randint(1, 12), 2)) for _ in range(300)]
+    prime_rng = random.Random(7)
+    planted = [_planted_prime_pair(prime_rng, prime_rng.randint(20, 30)) for _ in range(12)]
+    checked = two_piece = 0
+    for k, (u, v, delta) in enumerate(small + planted):
+        trace = decide_lb(u, v, delta, trace=True).trace
         blo, bhi = trace.box_scaled
         for kind in "UDRL":
             for (i, j), pieces in trace.tables[kind].items():
@@ -267,7 +307,40 @@ def test_skipped_terms_leave_the_cleanup_unchanged():
                 got = (meet_bounds(mink_bounds(p, cone, blo, bhi), target) for _, cone, ps in terms for p in ps)
                 assert pieces == _reduce([q for q in got if q is not None]), (kind, i, j)
                 checked += 1
+        s = trace.scale
+        su, sv = ([(int(lo * s), int(hi * s)) for lo, hi in h] for h in (trace.hull_u, trace.hull_v))
+        *_, final_parts = lower_bound._sweep(su, sv, trace.delta_scaled, blo, bhi, False)
+        assert final_parts == trace.final_parts
+        if k >= len(small):
+            assert trace.feasible and s.bit_length() >= 60, s
+            two_piece += sum(
+                any(len(trace.tables[kind][(i, j)]) > 1 for kind in "UDRL")
+                for i in range(1, trace.m)
+                for j in range(1, trace.n)
+            )
     assert checked > 10000
+    assert two_piece >= 500, two_piece
+
+
+def test_sweep_reads_the_kernels_from_lower_bound():
+    """The sweep looks its kernels up in lower_bound's globals when it is
+    called, so a wrapper patched there (as perfbench's tracer does) sees
+    the calls, here on a pair with multi-piece cells."""
+    u, v, delta = _planted_prime_pair(random.Random(7), 25)
+    calls = Counter()
+
+    def counted(name, kernel):
+        def wrapper(p, q):
+            calls[name] += 1
+            return kernel(p, q)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_mm_q_ru", "_mm_h_u"):
+            mp.setattr(lower_bound, name, counted(name, getattr(lower_bound, name)))
+        trace = decide_lb(u, v, delta, trace=True).trace
+    assert any(len(ps) > 1 for kind in "UDRL" for ps in trace.tables[kind].values())
+    assert calls["_mm_q_ru"] > 0 and calls["_mm_h_u"] > 0, calls
 
 
 # Witnesses frozen from the backward walk: (len u, len v, delta, witness u,
@@ -635,6 +708,26 @@ def test_clip_box_covers_positions():
     for curve in (FIG_U, FIG_V):
         lo, hi = curve.span()
         assert box.lo <= lo and hi <= box.hi
+
+
+def test_scaled_clip_box_is_clip_box_for_times_the_scale():
+    """decide_lb and compute_lb take the box on scaled ints (_clip_ints);
+    it must be clip_box_for's box times the scale factor, finite sets
+    hulled, at both scalings."""
+    rng = random.Random(5)
+    for t in range(200):
+        u, v = _prime_den_curve(rng, 5), _prime_den_curve(rng, 5)
+        if t % 2:
+            xs = [F(rng.randint(-20, 20), rng.choice((1, 3, 7))) for _ in range(rng.randint(1, 4))]
+            pts = list(u.points)
+            pts[rng.randrange(len(pts))] = make_set(xs)
+            u = UncertainCurve(pts)
+        delta = F(rng.randint(1, 40), rng.choice((1, 2, 5, 11)))
+        box = clip_box_for(u, v, delta)
+        hulls = [p.span() for p in u.points + v.points]
+        for factor in (1, 2):
+            s, ((d,), *scaled) = scale_to_ints((delta,), *hulls, factor=factor)
+            assert lower_bound._clip_ints(scaled, d, s) == (box.lo * s, box.hi * s)
 
 
 # --- piece reducers ----------------------------------------------------------

@@ -82,8 +82,10 @@ def test_parse_scalar_matches_fraction(text):
     ],
 )
 def test_parse_scalar_rejects_every_malformed_form(bad):
-    with pytest.raises(CurveFormatError):
+    with pytest.raises(CurveFormatError) as info:
         parse_scalar(bad)
+    if bad in ("1/0", "-0/0", "007/000"):
+        assert str(info.value) == f"bad scalar {bad!r}: zero denominator"
 
 
 def test_parse_scalar_rejects_non_string():
