@@ -20,8 +20,10 @@ hand-fused step evaluates the twelve terms at once, and where all four are
 empty the cell stays empty.  Every cell skips the quadrant terms that lie
 inside a half-plane term, and with two pieces in a kind's own predecessor
 only the one reaching furthest gives a half-plane term.  A traced decision
-has the sweep record each region it produces.  A witness realisation pair is
-read back off those tables by walking _PREDS in reverse, and which term
+has the sweep record each region it produces, by rows: a copy of the rolling
+U/D columns per row of u's vertices and one list of R/L regions per row, the
+stand-in kept for empty regions (LbTrace).  A witness realisation pair is
+read back off those rows by walking _PREDS in reverse, and which term
 contributed which piece is recomputed from them on request with the
 generic Minkowski sum and meet.
 
@@ -195,6 +197,17 @@ _PREDS = {
 
 @dataclass
 class LbTrace:
+    """A traced decision: the sweep's scaled inputs and every region it
+    produced, stored by rows as the sweep made them.
+
+    rows[kind][i - 1][j - 1] is the region of kind at (i, j), in row-major
+    order.  U/D have rows i = 1..m of columns j = 1..n-1: row 1 is the base
+    row, and each later row a copy of the sweep's rolling U/D columns taken
+    when it finished row i - 1.  R/L have rows i = 1..m-1 of columns
+    j = 1..n: the base column's region, then the region each cell of row i
+    hands to the next.  An empty region is the sweep's stand-in `empty`,
+    which region() and stored() read as ()."""
+
     m: int
     n: int
     scale: int
@@ -207,9 +220,31 @@ class LbTrace:
     i_pieces: list
     j_pieces: list
     x00: Optional[Bounds]
-    tables: dict
+    rows: dict
+    empty: tuple
     final_parts: list
     feasible: bool
+
+    def _stores(self, kind: str, i: int, j: int) -> bool:
+        """Whether the sweep stores a region of kind at (i, j)."""
+        rows = self.rows[kind]
+        return 0 < i <= len(rows) and 0 < j <= len(rows[i - 1])
+
+    def region(self, kind: str, i: int, j: int) -> tuple:
+        """The pieces of kind at (i, j); () for an empty region or a cell
+        the sweep does not store."""
+        if not self._stores(kind, i, j):
+            return ()
+        got = self.rows[kind][i - 1][j - 1]
+        return () if got is self.empty else got
+
+    def stored(self, kind: str):
+        """(i, j, pieces) for every cell of kind the sweep stores, in
+        row-major order, () for an empty region."""
+        empty = self.empty
+        for i, row in enumerate(self.rows[kind], 1):
+            for j, got in enumerate(row, 1):
+                yield i, j, () if got is empty else got
 
     def _region(self, pieces) -> Region:
         s = self.scale
@@ -229,7 +264,7 @@ class LbTrace:
             cell = (i - di, j - dj)
             target = self.i_pieces[i] if di else self.j_pieces[j]
             return cell, None, target, tuple(
-                (pk, cone, self.tables[pk].get(cell, ())) for pk, cone in preds
+                (pk, cone, self.region(pk, *cell)) for pk, cone in preds
             )
         blo, bhi = self.box_scaled
         d = self.delta_scaled
@@ -240,14 +275,14 @@ class LbTrace:
         cell = (i - dj, j - di)
         slab = self.j_pieces[j] if di else self.i_pieces[i]
         return cell, slab, band, tuple(
-            (pk, ray, self.tables[pk].get(cell, ())) for pk in ("UD" if di else "RL")
+            (pk, ray, self.region(pk, *cell)) for pk in ("UD" if di else "RL")
         )
 
     def provenance(self, kind: str, i: int, j: int) -> tuple:
         """(name, pieces) per recurrence term that contributes to the stored
-        region of kind at (i, j), recomputed from the tables with the generic
+        region of kind at (i, j), recomputed from the rows with the generic
         Minkowski sum and meet; empty for cells the sweep did not store."""
-        if (i, j) not in self.tables[kind]:
+        if not self._stores(kind, i, j):
             return ()
         blo, bhi = self.box_scaled
         _, slab, target, terms = self.terms(kind, i, j)
@@ -272,7 +307,7 @@ class LbTrace:
         for kind in "UDRL":
             path = os.path.join(directory, f"{kind}.txt")
             with open(path, "w", encoding="utf-8") as fh:
-                for (i, j), pieces in sorted(self.tables[kind].items()):
+                for i, j, pieces in self.stored(kind):
                     for line in self._region(pieces).dump_lines():
                         fh.write(f"{i} {j} : {line}\n")
         with open(os.path.join(directory, "final.txt"), "w", encoding="utf-8") as fh:
@@ -308,7 +343,7 @@ def decide_lb(
     s, ((d,), *hulls) = scale_to_ints((delta,), *hull_u, *hull_v)
     blo, bhi = _clip_ints(hulls, d, s)
     m = len(hull_u)
-    ipieces, jpieces, x00, tables, final_parts = _sweep(hulls[:m], hulls[m:], d, blo, bhi, trace)
+    ipieces, jpieces, x00, rows, empty, final_parts = _sweep(hulls[:m], hulls[m:], d, blo, bhi, trace)
 
     feasible = bool(final_parts)
     box = ClipBox(Fraction(blo, s), Fraction(bhi, s))
@@ -321,7 +356,7 @@ def decide_lb(
         recorded = LbTrace(
             m=m, n=len(hull_v), scale=s, delta_scaled=d, box_scaled=(blo, bhi), box=box,
             delta=delta, hull_u=hull_u, hull_v=hull_v, i_pieces=ipieces, j_pieces=jpieces,
-            x00=x00, tables=tables, final_parts=final_parts, feasible=feasible,
+            x00=x00, rows=rows, empty=empty, final_parts=final_parts, feasible=feasible,
         )
     return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=recorded)
 
@@ -329,8 +364,9 @@ def decide_lb(
 def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple:
     """The propagation on scaled ints: vertex intervals su and sv, band
     half-width d, clip box [blo, bhi].  Returns the vertex slabs of both
-    curves, the start piece, the recorded tables (empty unless trace) and
-    the final parts (kind, i, j, pieces); the decision is feasible iff
+    curves, the start piece, the recorded rows per kind (empty unless
+    trace; laid out as LbTrace.rows), the stand-in E for an empty region
+    and the final parts (kind, i, j, pieces); the decision is feasible iff
     some final part is left.  Untraced, a d below the reach bound of su and
     sv returns no final part without sweeping a cell."""
     m, n = len(su), len(sv)
@@ -340,10 +376,12 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     jpieces = [None] + [close_bounds(blo, bhi, lo, hi, -d, d) for lo, hi in sv]
     assert all(p is not None for p in ipieces[1:] + jpieces[1:])
     x00 = meet_bounds(ipieces[1], jpieces[1])
-    tables: dict = {k: {} for k in "UDRL"}
+    # the stand-in for an empty region: one piece beyond the box
+    E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
+    rows: dict = {k: [] for k in "UDRL"}
     if not trace and d < reach_bound(su, sv):
         # no realisation pair reaches delta: no final part survives
-        return ipieces, jpieces, x00, tables, []
+        return ipieces, jpieces, x00, rows, E, []
 
     band = (blo, bhi, blo, bhi, -d, d)
 
@@ -365,12 +403,6 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
 
     ucol, dcol = base_walk(jpieces, n, "UD")
     rbase, lbase = base_walk(ipieces, m, "RL")
-    tu, td, tr, tl = (tables[k] for k in "UDRL")
-    if trace:
-        for k in range(1, n):
-            tu[(1, k)], td[(1, k)] = ucol[k], dcol[k]
-        for k in range(1, m):
-            tr[(k, 1)], tl[(k, 1)] = rbase[k], lbase[k]
 
     # --- interior sweep --------------------------------------------------
     # Rolling state: ucol/dcol hold the U/D regions of the current row and
@@ -385,14 +417,19 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     # (E as a quadrant source never passes; every piece passes E as the own
     # source).  Of two own pieces only the one extreme on that bound gives a
     # half-plane term; the other's lies inside it.  A traced decision
-    # records the four new regions per cell, () for E.
+    # records rows, E included: a copy of columns 1..n-1 of ucol/dcol per
+    # row (the base row first), and per row i < m the R/L regions of
+    # columns 1..n, the base column's first, appended as they are made.
     # In the fused step a kind whose two quadrant terms are both skipped is
     # its half-plane term alone, with no cleanup.  The multi-piece step holds
     # the sources by position in U, D, R, L order and takes the own extreme
     # with a plain loop, the first on ties.  Every kernel is read from this
     # module's globals when the sweep starts, where a tracer can patch it.
-    E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
     ucol, dcol, rbase, lbase = ([w or E for w in walk] for walk in (ucol, dcol, rbase, lbase))
+    urows, drows, rrows, lrows = rows.values()
+    if trace:
+        urows.append(ucol[1:n])
+        drows.append(dcol[1:n])
     hr, hl, hu, hd = _mm_h_r, _mm_h_l, _mm_h_u, _mm_h_d
     qru, qlu, qrd, qld = _mm_q_ru, _mm_q_lu, _mm_q_rd, _mm_q_ld
     kernel = {Cone.H_R: hr, Cone.H_L: hl, Cone.H_U: hu, Cone.H_D: hd,
@@ -423,6 +460,10 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     rlast = llast = ()
     for i in range(1, m):
         rcur, lcur = rbase[i], lbase[i]
+        if trace:
+            rrow, lrow = [rcur], [lcur]
+            rrows.append(rrow)
+            lrows.append(lrow)
         inext = ipieces[i + 1]
         for j in range(1, n):
             uij, dij, jnext = ucol[j], dcol[j], jpieces[j + 1]
@@ -477,12 +518,13 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
                     new.append(reduce_(acc) or E)
                 ucol[j], dcol[j], new_r, new_l = new
             if trace:
-                tr[(i, j + 1)] = () if new_r is E else new_r
-                tl[(i, j + 1)] = () if new_l is E else new_l
-                tu[(i + 1, j)] = () if ucol[j] is E else ucol[j]
-                td[(i + 1, j)] = () if dcol[j] is E else dcol[j]
+                rrow.append(new_r)
+                lrow.append(new_l)
             rcur, lcur = new_r, new_l
         rlast, llast = rcur, lcur
+        if trace:
+            urows.append(ucol[1:n])
+            drows.append(dcol[1:n])
 
     # --- final check: R/L meet u's last slab, U/D meet v's last slab ------
     final_parts: list = []
@@ -499,7 +541,7 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
             got = tuple(q for q in (meet_bounds(p, last) for p in src) if q is not None)
             if got:
                 final_parts.append((kind, i, j, got))
-    return ipieces, jpieces, x00, tables, final_parts
+    return ipieces, jpieces, x00, rows, E, final_parts
 
 
 def _preimage(px: int, py: int, cone: Cone, blo: int, bhi: int) -> Bounds:

@@ -166,101 +166,79 @@ def mink_bounds(p: Bounds, cone: Cone, blo, bhi) -> Bounds:
 
 def _mm_h_r(p, q):
     x = p[0]
-    q0 = q[0]
+    q0, q1, q2, q3, q4, q5 = q
     if x <= q0:
         return q
-    if x > q[1]:
+    if x > q1:
         return None
-    q3 = q[3]
-    q4 = q[4]
     dhi = q3 - x
-    q5 = q[5]
     if dhi > q5:
         dhi = q5
     ylo = x + q4
-    q2 = q[2]
     if ylo < q2:
         ylo = q2
-    return (x, q[1], ylo, q3, q4, dhi)
+    return (x, q1, ylo, q3, q4, dhi)
 
 
 def _mm_h_l(p, q):
     x = p[1]
-    q1 = q[1]
+    q0, q1, q2, q3, q4, q5 = q
     if x >= q1:
         return q
-    if x < q[0]:
+    if x < q0:
         return None
-    q2 = q[2]
-    q4 = q[4]
     dlo = q2 - x
     if dlo < q4:
         dlo = q4
-    q5 = q[5]
     yhi = x + q5
-    q3 = q[3]
     if yhi > q3:
         yhi = q3
-    return (q[0], x, q2, yhi, dlo, q5)
+    return (q0, x, q2, yhi, dlo, q5)
 
 
 def _mm_h_u(p, q):
     y = p[2]
-    q2 = q[2]
+    q0, q1, q2, q3, q4, q5 = q
     if y <= q2:
         return q
-    if y > q[3]:
+    if y > q3:
         return None
-    q1 = q[1]
-    q4 = q[4]
     dlo = y - q1
     if dlo < q4:
         dlo = q4
-    q5 = q[5]
     xlo = y - q5
-    q0 = q[0]
     if xlo < q0:
         xlo = q0
-    return (xlo, q1, y, q[3], dlo, q5)
+    return (xlo, q1, y, q3, dlo, q5)
 
 
 def _mm_h_d(p, q):
     y = p[3]
-    q3 = q[3]
+    q0, q1, q2, q3, q4, q5 = q
     if y >= q3:
         return q
-    if y < q[2]:
+    if y < q2:
         return None
-    q0 = q[0]
-    q5 = q[5]
     dhi = y - q0
     if dhi > q5:
         dhi = q5
-    q4 = q[4]
     xhi = y - q4
-    q1 = q[1]
     if xhi > q1:
         xhi = q1
-    return (q0, xhi, q[2], y, q4, dhi)
+    return (q0, xhi, q2, y, q4, dhi)
 
 
 def _mm_q_ru(p, q):
-    q0 = q[0]
-    q2 = q[2]
-    x = p[0]
+    x, _, y, _, _, _ = p
+    q0, q1, q2, q3, q4, q5 = q
     if x < q0:
         x = q0
-    y = p[2]
     if y < q2:
         y = q2
     if x == q0 and y == q2:
         return q
-    q1 = q[1]
-    q3 = q[3]
     if x > q1 or y > q3:
         return None
-    q4 = q[4]
-    q5 = q[5]
     t = y - q1
     dlo = q4 if q4 >= t else t
     t = q3 - x
@@ -275,22 +253,16 @@ def _mm_q_ru(p, q):
 
 
 def _mm_q_ld(p, q):
-    q1 = q[1]
-    q3 = q[3]
-    x = p[1]
+    _, x, _, y, _, _ = p
+    q0, q1, q2, q3, q4, q5 = q
     if x > q1:
         x = q1
-    y = p[3]
     if y > q3:
         y = q3
     if x == q1 and y == q3:
         return q
-    q0 = q[0]
-    q2 = q[2]
     if x < q0 or y < q2:
         return None
-    q4 = q[4]
-    q5 = q[5]
     t = q2 - x
     dlo = q4 if q4 >= t else t
     t = y - q0
@@ -305,23 +277,16 @@ def _mm_q_ld(p, q):
 
 
 def _mm_q_lu(p, q):
-    q1 = q[1]
-    q2 = q[2]
-    q4 = q[4]
-    xhi0 = p[1]
+    _, xhi0, ylo0, _, dlo0, _ = p
+    q0, q1, q2, q3, q4, q5 = q
     if xhi0 > q1:
         xhi0 = q1
-    ylo0 = p[2]
     if ylo0 < q2:
         ylo0 = q2
-    dlo0 = p[4]
     if dlo0 < q4:
         dlo0 = q4
     if xhi0 == q1 and ylo0 == q2 and dlo0 == q4:
         return q
-    q0 = q[0]
-    q3 = q[3]
-    q5 = q[5]
     t = ylo0 - xhi0
     dlo = dlo0 if dlo0 >= t else t
     if dlo > q5:
@@ -342,23 +307,16 @@ def _mm_q_lu(p, q):
 
 
 def _mm_q_rd(p, q):
-    q0 = q[0]
-    q3 = q[3]
-    q5 = q[5]
-    xlo0 = p[0]
+    xlo0, _, _, yhi0, _, dhi0 = p
+    q0, q1, q2, q3, q4, q5 = q
     if xlo0 < q0:
         xlo0 = q0
-    yhi0 = p[3]
     if yhi0 > q3:
         yhi0 = q3
-    dhi0 = p[5]
     if dhi0 > q5:
         dhi0 = q5
     if xlo0 == q0 and yhi0 == q3 and dhi0 == q5:
         return q
-    q1 = q[1]
-    q2 = q[2]
-    q4 = q[4]
     t = yhi0 - xlo0
     dhi = dhi0 if dhi0 <= t else t
     if dhi < q4:

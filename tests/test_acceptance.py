@@ -102,7 +102,7 @@ def test_criterion_02_region_complexity():
         delta = rng.choice((F(1, 2), F(1), F(3, 2)))
         tr = decide_lb(u, v, delta, trace=True).trace
         for kind in "UDRL":
-            for (i, j), pieces in tr.tables[kind].items():
+            for i, j, pieces in tr.stored(kind):
                 checked += 1
                 if len(pieces) > 2 and len(normalize_pieces(pieces)) > 2:
                     violations.append((kind, i, j, len(normalize_pieces(pieces))))

@@ -73,7 +73,7 @@ def test_decide_dump_regions(write_curve, capsys, tmp_path):
 def test_traced_decide_on_a_pair_the_reach_bound_rejects(write_curve, capsys, tmp_path):
     """The reach filter skips only untraced sweeps.  On a pair it rejects
     (u's last vertex 5 is 4 from v's span [0, 1]), --dump-regions writes
-    the full traced sweep's tables, every cell of every kind, and
+    the full traced sweep's regions, every cell of every kind, and
     --witness prints false and no witness lines."""
     pts_u = [interval(0, 1)] * 3 + [Precise(F(5))]
     pts_v = [interval(0, 1)] * 3
@@ -85,21 +85,84 @@ def test_traced_decide_on_a_pair_the_reach_bound_rejects(write_curve, capsys, tm
     assert code == 0 and out.strip() == "false"
     trace = decide_lb(u, v, F(1), trace=True).trace
     m, n = 4, 3
+    tables = {kind: {(i, j): ps for i, j, ps in trace.stored(kind)} for kind in "UDRL"}
     for kind in "UD":
-        assert set(trace.tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
+        assert set(tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
     for kind in "RL":
-        assert set(trace.tables[kind]) == {(i, j) for i in range(1, m) for j in range(1, n + 1)}
+        assert set(tables[kind]) == {(i, j) for i in range(1, m) for j in range(1, n + 1)}
     want = tmp_path / "want"
     trace.dump_to(str(want))
     for kind in "UDRL":
         text = (dump / f"{kind}.txt").read_text()
         assert text == (want / f"{kind}.txt").read_text()
         cells = {tuple(int(x) for x in line.split()[:2]) for line in text.splitlines()}
-        assert cells == {cell for cell, pieces in trace.tables[kind].items() if pieces}
+        assert cells == {cell for cell, pieces in tables[kind].items() if pieces}
         assert cells, kind
     assert (dump / "final.txt").read_text() == ""
     code, out, _ = run(capsys, ["decide", "--delta", "1", "--witness", a, b])
     assert code == 0 and out.splitlines() == ["false"]
+
+
+# Edge shapes of the traced sweep's row store, pinned from the tree that
+# stored one dict entry per cell: (name, u spans, v spans, delta, stdout of
+# decide --witness, stored cells per kind as (i, j, piece count), the
+# --dump-regions files).
+PINNED_SHAPES = [
+    ("1x1", [(0, 1)], [("1/2", 2)], "1",
+     "true\nwitness u: 0\nwitness v: 0.5\n",
+     {"U": [], "D": [], "R": [], "L": []},
+     {"U": "", "D": "", "R": "", "L": "", "final": "X 1 1 : (0,0.5) (1,0.5) (1,2) (0,1)\n"}),
+    ("1x3-empty-base-cell", [(0, 1)], [("-3/2", "-1/5"), (3, 4), (0, "1/2")], "1",
+     "false\n",
+     {"U": [(1, 1, 1), (1, 2, 0)], "D": [(1, 1, 1), (1, 2, 0)], "R": [], "L": []},
+     {"U": "1 1 : (0,-1) (0.8,-0.2) (0.8,1.8) (0,1)\n", "D": "1 1 : (0,-1) (0.8,-0.2) (0,-0.2)\n",
+      "R": "", "L": "", "final": ""}),
+    ("3x1", [(0, 1), (3, 4), ("-1/2", 0)], [(1, 2)], "3/2",
+     "true\nwitness u: 0 3 0\nwitness v: 1.5\n",
+     {"U": [], "D": [], "R": [(1, 1, 1), (2, 1, 1)], "L": [(1, 1, 1), (2, 1, 1)]},
+     {"U": "", "D": "",
+      "R": "1 1 : (0,1) (2.5,1) (3.5,2) (0.5,2) (0,1.5)\n2 1 : (3,1.5) (3.5,2) (3,2)\n",
+      "L": "1 1 : (-0.5,1) (1,1) (1,2) (0.5,2)\n2 1 : (0,1.5) (3,1.5) (3.5,2) (0.5,2)\n",
+      "final": "L 2 1 : (0,1.5)\n"}),
+    ("2x2", [(0, 1), (2, 3)], [(0, 2), (1, 3)], "1",
+     "true\nwitness u: 0 2\nwitness v: 0 1\n",
+     {"U": [(1, 1, 1), (2, 1, 1)], "D": [(1, 1, 1), (2, 1, 1)],
+      "R": [(1, 1, 1), (1, 2, 1)], "L": [(1, 1, 1), (1, 2, 1)]},
+     {"U": "1 1 : (0,0) (1,0) (1,2) (0,1)\n2 1 : (2,1) (3,2) (3,4) (2,3)\n",
+      "D": "1 1 : (0,-1) (1,0) (1,2) (0,1)\n2 1 : (2,1) (3,2) (2,2)\n",
+      "R": "1 1 : (0,0) (1,0) (3,2) (1,2) (0,1)\n1 2 : (0,1) (2,1) (4,3) (2,3)\n",
+      "L": "1 1 : (-1,0) (1,0) (1,2)\n1 2 : (0,1) (1,1) (1,2)\n",
+      "final": "R 1 2 : (2,1) (3,2) (3,3) (2,3)\nU 2 1 : (2,1) (3,2) (3,3) (2,3)\n"
+               "D 2 1 : (2,1) (3,2) (2,2)\n"}),
+    ("2x2-empty-interior-cell", [(0, 1), (4, 5)], [(1, 1), (0, 4)], "1",
+     "true\nwitness u: 0 4\nwitness v: 1 3\n",
+     {"U": [(1, 1, 1), (2, 1, 1)], "D": [(1, 1, 1), (2, 1, 0)],
+      "R": [(1, 1, 1), (1, 2, 1)], "L": [(1, 1, 1), (1, 2, 1)]},
+     {"U": "1 1 : (0,1) (1,1) (1,2)\n2 1 : (4,3) (5,4) (5,6) (4,5)\n",
+      "D": "1 1 : (0,-1) (1,0) (1,1) (0,1)\n",
+      "R": "1 1 : (0,1) (2,1)\n1 2 : (0,0) (1,0) (5,4) (3,4) (0,1)\n",
+      "L": "1 1 : (0,1) (1,1)\n1 2 : (-1,0) (1,0) (1,2)\n",
+      "final": "R 1 2 : (4,3) (5,4) (4,4)\nU 2 1 : (4,3) (5,4) (4,4)\n"}),
+]
+
+
+@pytest.mark.parametrize("shape", PINNED_SHAPES, ids=[s[0] for s in PINNED_SHAPES])
+def test_row_store_edge_shapes_match_the_pinned_dumps(write_curve, capsys, tmp_path, shape):
+    """On 1x1, 1xn, mx1 and 2x2 pairs the traced decide stores the pinned
+    cells (an empty region as a stored cell with no piece), and
+    decide --witness --dump-regions prints the pinned witness and writes
+    the pinned region files."""
+    _, su, sv, delta, stdout, cells, files = shape
+    u, v = (UncertainCurve([interval(F(lo), F(hi)) for lo, hi in spans]) for spans in (su, sv))
+    trace = decide_lb(u, v, F(delta), trace=True).trace
+    for kind in "UDRL":
+        assert [(i, j, len(ps)) for i, j, ps in trace.stored(kind)] == cells[kind], kind
+    dump = tmp_path / "regions"
+    argv = ["decide", "--delta", delta, "--witness", "--dump-regions", str(dump)]
+    code, out, err = run(capsys, argv + [write_curve(u.points), write_curve(v.points)])
+    assert (code, out, err) == (0, stdout, "")
+    for name, text in files.items():
+        assert (dump / f"{name}.txt").read_text() == text, name
 
 
 def test_decide_json_lines(write_curve, capsys):

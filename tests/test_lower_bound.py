@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -149,6 +150,11 @@ def random_interval_curve(rng, max_len=5):
     return UncertainCurve(pts)
 
 
+def tables(trace):
+    """The traced rows as one {(i, j): pieces} dict per kind."""
+    return {kind: {(i, j): ps for i, j, ps in trace.stored(kind)} for kind in "UDRL"}
+
+
 def _generic_region(trace, kind, i, j):
     """The region of kind at (i, j) recomputed from the recorded
     predecessors with the generic mink_bounds + meet_bounds, written out
@@ -156,18 +162,18 @@ def _generic_region(trace, kind, i, j):
     blo, bhi = trace.box_scaled
     d = trace.delta_scaled
     band = close_bounds(blo, bhi, blo, bhi, -d, d)
-    islab, jslab, tables = trace.i_pieces, trace.j_pieces, trace.tables
+    islab, jslab, region = trace.i_pieces, trace.j_pieces, trace.region
     ray = {"U": Cone.S_U, "D": Cone.S_D, "R": Cone.S_R, "L": Cone.S_L}[kind]
     vertical = kind in "UD"
     if i == j == 1:
         sources, target = [(trace.x00, ray)], band
     elif vertical and i == 1:
         # base row: cross v's vertex j, then ray up or down
-        sources = [(meet_bounds(p, jslab[j]), ray) for k in "UD" for p in tables[k][(1, j - 1)]]
+        sources = [(meet_bounds(p, jslab[j]), ray) for k in "UD" for p in region(k, 1, j - 1)]
         target = band
     elif not vertical and j == 1:
         # base column: cross u's vertex i, then ray right or left
-        sources = [(meet_bounds(p, islab[i]), ray) for k in "RL" for p in tables[k][(i - 1, 1)]]
+        sources = [(meet_bounds(p, islab[i]), ray) for k in "RL" for p in region(k, i - 1, 1)]
         target = band
     else:
         cones = {
@@ -177,7 +183,7 @@ def _generic_region(trace, kind, i, j):
             "L": {"L": Cone.H_L, "U": Cone.Q_LU, "D": Cone.Q_LD},
         }[kind]
         prev = (i - 1, j) if vertical else (i, j - 1)
-        sources = [(p, cone) for k, cone in cones.items() for p in tables[k][prev]]
+        sources = [(p, cone) for k, cone in cones.items() for p in region(k, *prev)]
         target = islab[i] if vertical else jslab[j]
     pieces = [
         meet_bounds(mink_bounds(p, cone, blo, bhi), target)
@@ -216,16 +222,21 @@ def test_traced_and_fast_paths_agree():
         # the sweep's stand-in for an empty region, beyond the box, never
         # leaks into the recorded regions or the final parts
         blo, bhi = trace.box_scaled
-        stored = [p for kind in "UDRL" for ps in trace.tables[kind].values() for p in ps]
+        tab = tables(trace)
+        stored = [p for kind in "UDRL" for ps in tab[kind].values() for p in ps]
         for p in stored + [p for *_, ps in trace.final_parts for p in ps]:
             assert blo <= p[0] <= p[1] <= bhi and blo <= p[2] <= p[3] <= bhi, p
             assert blo - bhi <= p[4] <= p[5] <= bhi - blo, p
         for kind in "UD":
-            assert set(trace.tables[kind]) == {(i, j) for i in range(1, m + 1) for j in range(1, n)}
+            assert list(tab[kind]) == [(i, j) for i in range(1, m + 1) for j in range(1, n)]
         for kind in "RL":
-            assert set(trace.tables[kind]) == {(i, j) for i in range(1, m) for j in range(1, n + 1)}
+            assert list(tab[kind]) == [(i, j) for i in range(1, m) for j in range(1, n + 1)]
         for kind in "UDRL":
-            for (i, j), pieces in trace.tables[kind].items():
+            # cells outside the stored rows read as empty
+            for i, j in ((0, 1), (1, 0), (m + 1, 1), (1, n + 1), (m, n)):
+                assert trace.region(kind, i, j) == () and trace.provenance(kind, i, j) == ()
+            for (i, j), pieces in tab[kind].items():
+                assert trace.region(kind, i, j) == pieces
                 recorded = scaled_region(trace, pieces)
                 assert recorded.equals(_generic_region(trace, kind, i, j)), (kind, i, j)
                 # the provenance view splits the same region by term
@@ -234,7 +245,7 @@ def test_traced_and_fast_paths_agree():
                 checked += 1
         for i in range(1, m):
             for j in range(1, n):
-                sizes = {len(trace.tables[kind][(i, j)]) for kind in "UDRL"}
+                sizes = {len(tab[kind][(i, j)]) for kind in "UDRL"}
                 shape = "two" if 2 in sizes else "one" if sizes == {1} else "none" if sizes == {0} else "some empty"
                 shapes[shape] += 1
     assert checked > 1000
@@ -246,15 +257,16 @@ def test_traced_and_fast_paths_agree():
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _planted_prime_pair(rng, n):
+def _planted_pair(rng, n, dens=PRIMES):
     """(u, v, delta), feasible at delta: x_i walks within [-3 delta,
     3 delta], y_i = x_i + e_i with |e_i| <= delta, and vertex i of u (of v)
     widens x_i (y_i) by up to three times delta on each side, every value
-    with a random odd prime denominator (doubled until its range holds
-    one).  Matching vertex i with vertex i stays within delta."""
+    with a random denominator from dens, by default an odd prime (doubled
+    until its range holds one).  Matching vertex i with vertex i stays
+    within delta."""
 
     def num(lo, hi):
-        den = rng.choice(PRIMES)
+        den = rng.choice(dens)
         while math.ceil(lo * den) > math.floor(hi * den):
             den *= 2
         return F(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den)
@@ -294,13 +306,14 @@ def test_skipped_terms_leave_the_cleanup_unchanged():
 
     small = [(curve(), curve(), F(rng.randint(1, 12), 2)) for _ in range(300)]
     prime_rng = random.Random(7)
-    planted = [_planted_prime_pair(prime_rng, prime_rng.randint(20, 30)) for _ in range(12)]
+    planted = [_planted_pair(prime_rng, prime_rng.randint(20, 30)) for _ in range(12)]
     checked = two_piece = 0
     for k, (u, v, delta) in enumerate(small + planted):
         trace = decide_lb(u, v, delta, trace=True).trace
         blo, bhi = trace.box_scaled
+        tab = tables(trace)
         for kind in "UDRL":
-            for (i, j), pieces in trace.tables[kind].items():
+            for (i, j), pieces in tab[kind].items():
                 cell, slab, target, terms = trace.terms(kind, i, j)
                 if cell is None or slab is not None:
                     continue  # the start cell and the base row and column
@@ -314,7 +327,7 @@ def test_skipped_terms_leave_the_cleanup_unchanged():
         if k >= len(small):
             assert trace.feasible and s.bit_length() >= 60, s
             two_piece += sum(
-                any(len(trace.tables[kind][(i, j)]) > 1 for kind in "UDRL")
+                any(len(tab[kind][(i, j)]) > 1 for kind in "UDRL")
                 for i in range(1, trace.m)
                 for j in range(1, trace.n)
             )
@@ -326,7 +339,7 @@ def test_sweep_reads_the_kernels_from_lower_bound():
     """The sweep looks its kernels up in lower_bound's globals when it is
     called, so a wrapper patched there (as perfbench's tracer does) sees
     the calls, here on a pair with multi-piece cells."""
-    u, v, delta = _planted_prime_pair(random.Random(7), 25)
+    u, v, delta = _planted_pair(random.Random(7), 25)
     calls = Counter()
 
     def counted(name, kernel):
@@ -339,8 +352,25 @@ def test_sweep_reads_the_kernels_from_lower_bound():
         for name in ("_mm_q_ru", "_mm_h_u"):
             mp.setattr(lower_bound, name, counted(name, getattr(lower_bound, name)))
         trace = decide_lb(u, v, delta, trace=True).trace
-    assert any(len(ps) > 1 for kind in "UDRL" for ps in trace.tables[kind].values())
+    assert any(len(ps) > 1 for kind in "UDRL" for _, _, ps in trace.stored(kind))
     assert calls["_mm_q_ru"] > 0 and calls["_mm_h_u"] > 0, calls
+
+
+def test_traced_decide_and_witness_memory():
+    """A traced decide plus extract_witness on a planted 150x150 pair with
+    denominators 1, 2 and 4 peaks at 6.4 MB under tracemalloc with the
+    sweep recording rows (CPython 3.11); recording one dict entry per cell
+    and kind peaked at 16.1 MB on the same pair.  The bound leaves a third
+    of headroom."""
+    u, v, delta = _planted_pair(random.Random(0), 150, (1, 2, 4))
+    tracemalloc.start()
+    try:
+        decision = decide_lb(u, v, delta, trace=True)
+        assert extract_witness(decision.trace) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_500_000, peak
 
 
 # Witnesses frozen from the backward walk: (len u, len v, delta, witness u,
@@ -383,12 +413,12 @@ def test_propagated_piece_counts():
         delta = F(rng.randint(1, 3), 2)
         trace = decide_lb(u, v, delta, trace=True).trace
         for kind in "UD":
-            for (i, j), pieces in trace.tables[kind].items():
+            for i, j, pieces in trace.stored(kind):
                 limit = 1 if i == 1 else 2
                 assert len(pieces) <= limit, (kind, i, j)
                 checked += 1
         for kind in "RL":
-            for (i, j), pieces in trace.tables[kind].items():
+            for i, j, pieces in trace.stored(kind):
                 limit = 1 if j == 1 else 2
                 assert len(pieces) <= limit, (kind, i, j)
                 checked += 1
@@ -400,7 +430,7 @@ def test_trace_cell_and_provenance():
     trace = out.trace
     seen = set()
     for kind in "UDRL":
-        for (i, j), stored in trace.tables[kind].items():
+        for i, j, stored in trace.stored(kind):
             terms = trace.provenance(kind, i, j)
             for name, pieces in terms:
                 seen.add(name)
