@@ -13,7 +13,6 @@ from .model import (
     Precise,
     Scalar,
     UncertainCurve,
-    concat,
     curve_from_json,
     curve_to_json,
     format_scalar,
@@ -22,7 +21,6 @@ from .model import (
     is_realisation,
     parse_scalar,
     reverse,
-    subcurve,
 )
 from .regions import ClipBox, Cone, Piece, Region
 from .lower_bound import LbDecision, clip_box_for, compute_lb, decide_lb, extract_witness
@@ -81,7 +79,6 @@ __all__ = [
     "check_ub_gadgets",
     "clip_box_for",
     "compute_lb",
-    "concat",
     "curve_from_json",
     "curve_to_json",
     "decide_lb",
@@ -102,7 +99,6 @@ __all__ = [
     "reverse",
     "rm_dp",
     "satisfiable",
-    "subcurve",
     "verify_reduction",
     "wfr_min_decide",
     "wfr_min_value",

@@ -32,6 +32,7 @@ from .model import (
 from .oracle import VARIANTS, CapExceeded, EnumerationSpec, bound_oracle
 from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 from .reductions import (
+    ReductionInstance,
     build_ub_sat,
     build_weak_discrete_imprecise,
     build_weak_discrete_indecisive,
@@ -366,6 +367,18 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _build_instance(cnf_path: str, kind: str, model: str) -> ReductionInstance:
+    """The reduction instance of kind ("ub" or "weak") and model for the
+    DIMACS file at cnf_path."""
+    with open(cnf_path, "r", encoding="utf-8") as handle:
+        formula = parse_dimacs(handle.read())
+    if kind == "ub":
+        return build_ub_sat(formula, model=model)
+    if model == "indecisive":
+        return build_weak_discrete_indecisive(formula)
+    return build_weak_discrete_imprecise(formula)
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.what == "lift2d":
         u = load_curve(args.curve_a)
@@ -377,15 +390,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         _emit(args, "reduce", (args.curve_a, args.curve_b), result)
         return 0
 
-    with open(args.cnf, "r", encoding="utf-8") as handle:
-        formula = parse_dimacs(handle.read())
-    if args.what == "ub-sat":
-        inst = build_ub_sat(formula, model=args.model)
-    else:
-        if args.model == "indecisive":
-            inst = build_weak_discrete_indecisive(formula)
-        else:
-            inst = build_weak_discrete_imprecise(formula)
+    inst = _build_instance(args.cnf, "ub" if args.what == "ub-sat" else "weak", args.model)
     _write_json(args.out[0], curve_to_json(inst.u))
     _write_json(args.out[1], curve_to_json(inst.v))
     result = (
@@ -406,14 +411,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.cnf, "r", encoding="utf-8") as handle:
-        formula = parse_dimacs(handle.read())
-    if args.kind == "ub":
-        inst = build_ub_sat(formula, model=args.model)
-    elif args.model == "indecisive":
-        inst = build_weak_discrete_indecisive(formula)
-    else:
-        inst = build_weak_discrete_imprecise(formula)
+    inst = _build_instance(args.cnf, args.kind, args.model)
     cap = args.cap if args.cap is not None else _env_cap(DEFAULT_ORACLE_CAP)
     spec = EnumerationSpec(resolution=args.resolution, cap=cap)
     report = verify_reduction(inst, spec)

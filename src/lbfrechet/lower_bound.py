@@ -82,10 +82,10 @@ from .regions import (
     _mm_q_ru,
     bounds_lexmin,
     close_bounds,
-    cone_signs,
     meet_bounds,
     mink_bounds,
     normalize_pieces,
+    opposite,
 )
 
 
@@ -544,30 +544,6 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     return ipieces, jpieces, x00, rows, E, final_parts
 
 
-def _preimage(px: int, py: int, cone: Cone, blo: int, bhi: int) -> Bounds:
-    sx, sy = cone_signs(cone)
-    if sx == 1:
-        xlo, xhi = blo, px
-    elif sx == -1:
-        xlo, xhi = px, bhi
-    elif sx == 0:
-        xlo, xhi = px, px
-    else:
-        xlo, xhi = blo, bhi
-    if sy == 1:
-        ylo, yhi = blo, py
-    elif sy == -1:
-        ylo, yhi = py, bhi
-    elif sy == 0:
-        ylo, yhi = py, py
-    else:
-        ylo, yhi = blo, bhi
-    dspan = bhi - blo
-    out = close_bounds(xlo, xhi, ylo, yhi, -dspan, dspan)
-    assert out is not None
-    return out
-
-
 def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
     """Read a witness realisation pair off a feasible traced decision.
 
@@ -599,9 +575,11 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
             else:
                 pv[j] = py
             cell, slab, _, terms = trace.terms(kind, i, j)
+            point = (px, px, py, py, py - px, py - px)
             cands = []
             for order, (pk, cone, pieces) in enumerate(terms):
-                pre = _preimage(px, py, cone, blo, bhi)
+                # the points from which cone reaches (px, py)
+                pre = mink_bounds(point, opposite[cone], blo, bhi)
                 for piece in pieces:
                     if slab is not None:
                         piece = meet_bounds(piece, slab)

@@ -241,18 +241,6 @@ def image(curve: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     return (min(curve), max(curve))
 
 
-def concat(a: Sequence[Fraction], b: Sequence[Fraction]) -> PolyCurve:
-    return tuple(a) + tuple(b)
-
-
-def subcurve(curve: Sequence[Fraction], i: int, j: int) -> PolyCurve:
-    """Vertices i..j inclusive, 1-based."""
-    n = len(curve)
-    if not (1 <= i <= j <= n):
-        raise IndexError(f"subcurve range [{i}, {j}] out of bounds for {n} vertices")
-    return tuple(curve)[i - 1 : j]
-
-
 def growing_curve(curve: Sequence[Fraction]) -> PolyCurve:
     """Reduce a curve to its growing core.
 
@@ -315,6 +303,14 @@ def _point_to_json(p: UncertainPoint) -> dict:
 
 def curve_from_json(data: object) -> UncertainCurve:
     """Build a curve from parsed JSON (or a JSON string)."""
+    try:
+        return _curve_from_json(data)
+    except RecursionError:
+        # met by the JSON parser, or by repr in an error message
+        raise CurveFormatError("curve JSON nested too deeply") from None
+
+
+def _curve_from_json(data: object) -> UncertainCurve:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
@@ -350,4 +346,6 @@ def load_curve(path: str) -> UncertainCurve:
         raise CurveFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CurveFormatError(f"{path}: bad JSON: {exc}") from exc
+    except RecursionError:
+        raise CurveFormatError(f"{path}: bad JSON: nested too deeply") from None
     return curve_from_json(data)

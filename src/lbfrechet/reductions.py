@@ -34,10 +34,10 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .model import (
-    Interval,
     Precise,
     UncertainCurve,
     UncertainPoint,
+    _point_to_json,
     format_scalar,
     make_interval,
     make_set,
@@ -471,11 +471,7 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
 
 
 def _point_to_2d(p: UncertainPoint) -> dict:
-    if isinstance(p, Precise):
-        return {"type": "precise", "x": format_scalar(p.x), "y": "0"}
-    if isinstance(p, Interval):
-        return {"type": "interval", "lo": format_scalar(p.lo), "hi": format_scalar(p.hi), "y": "0"}
-    return {"type": "set", "xs": [format_scalar(x) for x in p.xs], "y": "0"}
+    return {**_point_to_json(p), "y": "0"}
 
 
 def lift_curve_to_2d(curve: UncertainCurve, sentinel: Fraction, name: str = "") -> dict:

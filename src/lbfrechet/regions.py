@@ -7,6 +7,11 @@ system on (x, y); tightening it to its closure makes every stored bound
 attained, which turns containment and emptiness into plain comparisons.
 A region is a finite union of such pieces inside a common clipping square.
 
+Counterclockwise from its lowest-leftmost corner (xlo, ylo), a closed piece
+has the edges y = ylo, y - x = dlo, x = xhi, y = yhi, y - x = dhi and
+x = xlo, in that order; any of them may shrink to a point.  Its corners are
+the ends of those edges, which bounds_vertices walks in the same order.
+
 All bound arithmetic is +, -, min, max and comparisons, so the same code
 runs on Fractions and on pre-scaled ints.  The coverage test scales its
 pieces to ints itself, with model.scale_to_ints.
@@ -14,7 +19,6 @@ pieces to ints itself, with model.scale_to_ints.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,38 +69,10 @@ _KEEP = {
     Cone.S_D: (True, True, False, True, False, True),
 }
 
-# Cone membership as sign constraints on (dx, dy): +1 means >= 0, -1 means
-# <= 0, 0 means == 0, None means unconstrained.
-_CONE_SIGNS = {
-    Cone.Q_RU: (1, 1),
-    Cone.Q_LU: (-1, 1),
-    Cone.Q_RD: (1, -1),
-    Cone.Q_LD: (-1, -1),
-    Cone.H_R: (1, None),
-    Cone.H_L: (-1, None),
-    Cone.H_U: (None, 1),
-    Cone.H_D: (None, -1),
-    Cone.S_R: (1, 0),
-    Cone.S_L: (-1, 0),
-    Cone.S_U: (0, 1),
-    Cone.S_D: (0, -1),
-}
-
-
-def cone_signs(cone: Cone) -> tuple:
-    return _CONE_SIGNS[cone]
-
-
-def cone_contains(cone: Cone, dx, dy) -> bool:
-    sx, sy = _CONE_SIGNS[cone]
-    for s, v in ((sx, dx), (sy, dy)):
-        if s == 1 and v < 0:
-            return False
-        if s == -1 and v > 0:
-            return False
-        if s == 0 and v != 0:
-            return False
-    return True
+# The cone of opposite directions: R and L, U and D swapped in the name.
+# The points from which cone c reaches a point z make up the Minkowski sum
+# of z with opposite[c].
+opposite = {c: Cone(c.value.translate(str.maketrans("RLUD", "LRDU"))) for c in Cone}
 
 
 def close_bounds(xlo, xhi, ylo, yhi, dlo, dhi) -> Optional[Bounds]:
@@ -462,41 +438,24 @@ def normalize_pieces(pieces: Iterable[Optional[Bounds]]) -> tuple[Bounds, ...]:
 
 
 def bounds_vertices(p: Bounds) -> list[tuple]:
-    """Corner points of the piece, counterclockwise from the lowest-leftmost."""
+    """Corner points of a closed piece, counterclockwise from the
+    lowest-leftmost: the ends of its six edges in walk order, with
+    repeated points dropped."""
     xlo, xhi, ylo, yhi, dlo, dhi = p
-    cand = set()
-    for x in (xlo, xhi):
-        for y in (ylo, yhi):
-            cand.add((x, y))
-        for d in (dlo, dhi):
-            cand.add((x, x + d))
-    for y in (ylo, yhi):
-        for d in (dlo, dhi):
-            cand.add((y - d, y))
-    pts = [c for c in cand if bounds_contain(p, c[0], c[1])]
-    if len(pts) <= 2:
-        return sorted(pts)
-    n = len(pts)
-    cx = Fraction(sum(Fraction(q[0]) for q in pts), n)
-    cy = Fraction(sum(Fraction(q[1]) for q in pts), n)
-
-    def angle_cmp(a, b):
-        ax, ay = a[0] - cx, a[1] - cy
-        bx, by = b[0] - cx, b[1] - cy
-        ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
-        hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = ax * by - ay * bx
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    pts.sort(key=functools.cmp_to_key(angle_cmp))
-    start = min(range(len(pts)), key=lambda k: (pts[k][1], pts[k][0]))
-    return pts[start:] + pts[:start]
+    out: list[tuple] = []
+    for c in (
+        (xlo, ylo),
+        (ylo - dlo, ylo),
+        (xhi, xhi + dlo),
+        (xhi, yhi),
+        (yhi - dhi, yhi),
+        (xlo, xlo + dhi),
+    ):
+        if not out or c != out[-1]:
+            out.append(c)
+    if len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -186,38 +186,27 @@ def _weak_dp(
     i_min, i_max = iext
     j_min, j_max = jext
 
-    def dom(axis: str, which: str, values):
-        if pin_domains is None:
-            return values
-        allowed = pin_domains.get((axis, which))
-        if allowed is None:
-            return values
-        return [x for x in values if x in allowed]
+    def choices(pos, ext: tuple[int, int], axis: str) -> list:
+        """Each vertex's positions, those at the extremum indices kept to
+        their pinned domains."""
+        out = list(pos)
+        for t, which in zip(ext, ("min", "max")):
+            allowed = (pin_domains or {}).get((axis, which))
+            if allowed is not None:
+                out[t - 1] = [x for x in out[t - 1] if x in allowed]
+        return out
 
-    def u_choices(t: int):
-        vals = pos_u[t - 1]
-        if t == i_min:
-            vals = dom("x", "min", vals)
-        if t == i_max:
-            vals = dom("x", "max", vals)
-        return vals
-
-    def v_choices(t: int):
-        vals = pos_v[t - 1]
-        if t == j_min:
-            vals = dom("y", "min", vals)
-        if t == j_max:
-            vals = dom("y", "max", vals)
-        return vals
+    u_choices = choices(pos_u, iext, "x")
+    v_choices = choices(pos_v, jext, "y")
 
     budget = budget or _Budget(DEFAULT_STATE_CAP)
     table: dict = {}
     start: dict = {}
-    for x1 in u_choices(1):
+    for x1 in u_choices[0]:
         hx = _extend_hull(1, x1, x1, x1, i_min, i_max)
         if hx is None:
             continue
-        for y1 in v_choices(1):
+        for y1 in v_choices[0]:
             hy = _extend_hull(1, y1, y1, y1, j_min, j_max)
             if hy is None:
                 continue
@@ -244,7 +233,7 @@ def _weak_dp(
                     base = val if val >= pen else pen
                     if prune_above is not None and base > prune_above:
                         continue
-                    for x2 in u_choices(i):
+                    for x2 in u_choices[i - 1]:
                         h = _extend_hull(i, x2, xlo, xhi, i_min, i_max)
                         if h is None:
                             continue
@@ -260,7 +249,7 @@ def _weak_dp(
                     base = val if val >= pen else pen
                     if prune_above is not None and base > prune_above:
                         continue
-                    for y2 in v_choices(j):
+                    for y2 in v_choices[j - 1]:
                         h = _extend_hull(j, y2, ylo, yhi, j_min, j_max)
                         if h is None:
                             continue

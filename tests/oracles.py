@@ -392,3 +392,82 @@ def wfr_min_value_linear(u, v):
         if wfr_min_decide(u, v, delta):
             return delta
     raise AssertionError("no candidate delta was feasible")
+
+
+# ---------------------------------------------------------------------------
+# Cone membership and piece corners, from signs and an angle sort
+# ---------------------------------------------------------------------------
+
+# Cone membership as sign constraints on (dx, dy), by cone name: +1 means
+# >= 0, -1 means <= 0, 0 means == 0, None means unconstrained.
+CONE_SIGNS = {
+    "Q_RU": (1, 1),
+    "Q_LU": (-1, 1),
+    "Q_RD": (1, -1),
+    "Q_LD": (-1, -1),
+    "H_R": (1, None),
+    "H_L": (-1, None),
+    "H_U": (None, 1),
+    "H_D": (None, -1),
+    "S_R": (1, 0),
+    "S_L": (-1, 0),
+    "S_U": (0, 1),
+    "S_D": (0, -1),
+}
+
+
+def cone_contains(cone, dx, dy) -> bool:
+    """Is the step (dx, dy) a direction of the cone (a regions.Cone)?"""
+    sx, sy = CONE_SIGNS[cone.value]
+    for s, v in ((sx, dx), (sy, dy)):
+        if s == 1 and v < 0:
+            return False
+        if s == -1 and v > 0:
+            return False
+        if s == 0 and v != 0:
+            return False
+    return True
+
+
+def bounds_vertices_angle_sort(p):
+    """Corner points of a closed piece (xlo, xhi, ylo, yhi, dlo, dhi),
+    counterclockwise from the lowest-leftmost: every pairwise crossing of
+    the six bound lines that lies in the piece, sorted by angle around
+    their centroid; two or fewer points sorted as tuples."""
+    xlo, xhi, ylo, yhi, dlo, dhi = p
+    cand = set()
+    for x in (xlo, xhi):
+        for y in (ylo, yhi):
+            cand.add((x, y))
+        for d in (dlo, dhi):
+            cand.add((x, x + d))
+    for y in (ylo, yhi):
+        for d in (dlo, dhi):
+            cand.add((y - d, y))
+    pts = [(x, y) for x, y in cand if xlo <= x <= xhi and ylo <= y <= yhi and dlo <= y - x <= dhi]
+    if len(pts) <= 2:
+        return sorted(pts)
+    # offsets from the centroid, times the point count n: the signs of the
+    # offsets and of their cross products are those of the unscaled ones
+    n = len(pts)
+    sx = sum(q[0] for q in pts)
+    sy = sum(q[1] for q in pts)
+    offset = {q: (n * q[0] - sx, n * q[1] - sy) for q in pts}
+
+    def angle_cmp(a, b):
+        ax, ay = offset[a]
+        bx, by = offset[b]
+        ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
+        hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
+        if ha != hb:
+            return -1 if ha < hb else 1
+        cr = ax * by - ay * bx
+        if cr > 0:
+            return -1
+        if cr < 0:
+            return 1
+        return 0
+
+    pts.sort(key=functools.cmp_to_key(angle_cmp))
+    start = min(range(len(pts)), key=lambda k: (pts[k][1], pts[k][0]))
+    return pts[start:] + pts[:start]

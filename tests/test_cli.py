@@ -335,6 +335,18 @@ def test_non_integer_dimension_is_exit_three(tmp_path, capsys, dim):
     assert len(err.strip().splitlines()) == 1 and "dimension" in err
 
 
+def test_deeply_nested_curve_json_is_exit_three(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    one = tmp_path / "one.json"
+    one.write_text('{"dimension": 1, "points": [{"type": "precise", "x": "0"}]}')
+    for argv in (["decide", "--delta", "1", str(deep), str(one)], ["value", str(one), str(deep)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert len(err.strip().splitlines()) == 1 and "nested too deeply" in err
+        assert "Traceback" not in err
+
+
 def test_reduce_ub_sat_and_verify(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")
@@ -416,6 +428,25 @@ def test_reduce_lift2d(write_curve, tmp_path, capsys):
     doc = json.loads(open(out_a).read())
     assert doc["dimension"] == 2
     assert doc["points"][1] == {"type": "precise", "x": "0", "y": "100"}
+    # whole files, key order included, for every vertex kind
+    a = write_curve([interval(0, F(1, 3)), Precise(F(5, 2)), make_set([-1, F(1, 4), 3])], name="a")
+    b = write_curve([make_set([1, F(7, 3)]), Precise(F(-4))])
+    code, out, _ = run(
+        capsys, ["reduce", "lift2d", a, b, "-M", "100", "-o", out_a, out_b]
+    )
+    assert (code, out) == (0, f"wrote {out_a} and {out_b}\n")
+    sentinel = {"type": "precise", "x": "0", "y": "100"}
+    want_a = {"dimension": 2, "name": "a", "points": [
+        {"type": "interval", "lo": "0", "hi": "1/3", "y": "0"}, sentinel,
+        {"type": "precise", "x": "2.5", "y": "0"}, sentinel,
+        {"type": "set", "xs": ["-1", "0.25", "3"], "y": "0"},
+    ]}
+    want_b = {"dimension": 2, "name": "", "points": [
+        {"type": "set", "xs": ["1", "7/3"], "y": "0"}, sentinel,
+        {"type": "precise", "x": "-4", "y": "0"},
+    ]}
+    for path, want in ((out_a, want_a), (out_b, want_b)):
+        assert open(path).read() == json.dumps(want, indent=1) + "\n"
     # sentinel too small for the coordinates
     code, _, err = run(
         capsys, ["reduce", "lift2d", a, b, "-M", "10", "-o", out_a, out_b]

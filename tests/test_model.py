@@ -15,7 +15,6 @@ from lbfrechet import (
     Interval,
     Precise,
     UncertainCurve,
-    concat,
     curve_from_json,
     curve_to_json,
     format_scalar,
@@ -24,7 +23,6 @@ from lbfrechet import (
     is_realisation,
     parse_scalar,
     reverse,
-    subcurve,
 )
 from lbfrechet.model import make_interval, make_set, reach_bound, scale_to_ints
 
@@ -283,14 +281,6 @@ def test_curve_helpers():
     a = [F(0), F(4), F(-1)]
     assert reverse(a) == (F(-1), F(4), F(0))
     assert image(a) == (F(-1), F(4))
-    assert concat(a, [F(-1), F(2)]) == (F(0), F(4), F(-1), F(-1), F(2))
-    assert subcurve(a, 1, 2) == (F(0), F(4))
-    assert subcurve(a, 2, 3) == (F(4), F(-1))
-    assert subcurve(a, 1, 3) == (F(0), F(4), F(-1))
-    with pytest.raises(IndexError):
-        subcurve(a, 1, 4)
-    with pytest.raises(IndexError):
-        subcurve(a, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +350,17 @@ def test_curve_json_round_trip():
 def test_curve_json_rejects(payload):
     with pytest.raises((CurveFormatError, ValueError)):
         curve_from_json(payload)
+
+
+def test_deeply_nested_curve_json_is_a_format_error():
+    """Nesting past the recursion limit, met by the parser or by repr in an
+    error message, raises CurveFormatError, not RecursionError."""
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    for data in ("[" * 100_000, {"points": [deep]}, {"dimension": deep, "points": []}):
+        with pytest.raises(CurveFormatError, match="nested too deeply"):
+            curve_from_json(data)
 
 
 def test_curve_json_missing_dimension_means_one():

@@ -17,12 +17,14 @@ from lbfrechet.regions import (
     bounds_hull,
     bounds_subset,
     close_bounds,
-    cone_contains,
-    cone_signs,
+    bounds_vertices,
     meet_bounds,
     mink_bounds,
     normalize_pieces,
+    opposite,
 )
+
+from oracles import CONE_SIGNS, bounds_vertices_angle_sort, cone_contains
 
 BLO, BHI = -8, 12
 SPAN = BHI - BLO
@@ -131,10 +133,20 @@ def test_meet_is_intersection(a, b):
 
 
 def test_cone_signs_cover_all():
+    """The reference sign table names every cone, and no other."""
+    assert set(CONE_SIGNS) == {cone.value for cone in Cone}
     for cone in Cone:
-        sx, sy = cone_signs(cone)
+        sx, sy = CONE_SIGNS[cone.value]
         assert sx in (1, -1, 0, None) and sy in (1, -1, 0, None)
         assert cone_contains(cone, 0, 0)
+
+
+@pytest.mark.parametrize("cone", list(Cone))
+def test_opposite_cone_holds_the_negated_steps(cone):
+    assert opposite[opposite[cone]] is cone
+    for dx in range(-3, 4):
+        for dy in range(-3, 4):
+            assert cone_contains(opposite[cone], dx, dy) == cone_contains(cone, -dx, -dy)
 
 
 @pytest.mark.parametrize("cone", list(Cone))
@@ -162,6 +174,18 @@ def test_mink_bounds_membership(cone):
             assert any(
                 cone_contains(cone, x - sx, y - sy) for sx, sy in sample_points(p)
             )
+
+
+@pytest.mark.parametrize("cone", list(Cone))
+def test_point_sum_with_the_opposite_cone_is_the_preimage(cone):
+    """The sum of a point z with opposite[cone], as the witness walk takes
+    it, holds exactly the in-box grid points from which cone reaches z."""
+    rng = random.Random(cone.value)
+    box = [(x, y) for x in range(BLO, BHI + 1) for y in range(BLO, BHI + 1)]
+    for _ in range(10):
+        x, y = rng.randint(BLO, BHI), rng.randint(BLO, BHI)
+        pre = mink_bounds((x, x, y, y, y - x, y - x), opposite[cone], BLO, BHI)
+        assert set(sample_points(pre)) == {p for p in box if cone_contains(cone, x - p[0], y - p[1])}
 
 
 # --- fused kernels -----------------------------------------------------------
@@ -346,8 +370,46 @@ def test_region_x_projection_merges():
     assert r.x_projection() == [(F(0), F(3)), (F(5), F(6))]
 
 
+# (raw bounds, the dump line), pinned from the angle-sort corner order.
+PINNED_DUMPS = {
+    "hexagon": ((0, 4, 0, 4, F(-5, 2), F(3, 2)), "(0,0) (2.5,0) (4,1.5) (4,4) (2.5,4) (0,1.5)"),
+    "pentagon": ((0, 4, 0, 4, -2, 4), "(0,0) (2,0) (4,2) (4,4) (0,4)"),
+    "horizontal": ((F(-1, 2), 3, 1, 1, -SPAN, SPAN), "(-0.5,1) (3,1)"),
+    "vertical": ((2, 2, F(-1, 3), 5, -SPAN, SPAN), "(2,-1/3) (2,5)"),
+    "slope-1": ((0, 3, -SPAN, SPAN, 1, 1), "(0,1) (3,4)"),
+    "point": ((F(7, 4), F(7, 4), -3, -3, -SPAN, SPAN), "(1.75,-3)"),
+}
+
+
 def test_region_dump_lines():
     r = region_of((F(0), F(1), F(0), F(1), F(-1), F(1)))
     lines = r.dump_lines()
     assert len(lines) == 1
     assert lines[0].strip()
+    for name, (raw, line) in PINNED_DUMPS.items():
+        assert region_of(tuple(F(b) for b in raw)).dump_lines() == [line], name
+
+
+def test_corner_walk_matches_the_angle_sort():
+    """bounds_vertices walks the six edges; on 100k seeded random closed
+    pieces it lists the corners of the angle sort around the centroid.
+    The bounds are small, so many pieces are points, segments or
+    triangles, and one in sixteen has Fraction bounds of mixed denominators."""
+    rng = random.Random(7373)
+
+    def pair(k, den):
+        lo, hi = sorted(rng.randint(-k, k) for _ in range(2))
+        return (lo, hi) if den == 1 else (F(lo, den), F(hi, den))
+
+    corners = [0] * 7
+    fractional = 0
+    while sum(corners) < 100_000:
+        dens = (1, 1, 1) if rng.randrange(16) else [rng.choice((1, 2, 3)) for _ in range(3)]
+        p = close_bounds(*pair(4, dens[0]), *pair(4, dens[1]), *pair(8, dens[2]))
+        if p is None:
+            continue
+        got = bounds_vertices(p)
+        assert got == bounds_vertices_angle_sort(p), p
+        corners[len(got)] += 1
+        fractional += any(isinstance(b, F) for b in p)
+    assert min(corners[1:]) >= 1000 and fractional >= 5000, (corners, fractional)
