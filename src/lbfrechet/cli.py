@@ -29,7 +29,7 @@ from .model import (
     load_curve,
     parse_scalar,
 )
-from .oracle import VARIANTS, CapExceeded, EnumerationSpec, bound_oracle
+from .oracle import DEFAULT_ENUMERATION_CAP, VARIANTS, CapExceeded, EnumerationSpec, bound_oracle
 from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 from .reductions import (
     ReductionInstance,
@@ -42,8 +42,6 @@ from .reductions import (
     verify_reduction,
 )
 from .weak_uncertain import DEFAULT_STATE_CAP, wfr_min_decide, wfr_min_value
-
-DEFAULT_ORACLE_CAP = 1_000_000
 
 
 def _scalar_arg(text: str) -> Fraction:
@@ -85,7 +83,10 @@ def _int_at_least(low: int):
 _positive_int_arg = _int_at_least(1)
 
 
-def _env_cap(default: int) -> int:
+def _cap(args: argparse.Namespace, default: int) -> int:
+    """--cap if given, else LBF_CAP if set, else default."""
+    if args.cap is not None:
+        return args.cap
     raw = os.environ.get("LBF_CAP")
     if raw is None:
         return default
@@ -324,7 +325,7 @@ def _cmd_precise(args: argparse.Namespace) -> int:
 def _cmd_weak_lb(args: argparse.Namespace) -> int:
     u = load_curve(args.curve_a)
     v = load_curve(args.curve_b)
-    cap = args.cap if args.cap is not None else _env_cap(DEFAULT_STATE_CAP)
+    cap = _cap(args, DEFAULT_STATE_CAP)
     if args.mode == "decide":
         if args.delta is None:
             raise CliUsageError("weak-lb decide requires --delta")
@@ -342,11 +343,10 @@ def _cmd_weak_lb(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     u = load_curve(args.curve_a)
     v = load_curve(args.curve_b)
-    cap = args.cap if args.cap is not None else _env_cap(DEFAULT_ORACLE_CAP)
     spec = EnumerationSpec(
         resolution=args.resolution,
         include_positions=tuple(args.include_position),
-        cap=cap,
+        cap=_cap(args, DEFAULT_ENUMERATION_CAP),
     )
     value = bound_oracle(
         u,
@@ -412,8 +412,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _build_instance(args.cnf, args.kind, args.model)
-    cap = args.cap if args.cap is not None else _env_cap(DEFAULT_ORACLE_CAP)
-    spec = EnumerationSpec(resolution=args.resolution, cap=cap)
+    spec = EnumerationSpec(resolution=args.resolution, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
     report = verify_reduction(inst, spec)
     lines = report.summary_lines()[:-1]
     extra_fields = {

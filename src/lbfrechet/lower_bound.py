@@ -82,6 +82,7 @@ from .regions import (
     _mm_q_ru,
     bounds_lexmin,
     close_bounds,
+    dump_line,
     meet_bounds,
     mink_bounds,
     normalize_pieces,
@@ -206,24 +207,22 @@ class LbTrace:
     when it finished row i - 1.  R/L have rows i = 1..m-1 of columns
     j = 1..n: the base column's region, then the region each cell of row i
     hands to the next.  An empty region is the sweep's stand-in `empty`,
-    which region() and stored() read as ()."""
+    which region() and stored() read as ().  hulls holds the scaled vertex
+    intervals, u's m and then v's n; the decision is feasible iff
+    final_parts is nonempty."""
 
     m: int
     n: int
     scale: int
     delta_scaled: int
     box_scaled: tuple[int, int]
-    box: ClipBox
-    delta: Fraction
-    hull_u: list[tuple[Fraction, Fraction]]
-    hull_v: list[tuple[Fraction, Fraction]]
+    hulls: list
     i_pieces: list
     j_pieces: list
     x00: Optional[Bounds]
     rows: dict
     empty: tuple
     final_parts: list
-    feasible: bool
 
     def _stores(self, kind: str, i: int, j: int) -> bool:
         """Whether the sweep stores a region of kind at (i, j)."""
@@ -245,12 +244,6 @@ class LbTrace:
         for i, row in enumerate(self.rows[kind], 1):
             for j, got in enumerate(row, 1):
                 yield i, j, () if got is empty else got
-
-    def _region(self, pieces) -> Region:
-        s = self.scale
-        return Region.from_bounds(
-            [tuple(Fraction(v, s) for v in p) for p in pieces], self.box
-        )
 
     def terms(self, kind: str, i: int, j: int) -> tuple:
         """The recurrence of kind at (i, j) as (predecessor cell, slab met
@@ -304,16 +297,13 @@ class LbTrace:
     def dump_to(self, directory: str) -> None:
         """Write every stored region, one piece per line as a vertex list."""
         os.makedirs(directory, exist_ok=True)
-        for kind in "UDRL":
-            path = os.path.join(directory, f"{kind}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                for i, j, pieces in self.stored(kind):
-                    for line in self._region(pieces).dump_lines():
-                        fh.write(f"{i} {j} : {line}\n")
-        with open(os.path.join(directory, "final.txt"), "w", encoding="utf-8") as fh:
-            for kind, i, j, pieces in self.final_parts:
-                for line in self._region(pieces).dump_lines():
-                    fh.write(f"{kind} {i} {j} : {line}\n")
+        files = {kind: ((f"{i} {j}", ps) for i, j, ps in self.stored(kind)) for kind in "UDRL"}
+        files["final"] = ((f"{kind} {i} {j}", ps) for kind, i, j, ps in self.final_parts)
+        for name, cells in files.items():
+            with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
+                for label, pieces in cells:
+                    for p in normalize_pieces(pieces):
+                        fh.write(f"{label} : {dump_line(p, self.scale)}\n")
 
 
 @dataclass
@@ -345,20 +335,18 @@ def decide_lb(
     m = len(hull_u)
     ipieces, jpieces, x00, rows, empty, final_parts = _sweep(hulls[:m], hulls[m:], d, blo, bhi, trace)
 
-    feasible = bool(final_parts)
-    box = ClipBox(Fraction(blo, s), Fraction(bhi, s))
     final_region = Region.from_bounds(
         [tuple(Fraction(x, s) for x in p) for _, _, _, pieces in final_parts for p in pieces],
-        box,
+        ClipBox(Fraction(blo, s), Fraction(bhi, s)),
     )
     recorded = None
     if trace:
         recorded = LbTrace(
-            m=m, n=len(hull_v), scale=s, delta_scaled=d, box_scaled=(blo, bhi), box=box,
-            delta=delta, hull_u=hull_u, hull_v=hull_v, i_pieces=ipieces, j_pieces=jpieces,
-            x00=x00, rows=rows, empty=empty, final_parts=final_parts, feasible=feasible,
+            m=m, n=len(hull_v), scale=s, delta_scaled=d, box_scaled=(blo, bhi), hulls=hulls,
+            i_pieces=ipieces, j_pieces=jpieces, x00=x00, rows=rows, empty=empty,
+            final_parts=final_parts,
         )
-    return LbDecision(feasible=feasible, delta=delta, final_region=final_region, trace=recorded)
+    return LbDecision(feasible=bool(final_parts), delta=delta, final_region=final_region, trace=recorded)
 
 
 def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple:
@@ -551,7 +539,7 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
     final point, committing the smallest feasible predecessor point at
     each step.  Returns None on infeasible traces.
     """
-    if not trace.feasible:
+    if not trace.final_parts:
         return None
     m, n = trace.m, trace.n
     blo, bhi = trace.box_scaled
@@ -604,14 +592,12 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
 
     assert all(x is not None for x in pu[1:]), "witness left a vertex unpinned"
     assert all(y is not None for y in pv[1:]), "witness left a vertex unpinned"
+    for x, (lo, hi) in zip(pu[1:] + pv[1:], trace.hulls):
+        assert lo <= x <= hi, "witness outside vertex region"
     s = trace.scale
     wu = tuple(Fraction(x, s) for x in pu[1:])
     wv = tuple(Fraction(y, s) for y in pv[1:])
-    for val, (lo, hi) in zip(wu, trace.hull_u):
-        assert lo <= val <= hi, "witness outside vertex region"
-    for val, (lo, hi) in zip(wv, trace.hull_v):
-        assert lo <= val <= hi, "witness outside vertex region"
-    assert precise.frechet_decide(wu, wv, trace.delta), "witness fails the precise decision"
+    assert precise.frechet_decide(wu, wv, Fraction(trace.delta_scaled, s)), "witness fails the precise decision"
     return wu, wv
 
 

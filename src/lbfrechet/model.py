@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -31,12 +32,12 @@ _SCALAR_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$|^[+-]?\d+/\d+$")
 def parse_scalar(text: str) -> Fraction:
     """Parse a decimal string like "0.5" or a ratio like "4/5" exactly."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise CurveFormatError(f"scalar must be a string, got {text!r}")
+        raise CurveFormatError(f"scalar must be a string, got {reprlib.repr(text)}")
     if isinstance(text, int):
         return Fraction(text)
     t = text.strip()
     if not _SCALAR_RE.match(t):
-        raise CurveFormatError(f"not a decimal or ratio literal: {text!r}")
+        raise CurveFormatError(f"not a decimal or ratio literal: {reprlib.repr(text)}")
     # the form is checked, so build from int parts: parsing a Fraction
     # string costs several times more
     num, _, den = t.partition("/")
@@ -44,9 +45,9 @@ def parse_scalar(text: str) -> Fraction:
     try:
         return Fraction(int(whole + frac), int(den) if den else 10 ** len(frac))
     except ZeroDivisionError:
-        raise CurveFormatError(f"bad scalar {text!r}: zero denominator") from None
+        raise CurveFormatError(f"bad scalar {reprlib.repr(text)}: zero denominator") from None
     except ValueError as exc:
-        raise CurveFormatError(f"bad scalar {text!r}: {exc}") from exc
+        raise CurveFormatError(f"bad scalar {reprlib.repr(text)}: {exc}") from exc
 
 
 def format_scalar(value: Fraction) -> str:
@@ -275,7 +276,7 @@ def growing_curve(curve: Sequence[Fraction]) -> PolyCurve:
 
 def _point_from_json(obj: object) -> UncertainPoint:
     if not isinstance(obj, dict):
-        raise CurveFormatError(f"vertex must be an object, got {obj!r}")
+        raise CurveFormatError(f"vertex must be an object, got {reprlib.repr(obj)}")
     kind = obj.get("type")
     if kind == "precise":
         return Precise(parse_scalar(obj.get("x")))
@@ -283,14 +284,14 @@ def _point_from_json(obj: object) -> UncertainPoint:
         lo = parse_scalar(obj.get("lo"))
         hi = parse_scalar(obj.get("hi"))
         if lo > hi:
-            raise CurveFormatError(f"interval with lo > hi: {obj!r}")
+            raise CurveFormatError(f"interval with lo > hi: {reprlib.repr(obj)}")
         return make_interval(lo, hi)
     if kind == "set":
         xs = obj.get("xs")
         if not isinstance(xs, list) or not xs:
-            raise CurveFormatError(f"set vertex needs a nonempty xs list: {obj!r}")
+            raise CurveFormatError(f"set vertex needs a nonempty xs list: {reprlib.repr(obj)}")
         return make_set(parse_scalar(x) for x in xs)
-    raise CurveFormatError(f"unknown vertex type {kind!r}")
+    raise CurveFormatError(f"unknown vertex type {reprlib.repr(kind)}")
 
 
 def _point_to_json(p: UncertainPoint) -> dict:
@@ -306,7 +307,7 @@ def curve_from_json(data: object) -> UncertainCurve:
     try:
         return _curve_from_json(data)
     except RecursionError:
-        # met by the JSON parser, or by repr in an error message
+        # met by the JSON parser; error messages quote a bounded repr
         raise CurveFormatError("curve JSON nested too deeply") from None
 
 
@@ -320,7 +321,7 @@ def _curve_from_json(data: object) -> UncertainCurve:
         raise CurveFormatError("curve JSON must be an object")
     dim = data.get("dimension", 1)
     if type(dim) is not int or dim != 1:  # True and 1.0 also compare equal to 1
-        raise CurveFormatError(f"only 1D curves are supported, got dimension {dim!r}")
+        raise CurveFormatError(f"only 1D curves are supported, got dimension {reprlib.repr(dim)}")
     pts = data.get("points")
     if not isinstance(pts, list) or not pts:
         raise CurveFormatError("curve needs a nonempty points list")

@@ -49,6 +49,9 @@ from .precise import discrete_frechet, discrete_weak, frechet_value, weak_freche
 
 VARIANTS = ("frechet", "discrete", "weak", "discrete-weak")
 
+# Most realisations (or pairs of them) one enumeration may visit.
+DEFAULT_ENUMERATION_CAP = 1_000_000
+
 
 class CapExceeded(RuntimeError):
     """The enumeration would visit more realisation pairs than the cap."""
@@ -58,7 +61,7 @@ class CapExceeded(RuntimeError):
 class EnumerationSpec:
     resolution: int = 2
     include_positions: tuple[Fraction, ...] = ()
-    cap: int = 1_000_000
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
         if self.resolution < 2:

@@ -458,6 +458,15 @@ def bounds_vertices(p: Bounds) -> list[tuple]:
     return out
 
 
+def dump_line(p: Bounds, scale: int = 1) -> str:
+    """The dump line of a closed piece: its corners as "(x,y)" in walk
+    order, every coordinate divided by scale."""
+    return " ".join(
+        f"({format_scalar(Fraction(x, scale))},{format_scalar(Fraction(y, scale))})"
+        for x, y in bounds_vertices(p)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Public wrappers
 
@@ -492,9 +501,6 @@ class Piece:
     @property
     def bounds(self) -> Bounds:
         return (self.xlo, self.xhi, self.ylo, self.yhi, self.dlo, self.dhi)
-
-    def vertices(self) -> list[tuple]:
-        return bounds_vertices(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -535,14 +541,5 @@ class Region:
 
     def dump_lines(self) -> list[str]:
         """One piece per line, each a counterclockwise vertex list."""
-        lines = []
-        for p in self.pieces:
-            verts = p.vertices()
-            lines.append(
-                " ".join(
-                    f"({format_scalar(Fraction(x))},{format_scalar(Fraction(y))})"
-                    for x, y in verts
-                )
-            )
-        return lines
+        return [dump_line(p.bounds) for p in self.pieces]
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import functools
 import json
 from fractions import Fraction as F
 
@@ -345,6 +346,26 @@ def test_deeply_nested_curve_json_is_exit_three(tmp_path, capsys):
         assert (code, out) == (3, "")
         assert len(err.strip().splitlines()) == 1 and "nested too deeply" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"type": "interval", "lo": "1" * 5000, "hi": "2"},
+        {"type": "interval", "lo": "2", "hi": "1", "note": "x" * 5000},
+        functools.reduce(lambda inner, _: [inner], range(899), []),
+    ],
+    ids=["long-literal", "lo-above-hi-with-long-field", "900-deep-list"],
+)
+def test_malformed_vertex_error_is_one_short_line(tmp_path, capsys, point):
+    """A malformed vertex exits 3 with one stderr line that quotes a
+    bounded repr of the offending value, however large it is."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dimension": 1, "points": [point]}))
+    code, out, err = run(capsys, ["decide", "--delta", "1", str(bad), str(bad)])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and len(err.rstrip("\n").encode()) <= 200, err
+    assert "Traceback" not in err
 
 
 def test_reduce_ub_sat_and_verify(tmp_path, capsys):

@@ -33,6 +33,7 @@ from lbfrechet.model import (
 from lbfrechet.oracle import EnumerationSpec, bound_oracle
 from lbfrechet.precise import frechet_decide, frechet_value
 from lbfrechet.regions import (
+    ClipBox,
     Cone,
     Region,
     bounds_subset,
@@ -195,7 +196,8 @@ def _generic_region(trace, kind, i, j):
 
 def scaled_region(trace, pieces):
     return Region.from_bounds(
-        [tuple(F(x, trace.scale) for x in p) for p in pieces if p is not None], trace.box
+        [tuple(F(x, trace.scale) for x in p) for p in pieces if p is not None],
+        ClipBox(*(F(b, trace.scale) for b in trace.box_scaled)),
     )
 
 
@@ -321,11 +323,11 @@ def test_skipped_terms_leave_the_cleanup_unchanged():
                 assert pieces == _reduce([q for q in got if q is not None]), (kind, i, j)
                 checked += 1
         s = trace.scale
-        su, sv = ([(int(lo * s), int(hi * s)) for lo, hi in h] for h in (trace.hull_u, trace.hull_v))
+        su, sv = trace.hulls[: trace.m], trace.hulls[trace.m :]
         *_, final_parts = lower_bound._sweep(su, sv, trace.delta_scaled, blo, bhi, False)
         assert final_parts == trace.final_parts
         if k >= len(small):
-            assert trace.feasible and s.bit_length() >= 60, s
+            assert final_parts and s.bit_length() >= 60, s
             two_piece += sum(
                 any(len(tab[kind][(i, j)]) > 1 for kind in "UDRL")
                 for i in range(1, trace.m)
@@ -449,6 +451,44 @@ def test_trace_dump_writes_files(tmp_path):
     for name in ("U.txt", "D.txt", "R.txt", "L.txt", "final.txt"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "final.txt").read_text().strip()
+
+
+def test_dump_matches_the_public_region_dump(tmp_path):
+    """dump_to writes, line for line, what Region.from_bounds of each
+    stored region and each final part, divided by the scale and clipped to
+    the box, dumps.  The seeded pairs hold empty and two-piece cells, final
+    parts and, in the planted pairs, prime denominators; some cells keep
+    their pieces in an order or a split that the dump normalizes."""
+    rng = random.Random(4242)
+    pairs = [
+        (random_interval_curve(rng, max_len=8), random_interval_curve(rng, max_len=8), F(rng.randint(1, 8), 2))
+        for _ in range(40)
+    ]
+    prime_rng = random.Random(11)
+    pairs += [_planted_pair(prime_rng, prime_rng.randint(8, 14)) for _ in range(4)]
+    seen = Counter()
+    for k, (u, v, delta) in enumerate(pairs):
+        trace = decide_lb(u, v, delta, trace=True).trace
+        trace.dump_to(str(tmp_path / str(k)))
+
+        def written(name):
+            return (tmp_path / str(k) / name).read_text(encoding="utf-8").splitlines()
+
+        for kind in "UDRL":
+            want = []
+            for i, j, pieces in trace.stored(kind):
+                want += [f"{i} {j} : {line}" for line in scaled_region(trace, pieces).dump_lines()]
+                seen["empty" if not pieces else "one" if len(pieces) == 1 else "two"] += 1
+                seen["normalized by the dump"] += pieces != normalize_pieces(pieces)
+            assert written(f"{kind}.txt") == want, (k, kind)
+        want = [
+            f"{kind} {i} {j} : {line}"
+            for kind, i, j, pieces in trace.final_parts
+            for line in scaled_region(trace, pieces).dump_lines()
+        ]
+        assert written("final.txt") == want, k
+        seen["final"] += len(trace.final_parts)
+    assert min(seen[key] for key in ("empty", "one", "two", "final", "normalized by the dump")) > 0, seen
 
 
 def test_decision_agrees_with_sampled_oracle():

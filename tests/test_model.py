@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 from fractions import Fraction as F
 from math import lcm
 
@@ -140,6 +141,22 @@ def test_only_model_takes_an_lcm():
             ) or (isinstance(node, ast.alias) and node.name == "lcm"):
                 users.add(path.name)
     assert users == {"model.py"}
+
+
+def test_library_imports_only_the_stdlib():
+    """Every import in the library is relative or names a standard-library
+    module, so lbfrechet keeps no runtime dependency."""
+    outside = set()
+    for path in pathlib.Path(lbfrechet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside.update((path.name, name) for name in names if name.partition(".")[0] not in sys.stdlib_module_names)
+    assert not outside
 
 
 def test_reach_bound_by_hand():
@@ -353,14 +370,18 @@ def test_curve_json_rejects(payload):
 
 
 def test_deeply_nested_curve_json_is_a_format_error():
-    """Nesting past the recursion limit, met by the parser or by repr in an
-    error message, raises CurveFormatError, not RecursionError."""
+    """Nesting past the recursion limit raises CurveFormatError, not
+    RecursionError: met by the parser, it reads "nested too deeply", and
+    an error message about a deep value quotes a bounded repr of it."""
     deep: list = []
     for _ in range(100_000):
         deep = [deep]
-    for data in ("[" * 100_000, {"points": [deep]}, {"dimension": deep, "points": []}):
-        with pytest.raises(CurveFormatError, match="nested too deeply"):
+    with pytest.raises(CurveFormatError, match="nested too deeply"):
+        curve_from_json("[" * 100_000)
+    for data, what in (({"points": [deep]}, "vertex must be an object"), ({"dimension": deep, "points": []}, "dimension")):
+        with pytest.raises(CurveFormatError, match=what) as info:
             curve_from_json(data)
+        assert len(str(info.value)) <= 200
 
 
 def test_curve_json_missing_dimension_means_one():
