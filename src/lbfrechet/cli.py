@@ -32,6 +32,7 @@ from .model import (
 from .oracle import DEFAULT_ENUMERATION_CAP, VARIANTS, CapExceeded, EnumerationSpec, bound_oracle
 from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 from .reductions import (
+    MODELS,
     ReductionInstance,
     build_ub_sat,
     build_weak_discrete_imprecise,
@@ -232,17 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_reduce = p_reduce.add_subparsers(dest="what", required=True)
 
-    p_ub = sub_reduce.add_parser("ub-sat", help="upper-bound Frechet instance")
-    p_ub.add_argument("cnf")
-    p_ub.add_argument("--model", choices=("indecisive", "imprecise"), default="indecisive")
-    p_ub.add_argument("-o", "--out", nargs=2, required=True, metavar=("U_JSON", "V_JSON"))
-
-    p_wd = sub_reduce.add_parser(
-        "weak-discrete", help="discrete weak Frechet instance"
-    )
-    p_wd.add_argument("cnf")
-    p_wd.add_argument("--model", choices=("indecisive", "imprecise"), default="indecisive")
-    p_wd.add_argument("-o", "--out", nargs=2, required=True, metavar=("U_JSON", "V_JSON"))
+    for what, text in (
+        ("ub-sat", "upper-bound Frechet instance"),
+        ("weak-discrete", "discrete weak Frechet instance"),
+    ):
+        p_cnf = sub_reduce.add_parser(what, help=text)
+        p_cnf.add_argument("cnf")
+        p_cnf.add_argument("--model", choices=MODELS, default="indecisive")
+        p_cnf.add_argument("-o", "--out", nargs=2, required=True, metavar=("U_JSON", "V_JSON"))
 
     p_lift = sub_reduce.add_parser(
         "lift2d", help="re-emit a curve pair in 2D with sentinel vertices"
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("cnf")
     p_verify.add_argument("--kind", choices=("ub", "weak"), required=True)
-    p_verify.add_argument("--model", choices=("indecisive", "imprecise"), default="indecisive")
+    p_verify.add_argument("--model", choices=MODELS, default="indecisive")
     p_verify.add_argument("--resolution", type=_int_at_least(2), default=2)
     p_verify.add_argument("--cap", type=_positive_int_arg)
 
@@ -274,13 +272,11 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     extra_fields: dict = {}
     extra_lines: list[str] = []
     if args.witness and decision.feasible:
-        witness = extract_witness(decision.trace)
-        if witness is not None:
-            wu, wv = witness
-            extra_fields["witness_u"] = [format_scalar(x) for x in wu]
-            extra_fields["witness_v"] = [format_scalar(x) for x in wv]
-            extra_lines.append("witness u: " + " ".join(format_scalar(x) for x in wu))
-            extra_lines.append("witness v: " + " ".join(format_scalar(x) for x in wv))
+        wu, wv = extract_witness(decision.trace)
+        extra_fields["witness_u"] = [format_scalar(x) for x in wu]
+        extra_fields["witness_v"] = [format_scalar(x) for x in wv]
+        extra_lines.append("witness u: " + " ".join(format_scalar(x) for x in wu))
+        extra_lines.append("witness v: " + " ".join(format_scalar(x) for x in wv))
     _emit(
         args,
         "decide",

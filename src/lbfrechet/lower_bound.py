@@ -133,23 +133,8 @@ def _two(p: Bounds, q: Bounds) -> tuple:
 
 
 def _three(a: Bounds, b: Bounds, c: Bounds) -> tuple:
-    """Containment cleanup of an ordered triple; falls back to the full
-    merge only when all three pieces survive."""
-    if b[0] >= a[0] and b[1] <= a[1] and b[2] >= a[2] and b[3] <= a[3] and b[4] >= a[4] and b[5] <= a[5]:
-        return _two(a, c)
-    if a[0] >= b[0] and a[1] <= b[1] and a[2] >= b[2] and a[3] <= b[3] and a[4] >= b[4] and a[5] <= b[5]:
-        return _two(b, c)
-    if (c[0] >= a[0] and c[1] <= a[1] and c[2] >= a[2] and c[3] <= a[3] and c[4] >= a[4] and c[5] <= a[5]) or (
-        c[0] >= b[0] and c[1] <= b[1] and c[2] >= b[2] and c[3] <= b[3] and c[4] >= b[4] and c[5] <= b[5]
-    ):
-        return (a, b)
-    a_in_c = a[0] >= c[0] and a[1] <= c[1] and a[2] >= c[2] and a[3] <= c[3] and a[4] >= c[4] and a[5] <= c[5]
-    b_in_c = b[0] >= c[0] and b[1] <= c[1] and b[2] >= c[2] and b[3] <= c[3] and b[4] >= c[4] and b[5] <= c[5]
-    if a_in_c:
-        return (c,) if b_in_c else (b, c)
-    if b_in_c:
-        return (a, c)
-    return normalize_pieces((a, b, c))
+    """Containment cleanup of an ordered triple."""
+    return _reduce([a, b, c])
 
 
 def _reduce(ps: list) -> tuple:
@@ -162,8 +147,6 @@ def _reduce(ps: list) -> tuple:
         return (ps[0],)
     if k == 2:
         return _two(ps[0], ps[1])
-    if k == 3:
-        return _three(ps[0], ps[1], ps[2])
     kept: list = []
     for p in ps:
         add = True

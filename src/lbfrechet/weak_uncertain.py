@@ -6,7 +6,9 @@ attains its running extrema and on which values those extrema take.  So
 the search enumerates, per curve, the indices of the global minimum and
 maximum, runs a forward dynamic program whose states carry the current
 vertex values and the running images, and joins the forward table with the
-same table built on the reversed curves.  Optimal vertex positions can be
+same table built on the reversed curves, whose extremum vertices are
+pinned to the values the forward table reached.  Both runs drop every
+state whose bottleneck exceeds delta.  Optimal vertex positions can be
 assumed to lie on a grid of uncertainty-region endpoints shifted by small
 integer multiples of delta, and optimal deltas among endpoint differences
 divided by small integers, which keeps everything exact and finite.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .model import Interval, UncertainCurve, reach_bound, scale_to_ints
@@ -168,39 +171,32 @@ def _weak_dp(
     pos_v: Sequence[Sequence[int]],
     iext: tuple[int, int],
     jext: tuple[int, int],
+    d: int,
     *,
-    pin_domains: Optional[dict] = None,
-    prune_above: Optional[int] = None,
-    budget: Optional[_Budget] = None,
+    budget: _Budget,
+    pins: Optional[tuple] = None,
 ) -> dict:
     """Forward bottleneck DP on positions scaled to ints; returns
-    {((xlo,xhi),(ylo,yhi)): value} at the final grid corner.
+    {((xlo,xhi),(ylo,yhi)): value} at the final grid corner, over the
+    states whose value stays within d.
 
     States at grid index (i, j) are keyed by the current vertex values and
     the running images; the value is the best bottleneck so far.  Steps
     advance one curve, paying that curve's leaving vertex against the
-    other's running image.  Every table's states are drawn from budget,
-    a fresh DEFAULT_STATE_CAP one when none is given.
+    other's running image.  The tables live in two rolling rows of
+    per-cell dicts, and every table's states are drawn from budget.
+    pins, ((x-min values, x-max values), (y-min values, y-max values)),
+    keeps the vertices at the extremum indices to those values.
     """
     m, n = len(pos_u), len(pos_v)
     i_min, i_max = iext
     j_min, j_max = jext
+    u_choices, v_choices = list(pos_u), list(pos_v)
+    if pins is not None:
+        for choices, ext, axis in ((u_choices, iext, pins[0]), (v_choices, jext, pins[1])):
+            for t, allowed in zip(ext, map(set, axis)):
+                choices[t - 1] = [x for x in choices[t - 1] if x in allowed]
 
-    def choices(pos, ext: tuple[int, int], axis: str) -> list:
-        """Each vertex's positions, those at the extremum indices kept to
-        their pinned domains."""
-        out = list(pos)
-        for t, which in zip(ext, ("min", "max")):
-            allowed = (pin_domains or {}).get((axis, which))
-            if allowed is not None:
-                out[t - 1] = [x for x in out[t - 1] if x in allowed]
-        return out
-
-    u_choices = choices(pos_u, iext, "x")
-    v_choices = choices(pos_v, jext, "y")
-
-    budget = budget or _Budget(DEFAULT_STATE_CAP)
-    table: dict = {}
     start: dict = {}
     for x1 in u_choices[0]:
         hx = _extend_hull(1, x1, x1, x1, i_min, i_max)
@@ -211,27 +207,24 @@ def _weak_dp(
             if hy is None:
                 continue
             val = abs(x1 - y1)
-            if prune_above is not None and val > prune_above:
-                continue
-            start[(x1, y1, hx[0], hx[1], hy[0], hy[1])] = val
-    table[(1, 1)] = start
+            if val <= d:
+                start[(x1, y1, hx[0], hx[1], hy[0], hy[1])] = val
     budget.spend(len(start))
 
     for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if i == 1 and j == 1:
-                continue
+        row = [start] if i == 1 else []  # row 1 begins at the start cell
+        for j in range(len(row) + 1, n + 1):
             # one cell's table can outgrow the budget: stop filling it
             # there, and spend() below raises
             left = budget.left
             cur: dict = {}
             if i > 1:
-                for (x, y, xlo, xhi, ylo, yhi), val in table.get((i - 1, j), {}).items():
+                for (x, y, xlo, xhi, ylo, yhi), val in prev[j - 1].items():
                     if len(cur) > left:
                         break
                     pen = _dist_to_interval(x, ylo, yhi)
                     base = val if val >= pen else pen
-                    if prune_above is not None and base > prune_above:
+                    if base > d:
                         continue
                     for x2 in u_choices[i - 1]:
                         h = _extend_hull(i, x2, xlo, xhi, i_min, i_max)
@@ -242,12 +235,12 @@ def _weak_dp(
                         if old is None or base < old:
                             cur[key] = base
             if j > 1:
-                for (x, y, xlo, xhi, ylo, yhi), val in table.get((i, j - 1), {}).items():
+                for (x, y, xlo, xhi, ylo, yhi), val in row[j - 2].items():
                     if len(cur) > left:
                         break
                     pen = _dist_to_interval(y, xlo, xhi)
                     base = val if val >= pen else pen
-                    if prune_above is not None and base > prune_above:
+                    if base > d:
                         continue
                     for y2 in v_choices[j - 1]:
                         h = _extend_hull(j, y2, ylo, yhi, j_min, j_max)
@@ -257,15 +250,12 @@ def _weak_dp(
                         old = cur.get(key)
                         if old is None or base < old:
                             cur[key] = base
-            table[(i, j)] = cur
+            row.append(cur)
             budget.spend(len(cur))
-        # rows above the previous one are never read again
-        if i >= 2:
-            for j in range(1, n + 1):
-                table.pop((i - 2, j), None)
+        prev = row
 
     out: dict = {}
-    for (x, y, xlo, xhi, ylo, yhi), val in table.get((m, n), {}).items():
+    for (x, y, xlo, xhi, ylo, yhi), val in prev[-1].items():
         key = ((xlo, xhi), (ylo, yhi))
         old = out.get(key)
         if old is None or val < old:
@@ -302,42 +292,27 @@ def wfr_min_decide(
     """
     _, d, pos_u, pos_v = _int_positions(u, v, delta)
     m, n = len(pos_u), len(pos_v)
-    rpos_u = pos_u[::-1]
-    rpos_v = pos_v[::-1]
+    rpos_u, rpos_v = pos_u[::-1], pos_v[::-1]
     u_mins, u_maxs = _extremum_slots(pos_u)
     v_mins, v_maxs = _extremum_slots(pos_v)
     budget = _Budget(cap)
-    for i_min in u_mins:
-        for i_max in u_maxs:
-            for j_min in v_mins:
-                for j_max in v_maxs:
-                    fwd = _weak_dp(
-                        pos_u,
-                        pos_v,
-                        (i_min, i_max),
-                        (j_min, j_max),
-                        prune_above=d,
-                        budget=budget,
-                    )
-                    if not fwd:
-                        continue
-                    domains = {
-                        ("x", "min"): {xy[0][0] for xy in fwd},
-                        ("x", "max"): {xy[0][1] for xy in fwd},
-                        ("y", "min"): {xy[1][0] for xy in fwd},
-                        ("y", "max"): {xy[1][1] for xy in fwd},
-                    }
-                    bwd = _weak_dp(
-                        rpos_u,
-                        rpos_v,
-                        (m + 1 - i_min, m + 1 - i_max),
-                        (n + 1 - j_min, n + 1 - j_max),
-                        pin_domains=domains,
-                        prune_above=d,
-                        budget=budget,
-                    )
-                    if any(key in bwd for key in fwd):
-                        return True
+    for i_min, i_max, j_min, j_max in product(u_mins, u_maxs, v_mins, v_maxs):
+        fwd = _weak_dp(pos_u, pos_v, (i_min, i_max), (j_min, j_max), d, budget=budget)
+        if not fwd:
+            continue
+        # per axis, the (min values, max values) the forward table reached
+        pins = tuple(tuple(zip(*hulls)) for hulls in zip(*fwd))
+        bwd = _weak_dp(
+            rpos_u,
+            rpos_v,
+            (m + 1 - i_min, m + 1 - i_max),
+            (n + 1 - j_min, n + 1 - j_max),
+            d,
+            budget=budget,
+            pins=pins,
+        )
+        if any(key in bwd for key in fwd):
+            return True
     return False
 
 

@@ -19,6 +19,8 @@ from lbfrechet.model import (
 from lbfrechet.oracle import CapExceeded
 from lbfrechet.precise import r_dp, weak_frechet_1d
 from lbfrechet.weak_uncertain import (
+    DEFAULT_STATE_CAP,
+    _Budget,
     _extremum_slots,
     _int_positions,
     _weak_dp,
@@ -197,9 +199,16 @@ def test_cap_exceeded():
         wfr_min_value(u, v, cap=3)
 
 
+def grid_span(*grids):
+    """Largest minus smallest position: a d that prunes no _weak_dp state."""
+    values = [x for grid in grids for xs in grid for x in xs]
+    return max(values) - min(values)
+
+
 def test_extremum_filter_drops_only_empty_tuples():
     """Every extremum-index tuple the decision skips has an empty forward
-    table even without delta pruning, so skipping it changes no answer."""
+    table even without delta pruning (d is the grid's span), so skipping
+    it changes no answer."""
     rng = random.Random(6043)
     dropped = 0
     for _ in range(120):
@@ -215,7 +224,11 @@ def test_extremum_filter_drops_only_empty_tuples():
                 if i_min in u_mins and i_max in u_maxs and j_min in v_mins and j_max in v_maxs:
                     continue
                 dropped += 1
-                assert _weak_dp(pos_u, pos_v, (i_min, i_max), (j_min, j_max)) == {}, (
+                table = _weak_dp(
+                    pos_u, pos_v, (i_min, i_max), (j_min, j_max), grid_span(pos_u, pos_v),
+                    budget=_Budget(DEFAULT_STATE_CAP),
+                )
+                assert table == {}, (
                     u, v, delta, (i_min, i_max, j_min, j_max),
                 )
     assert dropped >= 1000
@@ -310,25 +323,30 @@ def brute_min_r(pos_u, pos_v, ext_u, ext_v):
     return best
 
 
-def dp_min_r(pos_u, pos_v, ext_u, ext_v):
-    """The same minimum from one _weak_dp run on the grids and pins scaled
-    to ints, with each extremum's domain pinned to its value."""
+def pinned_dp(pos_u, pos_v, ext_u, ext_v, d=None):
+    """(s, the value of the pinned key or None) from one _weak_dp run on
+    the grids and pins scaled to ints by s, with each extremum's domain
+    pinned to its value; d is scaled too and defaults to the grid's span,
+    which prunes nothing."""
     (i_min, i_max, *x_ext), (j_min, j_max, *y_ext) = ext_u, ext_v
     s, scaled = scale_to_ints(*pos_u, *pos_v, (*x_ext, *y_ext))
     x_min, x_max, y_min, y_max = scaled[-1]
+    grid_u, grid_v = scaled[: len(pos_u)], scaled[len(pos_u) : -1]
     res = _weak_dp(
-        scaled[: len(pos_u)],
-        scaled[len(pos_u) : -1],
+        grid_u,
+        grid_v,
         (i_min, i_max),
         (j_min, j_max),
-        pin_domains={
-            ("x", "min"): {x_min},
-            ("x", "max"): {x_max},
-            ("y", "min"): {y_min},
-            ("y", "max"): {y_max},
-        },
+        grid_span(grid_u, grid_v) if d is None else d,
+        budget=_Budget(DEFAULT_STATE_CAP),
+        pins=(((x_min,), (x_max,)), ((y_min,), (y_max,))),
     )
-    val = res.get(((x_min, x_max), (y_min, y_max)))
+    return s, res.get(((x_min, x_max), (y_min, y_max)))
+
+
+def dp_min_r(pos_u, pos_v, ext_u, ext_v):
+    """brute_min_r's minimum from one unpruned pinned_dp run."""
+    s, val = pinned_dp(pos_u, pos_v, ext_u, ext_v)
     return float("inf") if val is None else F(val, s)
 
 
@@ -370,4 +388,10 @@ def test_pinned_dp_brute_force_agreement():
         if got != float("inf"):
             finite += 1
             assert type(got) is F
+            # pruning at the scaled minimum d keeps the key with its value;
+            # at d - 1 it is gone
+            s, d = pinned_dp(pos_u, pos_v, ext_u, ext_v)
+            assert F(d, s) == want
+            assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d) == (s, d)
+            assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d - 1) == (s, None)
     assert finite >= 10
