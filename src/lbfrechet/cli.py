@@ -33,10 +33,12 @@ from .oracle import DEFAULT_ENUMERATION_CAP, VARIANTS, CapExceeded, EnumerationS
 from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 from .reductions import (
     MODELS,
+    CnfFormula,
     ReductionInstance,
     build_ub_sat,
     build_weak_discrete_imprecise,
     build_weak_discrete_indecisive,
+    check_brute_force_size,
     check_sentinel,
     lift_curve_to_2d,
     parse_dimacs,
@@ -363,11 +365,13 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _build_instance(cnf_path: str, kind: str, model: str) -> ReductionInstance:
-    """The reduction instance of kind ("ub" or "weak") and model for the
-    DIMACS file at cnf_path."""
+def _read_formula(cnf_path: str) -> CnfFormula:
     with open(cnf_path, "r", encoding="utf-8") as handle:
-        formula = parse_dimacs(handle.read())
+        return parse_dimacs(handle.read())
+
+
+def _build_instance(formula: CnfFormula, kind: str, model: str) -> ReductionInstance:
+    """The reduction instance of kind ("ub" or "weak") and model for formula."""
     if kind == "ub":
         return build_ub_sat(formula, model=model)
     if model == "indecisive":
@@ -386,7 +390,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         _emit(args, "reduce", (args.curve_a, args.curve_b), result)
         return 0
 
-    inst = _build_instance(args.cnf, "ub" if args.what == "ub-sat" else "weak", args.model)
+    kind = "ub" if args.what == "ub-sat" else "weak"
+    inst = _build_instance(_read_formula(args.cnf), kind, args.model)
     _write_json(args.out[0], curve_to_json(inst.u))
     _write_json(args.out[1], curve_to_json(inst.v))
     result = (
@@ -407,7 +412,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = _build_instance(args.cnf, args.kind, args.model)
+    formula = _read_formula(args.cnf)
+    # before building: the instances grow with the variable count
+    check_brute_force_size(formula)
+    inst = _build_instance(formula, args.kind, args.model)
     spec = EnumerationSpec(resolution=args.resolution, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
     report = verify_reduction(inst, spec)
     lines = report.summary_lines()[:-1]

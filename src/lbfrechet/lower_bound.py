@@ -92,17 +92,15 @@ from .regions import (
 
 def clip_box_for(u: UncertainCurve, v: UncertainCurve, delta: Fraction) -> ClipBox:
     """The clipping square used by the propagation: generous enough that
-    clipping never changes any decision or witness."""
-    delta = Fraction(delta)
-    pts = u.all_endpoints() + v.all_endpoints()
-    lo = min(pts) - 2 * delta - 1
-    hi = max(pts) + 2 * delta + 1
-    return ClipBox(lo, hi)
+    clipping never changes any decision or witness: _clip_ints on the
+    unscaled Fraction hulls (scale 1)."""
+    return ClipBox(*_clip_ints([p.span() for p in u.points + v.points], Fraction(delta), 1))
 
 
 def _clip_ints(hulls: list, d: int, s: int) -> tuple[int, int]:
-    """clip_box_for's box on the scale s, from the scaled vertex intervals
-    hulls and the scaled delta d: its (lo, hi) times s."""
+    """The clipping square's (lo, hi) on the scale s, from the scaled vertex
+    intervals hulls and the scaled delta d: every position widened by
+    2 delta + 1, times s."""
     return min(lo for lo, _ in hulls) - 2 * d - s, max(hi for _, hi in hulls) + 2 * d + s
 
 

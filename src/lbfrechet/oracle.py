@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Iterator
 
-from .model import FiniteSet, Interval, Precise, UncertainCurve, scale_to_ints
+from .model import FiniteSet, Interval, Precise, UncertainCurve, UncertainPoint, scale_to_ints
 from .precise import (
     _check_adjacency,
     _decide,
@@ -97,17 +97,33 @@ def vertex_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list
     return out
 
 
+def _candidate_count(p: UncertainPoint, spec: EnumerationSpec) -> int:
+    """len(vertex_candidates) of the vertex p, without listing them: an
+    interval's r grid points plus its distinct include positions off the
+    grid (x is on it when (x - lo) (r - 1) / (hi - lo) is an integer)."""
+    if isinstance(p, FiniteSet):
+        return len(p.xs)
+    if not isinstance(p, Interval) or p.lo == p.hi:
+        return 1
+    r, lo, hi = spec.resolution, p.lo, p.hi
+    off_grid = {
+        x for x in spec.include_positions
+        if lo <= x <= hi and ((x - lo) * (r - 1) / (hi - lo)).denominator != 1
+    }
+    return r + len(off_grid)
+
+
 def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
-    return prod(map(len, vertex_candidates(curve, spec)))
+    """The number of candidate realisations, counted before any is built."""
+    return prod(_candidate_count(p, spec) for p in curve.points)
 
 
 def capped_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list[Fraction]]:
     """vertex_candidates, after checking that their realisations fit the cap."""
-    cands = vertex_candidates(curve, spec)
-    size = prod(map(len, cands))
+    size = enumeration_size(curve, spec)
     if size > spec.cap:
         raise CapExceeded(f"enumeration of {size} realisations exceeds cap {spec.cap}")
-    return cands
+    return vertex_candidates(curve, spec)
 
 
 def enumerate_realisations(
@@ -161,11 +177,10 @@ def bound_oracle(
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     dist, decide = _core(variant, adjacency)
-    cu = vertex_candidates(u, spec)
-    cv = vertex_candidates(v, spec)
-    nu, nv = prod(map(len, cu)), prod(map(len, cv))
+    nu, nv = enumeration_size(u, spec), enumeration_size(v, spec)
     if nu * nv > spec.cap:
         raise CapExceeded(f"{nu} x {nv} realisation pairs exceed cap {spec.cap}")
+    cu, cv = vertex_candidates(u, spec), vertex_candidates(v, spec)
     stops = () if stop_at is None else (Fraction(stop_at),)
     s, scaled = scale_to_ints(
         *cu, *cv, stops, factor=2 if variant == "frechet" else 1

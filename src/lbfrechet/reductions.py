@@ -21,8 +21,8 @@ matchings into lockstep; no 2D solver is provided here.
 verify_reduction replays a built instance against brute-force
 satisfiability and the enumeration oracle and reports whether the
 advertised equivalences actually hold.  For verify --kind ub it scales
-candidates, sibling, samples and the precise curve once (factor 2) and
-runs each distinct realisation once on the precise integer cores.
+the candidates, the interior samples and the precise curve once (factor
+2) and runs each distinct realisation once on the precise integer cores.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .model import (
+    PolyCurve,
     Precise,
     UncertainCurve,
     UncertainPoint,
@@ -145,10 +146,15 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def satisfiable(f: CnfFormula) -> bool:
-    """Brute-force satisfiability; limited to 20 variables by design."""
+def check_brute_force_size(f: CnfFormula) -> None:
+    """The one limit of satisfiable, and so of verify_reduction: 20 variables."""
     if f.num_vars > 20:
         raise ValueError("brute-force satisfiability is limited to 20 variables")
+
+
+def satisfiable(f: CnfFormula) -> bool:
+    """Brute-force satisfiability (see check_brute_force_size)."""
+    check_brute_force_size(f)
     for bits in itertools.product((False, True), repeat=f.num_vars):
         if f.satisfied_by(bits):
             return True
@@ -189,61 +195,37 @@ class ReductionInstance:
 # when some assignment satisfies every clause.
 
 
-def ub_literal_values(clause: Sequence[int], var: int) -> tuple[Fraction, Fraction]:
-    """The two precise vertices encoding variable `var` inside one clause
-    block: first vertex 0 for a positive occurrence, -1.5 for a negative
-    one, -0.75 when the variable does not occur; second vertex always 1.5."""
-    if var in clause:
-        first = Fraction(0)
-    elif -var in clause:
-        first = Fraction(-3, 2)
-    else:
-        first = Fraction(-3, 4)
-    return first, _THREE_HALVES
-
-
-def ub_clause_gadget(clause: Sequence[int], num_vars: int) -> UncertainCurve:
-    """Precise clause block: a 3.5 anchor then one literal pair per variable."""
-    pts: list[UncertainPoint] = [Precise(Fraction(7, 2))]
+def ub_clause_gadget(clause: Sequence[int], num_vars: int) -> PolyCurve:
+    """Precise clause block: a 3.5 anchor then one vertex pair per variable,
+    first 0 for a positive occurrence, -1.5 for a negative one, -0.75 when
+    the variable does not occur; second always 1.5."""
+    vals = [Fraction(7, 2)]
     for j in range(1, num_vars + 1):
-        a, b = ub_literal_values(clause, j)
-        pts.append(Precise(a))
-        pts.append(Precise(b))
-    return UncertainCurve(tuple(pts), name="clause-gadget")
-
-
-def ub_variable_stack(num_vars: int, model: str) -> UncertainCurve:
-    """Uncertain variable block: a 4.5 anchor then, per variable, a
-    two-state point (-1.5 = true, 0 = false) and a 2.5 spacer."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    pts: list[UncertainPoint] = [Precise(Fraction(9, 2))]
-    for _ in range(num_vars):
-        if model == "indecisive":
-            pts.append(make_set((Fraction(-3, 2), Fraction(0))))
+        if j in clause:
+            vals.append(Fraction(0))
+        elif -j in clause:
+            vals.append(Fraction(-3, 2))
         else:
-            pts.append(make_interval(Fraction(-3, 2), Fraction(0)))
-        pts.append(Precise(Fraction(5, 2)))
-    return UncertainCurve(tuple(pts), name="variable-stack")
+            vals.append(Fraction(-3, 4))
+        vals.append(_THREE_HALVES)
+    return tuple(vals)
 
 
-def ub_abs_curve(num_vars: int) -> UncertainCurve:
+def ub_abs_curve(num_vars: int) -> PolyCurve:
     """Catch block on the uncertain curve: 2.5 then num_vars (-0.5, 0.5) pairs.
     It aligns with any clause block at distance exactly 1."""
-    pts: list[UncertainPoint] = [Precise(Fraction(5, 2))]
-    for _ in range(num_vars):
-        pts.append(Precise(Fraction(-1, 2)))
-        pts.append(Precise(_HALF))
-    return UncertainCurve(tuple(pts), name="catch")
+    return (Fraction(5, 2),) + (-_HALF, _HALF) * num_vars
 
-def ub_abs2_curve() -> UncertainCurve:
+
+def ub_abs2_curve() -> PolyCurve:
     """Catch block on the precise curve: (1.5, 0.5), absorbing spare catch
     blocks at distance exactly 1."""
-    return UncertainCurve((Precise(_THREE_HALVES), Precise(_HALF)), name="catch2")
+    return (_THREE_HALVES, _HALF)
 
 
-def realise_variable_stack(num_vars: int, assignment: Sequence[bool]) -> tuple[Fraction, ...]:
-    """The variable block realised under an assignment (true -> -1.5)."""
+def realise_variable_stack(num_vars: int, assignment: Sequence[bool]) -> PolyCurve:
+    """The variable block realised under an assignment: a 4.5 anchor then,
+    per variable, -1.5 (true) or 0 (false) and a 2.5 spacer."""
     vals = [Fraction(9, 2)]
     for j in range(num_vars):
         vals.append(Fraction(-3, 2) if assignment[j] else Fraction(0))
@@ -278,24 +260,18 @@ def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
     c = len(eff.clauses)
     v = eff.num_vars
 
-    catch = ub_abs_curve(v).points
-    stack = ub_variable_stack(v, model).points
-    u_pts: list[UncertainPoint] = [Precise(_ONE)]
-    for _ in range(c - 1):
-        u_pts.extend(catch)
-    u_pts.extend(stack)
-    for _ in range(c - 1):
-        u_pts.extend(catch)
-    u_pts.append(Precise(_ONE))
-
-    catch2 = ub_abs2_curve().points
-    v_pts: list[UncertainPoint] = []
-    for _ in range(c - 1):
-        v_pts.extend(catch2)
-    for cl in eff.clauses:
-        v_pts.extend(ub_clause_gadget(cl, v).points)
-    for _ in range(c - 1):
-        v_pts.extend(catch2)
+    # each stack vertex spans its all-true and its all-false realisation;
+    # both models collapse the equal ones (anchor, spacers) to Precise
+    pairs = zip(realise_variable_stack(v, [True] * v), realise_variable_stack(v, [False] * v))
+    if model == "indecisive":
+        stack = [make_set((a, b)) for a, b in pairs]
+    else:
+        stack = [make_interval(a, b) for a, b in pairs]
+    catch = ub_abs_curve(v) * (c - 1)
+    u_pts = [Precise(x) for x in (_ONE, *catch)] + stack + [Precise(x) for x in (*catch, _ONE)]
+    catch2 = ub_abs2_curve() * (c - 1)
+    clauses_v = tuple(x for cl in eff.clauses for x in ub_clause_gadget(cl, v))
+    v_pts = [Precise(x) for x in catch2 + clauses_v + catch2]
 
     return ReductionInstance(
         u=UncertainCurve(tuple(u_pts), name=f"ub-{model}-vars"),
@@ -601,8 +577,8 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
     assignments = list(itertools.product((False, True), repeat=v)) if v <= 3 else []
     # one scaling (factor 2 for the continuous halves) for every curve
     s, (catch, catch2, (one, top), *rest) = scale_to_ints(
-        ub_abs_curve(v).as_precise(), ub_abs2_curve().as_precise(), (_ONE, _THREE_HALVES),
-        *(ub_clause_gadget(cl, v).as_precise() for cl in eff.clauses),
+        ub_abs_curve(v), ub_abs2_curve(), (_ONE, _THREE_HALVES),
+        *(ub_clause_gadget(cl, v) for cl in eff.clauses),
         *(realise_variable_stack(v, bits) for bits in assignments), factor=2,
     )
     gadgets, stacks = rest[: len(eff.clauses)], rest[len(eff.clauses) :]
@@ -632,20 +608,15 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
     sat = satisfiable(inst.formula)
     imprecise = inst.model == "imprecise"
     cu = capped_candidates(inst.u, spec)
-    cs, ts = [], []
-    if imprecise:
-        # the indecisive sibling's realisations are the endpoint realisations
-        cs = capped_candidates(build_ub_sat(inst.formula, model="indecisive").u, spec)
-        ts = [Fraction(k, 6) for k in range(1, 6)]
+    ts = [Fraction(k, 6) for k in range(1, 6)] if imprecise else []
     samples = [
         [p.x if isinstance(p, Precise) else p.lo + t * (p.hi - p.lo) for p in inst.u.points]
         for t in ts
     ]
     s, (rv, (one, top), *rest) = scale_to_ints(
-        inst.v.as_precise(), (_ONE, _THREE_HALVES), *cu, *cs, *samples, factor=2
+        inst.v.as_precise(), (_ONE, _THREE_HALVES), *cu, *samples, factor=2
     )
-    n, k = len(cu), len(cs)
-    iu, isib, isamp = rest[:n], rest[n : n + k], rest[n + k :]
+    iu, isamp = rest[: len(cu)], rest[len(cu) :]
 
     @cache  # one entry per distinct scaled realisation, for this call only
     def values(ru: tuple[int, ...]) -> tuple[int, int]:
@@ -664,7 +635,11 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
     gadgets = check_ub_gadgets(inst.effective_formula)
     gadget_ok = gadgets.ok
 
-    hull_ok: Optional[bool] = None
+    # Every interval's candidates hold both its ends at any resolution, so
+    # the realisations of the same formula's indecisive instance are among
+    # those scanned above: the imprecise upper values contain the
+    # indecisive ones by construction.
+    hull_ok: Optional[bool] = True if imprecise else None
     notes = list(inst.notes) + list(gadgets.problems)
     if threshold_ok and not equivalence_ok and max_d == expected:
         notes.append(
@@ -677,24 +652,19 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
             "continuous upper collapses to 1 despite satisfiability; only the "
             "discrete threshold separates"
         )
-    if imprecise:
-        sib_f, sib_d = map(set, zip(*(values(ru) for ru in itertools.product(*isib))))
-        hull_ok = sib_f <= values_f and sib_d <= values_d
-        if not hull_ok:
-            notes.append("endpoint realisations missed an indecisive distance value")
-        # Endpoint realisations decide the equivalence; interior positions
-        # of the interval vertices must still stay under the 1.5 ceiling.
-        for t, ru in zip(ts, isamp):
-            df, dd = values(tuple(ru))
-            if df > top or dd > top:
-                range_ok = False
-                notes.append(
-                    f"interior sample t={format_scalar(t)} exceeds 1.5: "
-                    f"frechet {format_scalar(Fraction(df, s))}, "
-                    f"discrete {format_scalar(Fraction(dd, s))}"
-                )
+    # Endpoint realisations decide the equivalence; interior positions of
+    # the interval vertices must still stay under the 1.5 ceiling.
+    for t, ru in zip(ts, isamp):
+        df, dd = values(tuple(ru))
+        if df > top or dd > top:
+            range_ok = False
+            notes.append(
+                f"interior sample t={format_scalar(t)} exceeds 1.5: "
+                f"frechet {format_scalar(Fraction(df, s))}, "
+                f"discrete {format_scalar(Fraction(dd, s))}"
+            )
 
-    ok = lengths_ok and equivalence_ok and range_ok and gadget_ok and hull_ok in (None, True)
+    ok = lengths_ok and equivalence_ok and range_ok and gadget_ok
     return VerifyReport(
         kind=inst.kind,
         model=inst.model,

@@ -378,6 +378,14 @@ def compute_lb_reference(u, v, tol, strict=False):
     return hi
 
 
+def clip_box_reference(u, v, delta):
+    """(lo, hi) of the lower-bound decision's clipping square, on Fractions:
+    every vertex endpoint of both curves widened by 2 delta + 1."""
+    delta = Fraction(delta)
+    pts = u.all_endpoints() + v.all_endpoints()
+    return min(pts) - 2 * delta - 1, max(pts) + 2 * delta + 1
+
+
 # ---------------------------------------------------------------------------
 # Uncertain weak minimum by scanning the candidate deltas from the bottom
 # ---------------------------------------------------------------------------

@@ -461,8 +461,8 @@ def test_criterion_09_gadget_alignment_facts():
     assignment satisfies the clause and 1 when it falsifies it,
     exhaustively over assignments."""
     for nv in (1, 2, 3):
-        catch = ub_abs_curve(nv).as_precise()
-        catch2 = ub_abs2_curve().as_precise()
+        catch = ub_abs_curve(nv)
+        catch2 = ub_abs2_curve()
         assert frechet_value(catch2, catch) == F(1)
         assert discrete_frechet(catch2, catch) == F(1)
 

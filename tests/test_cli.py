@@ -2,6 +2,7 @@
 
 import functools
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -494,6 +495,31 @@ def test_empty_clause_is_exit_three(tmp_path, capsys):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "empty clause" in err
+
+
+@pytest.mark.parametrize("kind", ["ub", "weak"])
+def test_verify_rejects_a_huge_variable_index_before_building(tmp_path, capsys, kind):
+    # the instance would grow with the variable index; the brute-force
+    # limit is checked between parsing and building
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("2000000000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", str(cnf), "--kind", kind])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["lbf: brute-force satisfiability is limited to 20 variables"]
+
+
+def test_oracle_cap_is_checked_before_listing_candidates(write_curve, capsys):
+    a = write_curve([interval(0, 1)])
+    b = write_curve([interval(2, 3)])
+    argv = ["oracle", "--variant", "frechet", "--side", "lower",
+            "--resolution", "1000000", "--cap", "10", a, b]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["lbf: 1000000 x 1000000 realisation pairs exceed cap 10"]
 
 
 def test_unknown_subcommand_usage_exit(capsys):

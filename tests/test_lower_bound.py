@@ -42,7 +42,7 @@ from lbfrechet.regions import (
     mink_bounds,
     normalize_pieces,
 )
-from oracles import compute_lb_reference
+from oracles import clip_box_reference, compute_lb_reference
 
 
 def ic(*spans):
@@ -782,8 +782,8 @@ def test_clip_box_covers_positions():
 
 def test_scaled_clip_box_is_clip_box_for_times_the_scale():
     """decide_lb and compute_lb take the box on scaled ints (_clip_ints);
-    it must be clip_box_for's box times the scale factor, finite sets
-    hulled, at both scalings."""
+    it must be the Fraction reference box times the scale factor, finite
+    sets hulled, at both scalings, and clip_box_for must be that box."""
     rng = random.Random(5)
     for t in range(200):
         u, v = _prime_den_curve(rng, 5), _prime_den_curve(rng, 5)
@@ -793,11 +793,12 @@ def test_scaled_clip_box_is_clip_box_for_times_the_scale():
             pts[rng.randrange(len(pts))] = make_set(xs)
             u = UncertainCurve(pts)
         delta = F(rng.randint(1, 40), rng.choice((1, 2, 5, 11)))
-        box = clip_box_for(u, v, delta)
+        lo, hi = clip_box_reference(u, v, delta)
+        assert clip_box_for(u, v, delta) == ClipBox(lo, hi)
         hulls = [p.span() for p in u.points + v.points]
         for factor in (1, 2):
             s, ((d,), *scaled) = scale_to_ints((delta,), *hulls, factor=factor)
-            assert lower_bound._clip_ints(scaled, d, s) == (box.lo * s, box.hi * s)
+            assert lower_bound._clip_ints(scaled, d, s) == (lo * s, hi * s)
 
 
 # --- piece reducers ----------------------------------------------------------

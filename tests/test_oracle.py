@@ -1,6 +1,7 @@
 """Enumeration grids and the brute-force bound oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -80,6 +81,34 @@ def test_enumeration_size_and_order():
     assert reals == sorted(reals)
     assert reals[0] == (F(0), F(5), F(1))
     assert reals[-1] == (F(2), F(5), F(3))
+
+
+def test_enumeration_size_counts_without_listing():
+    """The counted size equals the listed candidates' product, with include
+    positions on the grid, off it, outside every interval and repeated."""
+    rng = random.Random(11)
+    for _ in range(300):
+        pts = []
+        for _ in range(rng.randint(1, 4)):
+            lo = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+            kind = rng.randrange(4)
+            if kind == 0:
+                pts.append(Precise(lo))
+            elif kind == 1:
+                pts.append(make_set([lo, lo + rng.randint(1, 3), lo + F(1, 2)]))
+            else:
+                pts.append(make_interval(lo, lo + (F(rng.randint(0, 6), rng.choice((1, 2, 5))))))
+        c = curve(*pts)
+        r = rng.randint(2, 7)
+        grid = [p.lo + F(k * (p.hi - p.lo), r - 1) for p in pts if hasattr(p, "lo") for k in range(r)]
+        extra = [F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(rng.randint(0, 5))]
+        inc = rng.sample(grid, min(len(grid), rng.randint(0, 3))) + extra
+        inc += rng.sample(inc, min(len(inc), 2))
+        spec = EnumerationSpec(resolution=r, include_positions=tuple(inc))
+        cands = vertex_candidates(c, spec)
+        assert enumeration_size(c, spec) == math.prod(map(len, cands)), (c, spec)
+        for p, cs in zip(pts, cands):
+            assert enumeration_size(curve(p), spec) == len(cs), (p, spec)
 
 
 def test_enumerate_realisations_cap():

@@ -134,13 +134,21 @@ def test_ub_single_clause_duplicated():
 def test_ub_frozen_curves():
     inst = build_ub_sat(CnfFormula(3, ((1, -2, 3),)))
     assert inst.delta == 1 and inst.gap_value == F(3, 2)
-    assert point_repr(inst.u) == (
+    u = (
         "1 5/2 -1/2 1/2 -1/2 1/2 -1/2 1/2 9/2 {-3/2,0} 5/2 {-3/2,0} 5/2 "
         "{-3/2,0} 5/2 5/2 -1/2 1/2 -1/2 1/2 -1/2 1/2 1"
     )
-    assert point_repr(inst.v) == (
-        "3/2 1/2 7/2 0 3/2 -3/2 3/2 0 3/2 7/2 0 3/2 -3/2 3/2 0 3/2 3/2 1/2"
-    )
+    v = "3/2 1/2 7/2 0 3/2 -3/2 3/2 0 3/2 7/2 0 3/2 -3/2 3/2 0 3/2 3/2 1/2"
+    assert (point_repr(inst.u), point_repr(inst.v)) == (u, v)
+    imp = build_ub_sat(CnfFormula(3, ((1, -2, 3),)), model="imprecise")
+    assert (point_repr(imp.u), point_repr(imp.v)) == (u.replace("{", "[").replace("}", "]"), v)
+    # two clauses, no duplication; variable 2 is absent from the first (-3/4)
+    u = "1 5/2 -1/2 1/2 -1/2 1/2 9/2 {-3/2,0} 5/2 {-3/2,0} 5/2 5/2 -1/2 1/2 -1/2 1/2 1"
+    v = "3/2 1/2 7/2 0 3/2 -3/4 3/2 7/2 -3/2 3/2 0 3/2 3/2 1/2"
+    for model, want_u in (("indecisive", u), ("imprecise", u.replace("{", "[").replace("}", "]"))):
+        inst = build_ub_sat(CnfFormula(2, ((1,), (-1, 2))), model=model)
+        assert (point_repr(inst.u), point_repr(inst.v)) == (want_u, v)
+        assert inst.notes == ()
 
 
 def test_ub_imprecise_uses_intervals():
@@ -233,9 +241,9 @@ def test_gadget_catch_distances():
     from lbfrechet.precise import discrete_frechet, frechet_value
 
     for v in (1, 2, 3):
-        catch = ub_abs_curve(v).as_precise()
-        assert frechet_value(ub_abs2_curve().as_precise(), catch) == 1
-        assert discrete_frechet(ub_abs2_curve().as_precise(), catch) == 1
+        catch = ub_abs_curve(v)
+        assert frechet_value(ub_abs2_curve(), catch) == 1
+        assert discrete_frechet(ub_abs2_curve(), catch) == 1
 
 
 def test_gadget_clause_vs_stack():
@@ -243,7 +251,7 @@ def test_gadget_clause_vs_stack():
 
     f = CnfFormula(2, ((1, -2),))
     cl = f.clauses[0]
-    cg = ub_clause_gadget(cl, 2).as_precise()
+    cg = ub_clause_gadget(cl, 2)
     for bits in itertools.product((False, True), repeat=2):
         stack = realise_variable_stack(2, bits)
         want = F(3, 2) if f.clause_satisfied(0, bits) else F(1)
@@ -274,6 +282,9 @@ def test_ub_verify_agrees_with_bound_oracle(model, resolution):
     for f in UB_TWO_SIDED:
         inst = build_ub_sat(f, model=model)
         rep = verify_reduction(inst, spec)
+        # an interval's candidates include both its ends, so the imprecise
+        # scan covers the indecisive realisations
+        assert rep.hull_ok is (True if model == "imprecise" else None), f
         bounds = {
             (variant, side): bound_oracle(inst.u, inst.v, variant, side, spec)
             for variant in ("frechet", "discrete")
