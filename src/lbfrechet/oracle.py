@@ -89,28 +89,31 @@ def vertex_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list
                 out.append([lo])
                 continue
             r = spec.resolution
-            vals = {lo + Fraction(k * (hi - lo), r - 1) for k in range(r)}
-            vals.update(x for x in spec.include_positions if lo <= x <= hi)
-            out.append(sorted(vals))
+            grid = [lo + Fraction(k * (hi - lo), r - 1) for k in range(r)]
+            out.append(sorted(grid + list(_off_grid(p, spec))))
         else:
             raise TypeError(f"unknown vertex kind {type(p).__name__}")
     return out
 
 
+def _off_grid(p: Interval, spec: EnumerationSpec) -> set[Fraction]:
+    """The include positions inside the interval p (lo < hi) that its r grid
+    points miss: x is on the grid when (x - lo) (r - 1) / (hi - lo) is an
+    integer."""
+    r, lo, hi = spec.resolution, p.lo, p.hi
+    return {
+        x for x in spec.include_positions
+        if lo <= x <= hi and ((x - lo) * (r - 1) / (hi - lo)).denominator != 1
+    }
+
+
 def _candidate_count(p: UncertainPoint, spec: EnumerationSpec) -> int:
-    """len(vertex_candidates) of the vertex p, without listing them: an
-    interval's r grid points plus its distinct include positions off the
-    grid (x is on it when (x - lo) (r - 1) / (hi - lo) is an integer)."""
+    """len(vertex_candidates) of the vertex p, without listing them."""
     if isinstance(p, FiniteSet):
         return len(p.xs)
     if not isinstance(p, Interval) or p.lo == p.hi:
         return 1
-    r, lo, hi = spec.resolution, p.lo, p.hi
-    off_grid = {
-        x for x in spec.include_positions
-        if lo <= x <= hi and ((x - lo) * (r - 1) / (hi - lo)).denominator != 1
-    }
-    return r + len(off_grid)
+    return spec.resolution + len(_off_grid(p, spec))
 
 
 def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
@@ -118,19 +121,19 @@ def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
     return prod(_candidate_count(p, spec) for p in curve.points)
 
 
-def capped_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list[Fraction]]:
-    """vertex_candidates, after checking that their realisations fit the cap."""
+def check_cap(curve: UncertainCurve, spec: EnumerationSpec) -> None:
+    """Raise CapExceeded when the curve has more realisations than the cap."""
     size = enumeration_size(curve, spec)
     if size > spec.cap:
         raise CapExceeded(f"enumeration of {size} realisations exceeds cap {spec.cap}")
-    return vertex_candidates(curve, spec)
 
 
 def enumerate_realisations(
     curve: UncertainCurve, spec: EnumerationSpec
 ) -> Iterator[tuple[Fraction, ...]]:
     """All candidate realisations in lexicographic order."""
-    return itertools.product(*capped_candidates(curve, spec))
+    check_cap(curve, spec)
+    return itertools.product(*vertex_candidates(curve, spec))
 
 
 def _core(variant: str, adjacency: int) -> tuple[Callable, Callable]:

@@ -19,10 +19,8 @@ vertex interleaved between consecutive vertices, which forces discrete
 matchings into lockstep; no 2D solver is provided here.
 
 verify_reduction replays a built instance against brute-force
-satisfiability and the enumeration oracle and reports whether the
-advertised equivalences actually hold.  For verify --kind ub it scales
-the candidates, the interior samples and the precise curve once (factor
-2) and runs each distinct realisation once on the precise integer cores.
+satisfiability and the enumeration oracle's bounds (oracle.bound_oracle)
+and reports whether the advertised equivalences actually hold.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Sequence
 
 from .model import (
@@ -44,12 +41,11 @@ from .model import (
     make_set,
     scale_to_ints,
 )
-from .oracle import EnumerationSpec, bound_oracle, capped_candidates, enumeration_size
-from .precise import _discrete_frechet, _frechet_value
+from .oracle import EnumerationSpec, bound_oracle, check_cap, enumeration_size
+from .precise import _discrete_frechet, _frechet_value, discrete_frechet, frechet_value
 
-# perfbench/tracing.py still looks these public names up on this module
+# perfbench/tracing.py still looks this public name up on this module
 from .oracle import enumerate_realisations  # noqa: F401
-from .precise import discrete_frechet, frechet_value  # noqa: F401
 
 MODELS = ("indecisive", "imprecise")
 
@@ -604,43 +600,26 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
     )
 
 
-def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
-    sat = satisfiable(inst.formula)
-    imprecise = inst.model == "imprecise"
-    cu = capped_candidates(inst.u, spec)
-    ts = [Fraction(k, 6) for k in range(1, 6)] if imprecise else []
-    samples = [
-        [p.x if isinstance(p, Precise) else p.lo + t * (p.hi - p.lo) for p in inst.u.points]
-        for t in ts
-    ]
-    s, (rv, (one, top), *rest) = scale_to_ints(
-        inst.v.as_precise(), (_ONE, _THREE_HALVES), *cu, *samples, factor=2
+def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dict:
+    # v is precise, so this check on u alone is bound_oracle's pair check,
+    # with the message of a one-curve enumeration
+    check_cap(inst.u, spec)
+    bounds = {
+        (metric, side): bound_oracle(inst.u, inst.v, metric, side, spec)
+        for metric in ("frechet", "discrete")
+        for side in ("lower", "upper")
+    }
+    range_ok = all(
+        _ONE <= bounds[metric, "lower"] and bounds[metric, "upper"] <= _THREE_HALVES
+        for metric in ("frechet", "discrete")
     )
-    iu, isamp = rest[: len(cu)], rest[len(cu) :]
-
-    @cache  # one entry per distinct scaled realisation, for this call only
-    def values(ru: tuple[int, ...]) -> tuple[int, int]:
-        return _frechet_value(ru, rv), _discrete_frechet(ru, rv)
-
-    results = [values(ru) for ru in itertools.product(*iu)]
-    values_f, values_d = map(set, zip(*results))
-    range_ok = all(one <= min(xs) and max(xs) <= top for xs in (values_f, values_d))
-    max_f, max_d = Fraction(max(values_f), s), Fraction(max(values_d), s)
+    max_f, max_d = bounds["frechet", "upper"], bounds["discrete", "upper"]
     expected = _THREE_HALVES if sat else _ONE
     equivalence_ok = max_f == expected and max_d == expected
     threshold_ok = ((max_f == _ONE) != sat) and ((max_d == _ONE) != sat)
-    lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
-        inst.kind, inst.model, inst.effective_formula
-    )
     gadgets = check_ub_gadgets(inst.effective_formula)
-    gadget_ok = gadgets.ok
-
-    # Every interval's candidates hold both its ends at any resolution, so
-    # the realisations of the same formula's indecisive instance are among
-    # those scanned above: the imprecise upper values contain the
-    # indecisive ones by construction.
-    hull_ok: Optional[bool] = True if imprecise else None
-    notes = list(inst.notes) + list(gadgets.problems)
+    imprecise = inst.model == "imprecise"
+    notes = list(gadgets.problems)
     if threshold_ok and not equivalence_ok and max_d == expected:
         notes.append(
             f"continuous upper {format_scalar(max_f)} undercuts the advertised "
@@ -654,75 +633,45 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
         )
     # Endpoint realisations decide the equivalence; interior positions of
     # the interval vertices must still stay under the 1.5 ceiling.
-    for t, ru in zip(ts, isamp):
-        df, dd = values(tuple(ru))
-        if df > top or dd > top:
+    rv = inst.v.as_precise()
+    for t in [Fraction(k, 6) for k in range(1, 6)] if imprecise else []:
+        ru = [p.x if isinstance(p, Precise) else p.lo + t * (p.hi - p.lo) for p in inst.u.points]
+        df, dd = frechet_value(ru, rv), discrete_frechet(ru, rv)
+        if df > _THREE_HALVES or dd > _THREE_HALVES:
             range_ok = False
             notes.append(
                 f"interior sample t={format_scalar(t)} exceeds 1.5: "
-                f"frechet {format_scalar(Fraction(df, s))}, "
-                f"discrete {format_scalar(Fraction(dd, s))}"
+                f"frechet {format_scalar(df)}, discrete {format_scalar(dd)}"
             )
-
-    ok = lengths_ok and equivalence_ok and range_ok and gadget_ok
-    return VerifyReport(
-        kind=inst.kind,
-        model=inst.model,
-        sat=sat,
+    # Every interval's candidates hold both its ends at any resolution, so
+    # the realisations of the same formula's indecisive instance are among
+    # those the bounds above range over: the imprecise upper values contain
+    # the indecisive ones by construction.
+    hull_ok = True if imprecise else None
+    return dict(
         distances={"frechet_upper": max_f, "discrete_upper": max_d},
-        lengths_ok=lengths_ok,
-        equivalence_ok=equivalence_ok,
-        threshold_ok=threshold_ok,
-        range_ok=range_ok,
-        gadget_ok=gadget_ok,
-        hull_ok=hull_ok,
-        adjacency_used=None,
-        realisations=len(results),
-        ok=ok,
-        notes=tuple(notes),
+        equivalence_ok=equivalence_ok, threshold_ok=threshold_ok, range_ok=range_ok,
+        gadget_ok=gadgets.ok, hull_ok=hull_ok, adjacency_used=None, notes=tuple(notes),
     )
 
 
-def _verify_weak(inst: ReductionInstance, spec: EnumerationSpec) -> VerifyReport:
-    sat = satisfiable(inst.formula)
-    distances: dict = {}
+def _verify_weak(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dict:
     d8 = bound_oracle(inst.u, inst.v, "discrete-weak", "lower", spec, adjacency=8)
-    distances["discrete_weak_lower"] = d8
-    notes = list(inst.notes)
-    adjacency_used = 8
-    equivalence_ok = (d8 == _ONE) == sat
-    d_used = d8
-    if not equivalence_ok:
+    distances = {"discrete_weak_lower": d8}
+    adjacency_used, d_used, notes = 8, d8, ()
+    if (d8 == _ONE) != sat:
         d4 = bound_oracle(inst.u, inst.v, "discrete-weak", "lower", spec, adjacency=4)
         distances["discrete_weak_lower_adj4"] = d4
         if (d4 == _ONE) == sat:
-            adjacency_used = 4
-            equivalence_ok = True
-            d_used = d4
-            notes.append("equivalence holds under 4-adjacency but not 8-adjacency")
+            adjacency_used, d_used = 4, d4
+            notes = ("equivalence holds under 4-adjacency but not 8-adjacency",)
         else:
-            notes.append("equivalence fails under both adjacencies")
-    range_ok = d_used >= _ONE
-    lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
-        inst.kind, inst.model, inst.effective_formula
-    )
-    count = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
-    ok = lengths_ok and equivalence_ok and range_ok
-    return VerifyReport(
-        kind=inst.kind,
-        model=inst.model,
-        sat=sat,
+            notes = ("equivalence fails under both adjacencies",)
+    equivalence_ok = (d_used == _ONE) == sat
+    return dict(
         distances=distances,
-        lengths_ok=lengths_ok,
-        equivalence_ok=equivalence_ok,
-        threshold_ok=equivalence_ok,
-        range_ok=range_ok,
-        gadget_ok=None,
-        hull_ok=None,
-        adjacency_used=adjacency_used,
-        realisations=count,
-        ok=ok,
-        notes=tuple(notes),
+        equivalence_ok=equivalence_ok, threshold_ok=equivalence_ok, range_ok=d_used >= _ONE,
+        gadget_ok=None, hull_ok=None, adjacency_used=adjacency_used, notes=notes,
     )
 
 
@@ -731,11 +680,25 @@ def verify_reduction(
 ) -> VerifyReport:
     """Replay an instance: brute-force satisfiability vs oracle distances,
     plus the per-construction side checks.  Raises CapExceeded when the
-    realisation count is out of reach."""
+    realisation count is out of reach.  The kind's verifier returns the
+    report fields that differ between kinds; the rest are filled in here."""
     if spec is None:
         spec = EnumerationSpec()
-    if inst.kind == "ub-sat":
-        return _verify_ub(inst, spec)
-    if inst.kind == "weak-discrete":
-        return _verify_weak(inst, spec)
-    raise ValueError(f"unknown instance kind {inst.kind!r}")
+    verify_kind = {"ub-sat": _verify_ub, "weak-discrete": _verify_weak}.get(inst.kind)
+    if verify_kind is None:
+        raise ValueError(f"unknown instance kind {inst.kind!r}")
+    sat = satisfiable(inst.formula)
+    fields = verify_kind(inst, spec, sat)
+    lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
+        inst.kind, inst.model, inst.effective_formula
+    )
+    # gadget_ok is None for the weak kind, which has no gadget facts
+    ok = lengths_ok and fields["equivalence_ok"] and fields["range_ok"]
+    ok = ok and fields["gadget_ok"] is not False
+    fields["notes"] = inst.notes + fields["notes"]
+    # the ub kind's v is precise, so this is its count of u's realisations
+    realisations = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
+    return VerifyReport(
+        kind=inst.kind, model=inst.model, sat=sat, lengths_ok=lengths_ok,
+        realisations=realisations, ok=ok, **fields,
+    )

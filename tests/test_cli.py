@@ -4,6 +4,7 @@ import functools
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -378,7 +379,7 @@ def test_reduce_ub_sat_and_verify(tmp_path, capsys):
     assert code == 0
     assert "wrote" in out
     assert "delta 1, gap 1.5" in out
-    u_doc = json.loads(open(u_path).read())
+    u_doc = json.loads(Path(u_path).read_text())
     assert u_doc["dimension"] == 1
     code, out, _ = run(capsys, ["verify", str(cnf), "--kind", "ub"])
     assert code == 0
@@ -447,7 +448,7 @@ def test_reduce_lift2d(write_curve, tmp_path, capsys):
         capsys, ["reduce", "lift2d", a, b, "-M", "100", "-o", out_a, out_b]
     )
     assert code == 0
-    doc = json.loads(open(out_a).read())
+    doc = json.loads(Path(out_a).read_text())
     assert doc["dimension"] == 2
     assert doc["points"][1] == {"type": "precise", "x": "0", "y": "100"}
     # whole files, key order included, for every vertex kind
@@ -468,7 +469,7 @@ def test_reduce_lift2d(write_curve, tmp_path, capsys):
         {"type": "precise", "x": "-4", "y": "0"},
     ]}
     for path, want in ((out_a, want_a), (out_b, want_b)):
-        assert open(path).read() == json.dumps(want, indent=1) + "\n"
+        assert Path(path).read_text() == json.dumps(want, indent=1) + "\n"
     # sentinel too small for the coordinates
     code, _, err = run(
         capsys, ["reduce", "lift2d", a, b, "-M", "10", "-o", out_a, out_b]

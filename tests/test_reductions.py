@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from lbfrechet.model import FiniteSet, Interval, Precise
-from lbfrechet.oracle import EnumerationSpec, bound_oracle
+from lbfrechet.oracle import EnumerationSpec, enumerate_realisations
+from lbfrechet.precise import discrete_frechet, frechet_value
 from lbfrechet.reductions import (
     CnfFormula,
     GadgetCheck,
@@ -272,12 +273,35 @@ UB_TWO_SIDED = [
 ]
 
 
+def ub_scan_reference(inst, spec):
+    """The upper distances, range check and realisation count of the ub
+    verifier by an unpruned scan: every realisation of the variable curve
+    through the public precise metrics, then the imprecise model's interior
+    samples t = 1/6 ... 5/6, none of them through the oracle."""
+    rv = inst.v.as_precise()
+    values = [
+        (frechet_value(ru, rv), discrete_frechet(ru, rv))
+        for ru in enumerate_realisations(inst.u, spec)
+    ]
+    fs, ds = zip(*values)
+    range_ok = all(1 <= min(xs) and max(xs) <= F(3, 2) for xs in (fs, ds))
+    for k in range(1, 6) if inst.model == "imprecise" else ():
+        ru = [
+            p.x if isinstance(p, Precise) else p.lo + F(k, 6) * (p.hi - p.lo)
+            for p in inst.u.points
+        ]
+        if max(frechet_value(ru, rv), discrete_frechet(ru, rv)) > F(3, 2):
+            range_ok = False
+    distances = {"frechet_upper": max(fs), "discrete_upper": max(ds)}
+    return distances, range_ok, len(values)
+
+
 @pytest.mark.parametrize("model", ["indecisive", "imprecise"])
 @pytest.mark.parametrize("resolution", [2, 3])
 def test_ub_verify_agrees_with_bound_oracle(model, resolution):
-    """The verifier's upper distances against bound_oracle's independent
-    pruned scan of the same realisations, and its range check against the
-    oracle's lower and upper bounds (plus the interior samples' notes)."""
+    """The verifier reads its distances and range from bound_oracle's
+    pruned scans; ub_scan_reference recomputes them without the oracle's
+    pruning or integer decision cores."""
     spec = EnumerationSpec(resolution=resolution)
     for f in UB_TWO_SIDED:
         inst = build_ub_sat(f, model=model)
@@ -285,21 +309,10 @@ def test_ub_verify_agrees_with_bound_oracle(model, resolution):
         # an interval's candidates include both its ends, so the imprecise
         # scan covers the indecisive realisations
         assert rep.hull_ok is (True if model == "imprecise" else None), f
-        bounds = {
-            (variant, side): bound_oracle(inst.u, inst.v, variant, side, spec)
-            for variant in ("frechet", "discrete")
-            for side in ("lower", "upper")
-        }
-        assert rep.distances == {
-            "frechet_upper": bounds["frechet", "upper"],
-            "discrete_upper": bounds["discrete", "upper"],
-        }, f
-        in_range = all(
-            bounds[variant, "lower"] >= 1 and bounds[variant, "upper"] <= F(3, 2)
-            for variant in ("frechet", "discrete")
-        )
-        sampled_over = any(n.startswith("interior sample") for n in rep.notes)
-        assert rep.range_ok == (in_range and not sampled_over), f
+        distances, range_ok, count = ub_scan_reference(inst, spec)
+        assert rep.distances == distances, f
+        assert rep.range_ok == range_ok, f
+        assert rep.realisations == count, f
 
 
 # --- weak-discrete construction -----------------------------------------------
