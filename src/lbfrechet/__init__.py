@@ -22,7 +22,7 @@ from .model import (
     parse_scalar,
     reverse,
 )
-from .regions import ClipBox, Cone, Piece, Region
+from .regions import ClipBox, Cone, Region
 from .lower_bound import LbDecision, clip_box_for, compute_lb, decide_lb, extract_witness
 from .precise import (
     discrete_frechet,
@@ -62,7 +62,6 @@ __all__ = [
     "GadgetCheck",
     "Interval",
     "LbDecision",
-    "Piece",
     "Precise",
     "Region",
     "ReductionError",

@@ -39,6 +39,7 @@ from .reductions import (
     build_weak_discrete_imprecise,
     build_weak_discrete_indecisive,
     check_brute_force_size,
+    check_instance_size,
     check_sentinel,
     lift_curve_to_2d,
     parse_dimacs,
@@ -204,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int_arg,
         help="most states one decision may reach, summed over all its "
         f"dynamic-program runs, before exit 4 (default {DEFAULT_STATE_CAP} "
-        "or LBF_CAP); it bounds each decision's time and memory, and value "
-        "makes about log2 of the candidate count decisions",
+        "or LBF_CAP); it bounds each decision's time and memory.  value "
+        "decides at the reach bound first and lists the candidates only if "
+        "that fails, then makes about log2 of their count decisions",
     )
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")
@@ -390,8 +392,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         _emit(args, "reduce", (args.curve_a, args.curve_b), result)
         return 0
 
-    kind = "ub" if args.what == "ub-sat" else "weak"
-    inst = _build_instance(_read_formula(args.cnf), kind, args.model)
+    formula = _read_formula(args.cnf)
+    check_instance_size(formula, args.what, args.model)
+    inst = _build_instance(formula, "ub" if args.what == "ub-sat" else "weak", args.model)
     _write_json(args.out[0], curve_to_json(inst.u))
     _write_json(args.out[1], curve_to_json(inst.v))
     result = (

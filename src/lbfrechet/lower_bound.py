@@ -65,7 +65,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve, reach_bound, scale_to_ints
+from .model import FiniteSet, PolyCurve, UncertainCurve, midpoint, narrow, reach_bound, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -631,80 +631,69 @@ def compute_lb(
     feasible.
 
     The curves and step are scaled to ints once (factor 2, so every endpoint
-    is even and half distances are ints) and each probe runs the sweep on
-    decide_lb's clip box directly.  Probes come first from the candidate set
-    C: the pair differences of the sorted distinct endpoints E of both
-    curves, the pair differences of E // 2, and 0.  The first probe is the
-    reach bound L (model.reach_bound), itself a pair difference of E: a
-    realisation pair within delta matches its first vertices, its last
-    vertices, and each vertex to a point in the span of the other curve's
-    regions, so every delta below L is infeasible without a sweep.  When L
-    is feasible the bracket is then one grid step wide and one sweep settles
-    the value.  Each later probe is the rank pivot (_rank_pivot) of the
-    candidates still strictly between the largest delta known infeasible
+    is even and half distances are ints), and each probe runs the sweep on
+    decide_lb's clip box directly.  The search is two model.narrow calls,
+    which rely on the decision being monotone in delta.  The first narrows
+    deltas with probes from the set C: the pair differences of the sorted
+    distinct endpoints E of both curves and of E // 2, and 0.  Its first
+    probe is the reach bound L (model.reach_bound), itself a pair difference
+    of E: a realisation pair within delta matches its first vertices, its
+    last vertices, and each vertex to a point in the span of the other
+    curve's regions, so every delta below L is infeasible without a sweep.
+    When L is feasible the bracket is then one grid step wide and one sweep
+    settles the value.  Each later probe is the rank pivot (_rank_pivot) of
+    the candidates still strictly between the largest delta known infeasible
     and the smallest known feasible, so it removes a quarter of them.  A
     feasible probe c bounds g above by ceil(c / step), an infeasible one
-    below by floor(c / step), by monotonicity of the decision in delta,
-    which the grid bisection relies on too.  Once no candidate is live, 0
-    stands for the first grid point (probed if no infeasible bound is known
-    yet), then g - 1 is probed once, and grid bisection finishes whatever
-    bracket is left.  So the result equals the plain grid bisection's
-    whatever C holds; C only decides how many sweeps run.  When delta* lies
-    in C, the bracket is down to one grid step before the grid bisection
-    starts.  In 1D the precise critical values are such distances and half
-    distances (Alt and Godau 1995); that delta* of the lower bound lies in
-    C was seen on every pair tried, but is not proven.
+    below by floor(c / step).  Once no candidate is live, the second call
+    narrows g: 0 stands for the first grid point (probed if no infeasible
+    bound is known yet), then g - 1 is probed once, and bisection finishes
+    whatever bracket is left.  So the result equals the plain grid
+    bisection's whatever C holds; C only decides how many sweeps run.  When
+    delta* lies in C, the bracket is one grid step wide before the grid
+    phase.  In 1D the precise critical values are such distances and half
+    distances (Alt and Godau 1995); that delta* of the lower bound lies in C
+    was seen on every pair tried, but is not proven.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    ulo, uhi = u.span()
-    vlo, vhi = v.span()
+    (ulo, uhi), (vlo, vhi) = u.span(), v.span()
     span = max(uhi - vlo, vhi - ulo, Fraction(0))
     if span == 0:
         return Fraction(0)
     if span <= tol:
         return tol
-    step, lo, hi = span, 0, 1
+    step, top = span, 1
     while step > tol:
         step /= 2
-        hi *= 2
+        top *= 2
     hull_u, hull_v = _hulled_intervals(u, v, strict)
     s, ((unit,), *hulls) = scale_to_ints((step,), *hull_u, *hull_v, factor=2)
     su, sv = hulls[: len(hull_u)], hulls[len(hull_u) :]
     ends = sorted({x for h in hulls for x in h})
+    lists = (ends, [x // 2 for x in ends])
+    reach = reach_bound(su, sv)
 
     def feasible(d: int) -> bool:
         *_, final_parts = _sweep(su, sv, d, *_clip_ints(hulls, d, s), False)
         return bool(final_parts)
 
-    # g lies in (lo, hi]; deltas in (clo, chi) are undecided
-    clo, chi = 0, hi * unit
-    reach = reach_bound(su, sv)
-    if 0 < reach < chi:
-        # every delta below the reach bound is infeasible
-        clo, lo = reach - 1, (reach - 1) // unit
-    lists = (ends, [x // 2 for x in ends])
-    while hi - lo > 1:
-        # the reach bound is the first probe, then rank pivots
-        c = reach if clo < reach < chi else _rank_pivot(lists, clo, chi)
-        if c is None:
-            break
-        if feasible(c):
-            chi, hi = c, -(-c // unit)
-        else:
-            clo, lo = c, c // unit
-    # the 0 candidate stands for g = 1; then g - 1 once, and grid bisection
-    for mid in (1, hi - 1):
-        if lo < mid < hi:
-            if feasible(mid * unit):
-                hi = mid
-            else:
-                lo = mid
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid * unit):
-            hi = mid
-        else:
-            lo = mid
+    def candidate(clo: int, chi: int) -> Optional[int]:
+        # deltas in (clo, chi) are undecided, g in (clo // unit, ceil(chi / unit)]
+        if -(-chi // unit) - clo // unit <= 1:
+            return None
+        return reach if clo < reach < chi else _rank_pivot(lists, clo, chi)
+
+    # every delta below the reach bound is infeasible
+    clo, chi = narrow(feasible, candidate, reach - 1 if 0 < reach < top * unit else 0, top * unit)
+    first = -(-chi // unit)
+
+    def grid(lo: int, hi: int) -> Optional[int]:
+        # g = 1, then g - 1 while hi is still the phase's first bound, then halves
+        if lo < 1 < hi:
+            return 1
+        return hi - 1 if hi == first and hi - lo > 1 else midpoint(lo, hi)
+
+    _, hi = narrow(lambda g: feasible(g * unit), grid, clo // unit, first)
     return hi * step

@@ -15,7 +15,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
 
@@ -78,6 +78,21 @@ def scale_to_ints(*seqs: Sequence[Fraction], factor: int = 1) -> tuple[int, list
     all denominators, and every value (Fraction or int) times s as an int."""
     s = factor * lcm(*(x.denominator for xs in seqs for x in xs))
     return s, [[x.numerator * (s // x.denominator) for x in xs] for xs in seqs]
+
+
+def narrow(accepts: Callable, pick: Callable, lo, hi) -> tuple:
+    """The one bracket loop of the value searches: probe c = pick(lo, hi)
+    with the monotone decision accepts, moving hi to c on acceptance and lo
+    on rejection, until pick (inside (lo, hi)) returns None.  Invariant: lo
+    is rejected or lies below every value tried, and hi is accepted."""
+    while (c := pick(lo, hi)) is not None:
+        lo, hi = (lo, c) if accepts(c) else (c, hi)
+    return lo, hi
+
+
+def midpoint(lo: int, hi: int) -> Optional[int]:
+    """narrow's bisection pick on ints, None once the bracket is one wide."""
+    return (lo + hi) // 2 if hi - lo > 1 else None
 
 
 def reach_bound(hull_u: Sequence[tuple], hull_v: Sequence[tuple]):

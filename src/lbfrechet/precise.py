@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Sequence
 
-from .model import scale_to_ints
+from .model import midpoint, narrow, scale_to_ints
 
 INF = float("inf")
 
@@ -131,20 +131,6 @@ def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     return _decide(ai, bi, d)
 
 
-def _least(cands, accepts) -> int:
-    """The smallest candidate that the monotone decision accepts(d)
-    accepts, by bisection; the largest candidate must be accepted."""
-    ordered = sorted(cands)
-    lo, hi = -1, len(ordered) - 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if accepts(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return ordered[hi]
-
-
 def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
     """Smallest critical value the decision accepts.  Inputs must be
     scaled by an even factor (every value even), so halves are ints.  The
@@ -155,7 +141,9 @@ def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
     cands.update(abs(x - y) for x in sa for y in sb)
     for xs in (sa, sb):
         cands.update(abs(x - y) // 2 for x, y in combinations(xs, 2))
-    return _least(cands, lambda d: _decide(a, b, d))
+    ordered = sorted(cands)
+    _, k = narrow(lambda k: _decide(a, b, ordered[k]), midpoint, -1, len(ordered) - 1)
+    return ordered[k]
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -334,8 +322,11 @@ def _check_adjacency(adjacency: int) -> None:
 
 def _discrete_weak(a: Sequence[int], b: Sequence[int], adjacency: int) -> int:
     """The smallest spot weight whose flood fill connects the corners."""
-    weights = {abs(x - y) for x in a for y in b}
-    return _least(weights, lambda d: _discrete_weak_decide(a, b, d, adjacency))
+    ordered = sorted({abs(x - y) for x in a for y in b})
+    _, k = narrow(
+        lambda k: _discrete_weak_decide(a, b, ordered[k], adjacency), midpoint, -1, len(ordered) - 1
+    )
+    return ordered[k]
 
 
 def _discrete_weak_decide(a: Sequence[int], b: Sequence[int], d: int, adjacency: int) -> bool:

@@ -41,7 +41,7 @@ from .model import (
     make_set,
     scale_to_ints,
 )
-from .oracle import EnumerationSpec, bound_oracle, check_cap, enumeration_size
+from .oracle import CapExceeded, EnumerationSpec, bound_oracle, check_cap, enumeration_size
 from .precise import _discrete_frechet, _frechet_value, discrete_frechet, frechet_value
 
 # perfbench/tracing.py still looks this public name up on this module
@@ -442,19 +442,15 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
 # ---------------------------------------------------------------------------
 
 
-def _point_to_2d(p: UncertainPoint) -> dict:
-    return {**_point_to_json(p), "y": "0"}
-
-
-def lift_curve_to_2d(curve: UncertainCurve, sentinel: Fraction, name: str = "") -> dict:
+def lift_curve_to_2d(curve: UncertainCurve, sentinel: Fraction) -> dict:
     """Embed a 1D curve at height 0 and insert a precise sentinel vertex at
     (0, sentinel) between every pair of consecutive vertices."""
     pts: list[dict] = []
     for idx, p in enumerate(curve.points):
         if idx:
             pts.append({"type": "precise", "x": "0", "y": format_scalar(sentinel)})
-        pts.append(_point_to_2d(p))
-    return {"dimension": 2, "name": name or curve.name, "points": pts}
+        pts.append({**_point_to_json(p), "y": "0"})
+    return {"dimension": 2, "name": curve.name, "points": pts}
 
 
 def check_sentinel(u: UncertainCurve, v: UncertainCurve, sentinel: Fraction) -> None:
@@ -540,6 +536,31 @@ def _expected_lengths(kind: str, model: str, eff: CnfFormula) -> tuple[int, int]
     if model == "indecisive":
         return (v + 2, v * c + v + c + 2)
     return (5 * v + 6, c * (3 * v + 9))
+
+
+# the most scalars lbf reduce writes for one instance: a ub-sat instance
+# of 220,011 scalars took 2.85 s at 81 MB peak RSS (2 CPUs, Python 3.11)
+INSTANCE_SCALAR_LIMIT = 200_000
+
+
+def check_instance_size(f: CnfFormula, kind: str, model: str) -> int:
+    """The scalars the instance of kind and model writes for f, counted
+    from f alone: one per vertex, one more per variable (two positions),
+    and one per further height of the indecisive clause curve's sets.
+    Raises CapExceeded above INSTANCE_SCALAR_LIMIT."""
+    c, n = len(f.clauses), f.num_vars
+    # the builders duplicate a single ub clause and pad an even imprecise count
+    padded = c == 1 if kind == "ub-sat" else model == "imprecise" and c % 2 == 0
+    eff = CnfFormula(n, f.clauses + f.clauses[:1]) if padded else f
+    count = sum(_expected_lengths(kind, model, eff)) + n
+    if kind == "weak-discrete" and model == "indecisive":
+        # c + 1 runs of n neutral vertices with n heights each
+        count += (c + 1) * n * (n - 1) + sum(len(set(cl)) - 1 for cl in f.clauses)
+    if count > INSTANCE_SCALAR_LIMIT:
+        raise CapExceeded(
+            f"the {kind} instance would write {count} scalars, above the limit {INSTANCE_SCALAR_LIMIT}"
+        )
+    return count
 
 
 @dataclass(frozen=True)

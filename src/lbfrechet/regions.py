@@ -488,49 +488,32 @@ class ClipBox:
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One closed convex piece in tightened-bounds form."""
-
-    xlo: Fraction
-    xhi: Fraction
-    ylo: Fraction
-    yhi: Fraction
-    dlo: Fraction
-    dhi: Fraction
-
-    @property
-    def bounds(self) -> Bounds:
-        return (self.xlo, self.xhi, self.ylo, self.yhi, self.dlo, self.dhi)
-
-
-@dataclass(frozen=True)
 class Region:
-    """A finite union of convex pieces inside a clip box."""
+    """A finite union of convex pieces, each closed Bounds, inside a clip box."""
 
-    pieces: tuple[Piece, ...]
+    pieces: tuple[Bounds, ...]
     box: ClipBox
 
     @staticmethod
     def from_bounds(pieces: Iterable[Optional[Bounds]], box: ClipBox) -> "Region":
         clip = box.full_bounds()
         clipped = [meet_bounds(p, clip) for p in pieces if p is not None]
-        return Region(tuple(Piece(*b) for b in normalize_pieces(clipped)), box)
+        return Region(normalize_pieces(clipped), box)
 
     def contains(self, x, y) -> bool:
         x, y = Fraction(x), Fraction(y)
-        return any(bounds_contain(p.bounds, x, y) for p in self.pieces)
+        return any(bounds_contain(p, x, y) for p in self.pieces)
 
     def subset(self, other: "Region") -> bool:
         """Every piece of self lies inside the union of other's pieces."""
-        cover = [q.bounds for q in other.pieces]
-        return all(bounds_covered(p.bounds, cover) for p in self.pieces)
+        return all(bounds_covered(p, other.pieces) for p in self.pieces)
 
     def equals(self, other: "Region") -> bool:
         return self.subset(other) and other.subset(self)
 
     def x_projection(self) -> list[tuple[Fraction, Fraction]]:
         """The projection onto the x axis as disjoint sorted intervals."""
-        spans = sorted((p.xlo, p.xhi) for p in self.pieces)
+        spans = sorted(p[:2] for p in self.pieces)
         out: list[tuple[Fraction, Fraction]] = []
         for lo, hi in spans:
             if out and lo <= out[-1][1]:
@@ -541,5 +524,5 @@ class Region:
 
     def dump_lines(self) -> list[str]:
         """One piece per line, each a counterclockwise vertex list."""
-        return [dump_line(p.bounds) for p in self.pieces]
+        return [dump_line(p) for p in self.pieces]
 

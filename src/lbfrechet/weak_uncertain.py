@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .model import Interval, UncertainCurve, reach_bound, scale_to_ints
+from .model import Interval, UncertainCurve, narrow, reach_bound, scale_to_ints
 from .oracle import CapExceeded
 from .precise import _dist_to_interval
 
@@ -324,32 +324,30 @@ def wfr_min_value(
 ) -> Fraction:
     """Smallest candidate delta accepted by the decision procedure.
 
-    The decision is exact, so it is monotone in delta: false below the
-    minimum and true from it on.  Bisection over the sorted candidate
-    deltas therefore finds it in about log2(len(candidates)) decisions,
-    each with its own budget of cap states.
-
-    The bisection starts at the reach bound L of the vertex spans
+    The first decision is at the reach bound L of the vertex spans
     (model.reach_bound), an endpoint difference and so a candidate: a
     realisation pair within weak distance delta still matches its first
     vertices, its last vertices, and each vertex to a point of the other
     curve's image, which lies in the span of that curve's regions, so no
-    candidate below L is feasible.  L is the first probe: most pairs have
-    their minimum there (L = 0 for overlapping regions), and a decision at
-    the smallest live delta prunes the most states, while one at a middle
-    candidate can cost minutes on curves of five or six intervals.
-    wfr_min_decide itself stays the exact DP at every delta.
+    candidate below L is feasible.  Most pairs have their minimum at L
+    (L = 0 for overlapping regions), and then the candidates are never
+    listed.  Otherwise the sorted candidates above L are bisected
+    (model.narrow): the exact decision is monotone in delta, so this takes
+    about log2 of their count decisions, each with its own budget of cap
+    states.  The largest candidate, the span of all endpoints, is always
+    feasible.  Deciding at the smallest live delta first matters: it
+    prunes the most states, while a decision at a middle candidate can
+    cost minutes on curves of five or six intervals.
     """
+    reach = Fraction(reach_bound([p.span() for p in u.points], [p.span() for p in v.points]))
+    if wfr_min_decide(u, v, reach, cap=cap):
+        return reach
     cands = candidate_deltas(u, v)
-    reach = reach_bound([p.span() for p in u.points], [p.span() for p in v.points])
-    lo = mid = bisect_left(cands, reach)
-    hi = len(cands)
-    while lo < hi:
-        if wfr_min_decide(u, v, cands[mid], cap=cap):
-            hi = mid
-        else:
-            lo = mid + 1
-        mid = (lo + hi) // 2
-    if lo == len(cands):
-        raise AssertionError("no candidate delta was feasible")
-    return cands[lo]
+    # indices: L's is rejected, and len(cands) stands for an accepted one
+    _, k = narrow(
+        lambda k: wfr_min_decide(u, v, cands[k], cap=cap),
+        lambda lo, hi: (lo + hi + 1) // 2 if hi - lo > 1 else None,
+        bisect_left(cands, reach),
+        len(cands),
+    )
+    return cands[k]

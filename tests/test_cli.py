@@ -511,6 +511,24 @@ def test_verify_rejects_a_huge_variable_index_before_building(tmp_path, capsys, 
     assert err.splitlines() == ["lbf: brute-force satisfiability is limited to 20 variables"]
 
 
+@pytest.mark.parametrize("what", ["ub-sat", "weak-discrete"])
+@pytest.mark.parametrize("model", ["indecisive", "imprecise"])
+def test_reduce_rejects_a_huge_instance_before_building(tmp_path, capsys, what, model):
+    # the 9-byte formula would give about a million scalars (ub-sat,
+    # weak-discrete imprecise) or 2 * 10**10 (weak-discrete indecisive)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("100000 0\n")
+    out_u, out_v = tmp_path / "U.json", tmp_path / "V.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["reduce", what, str(cnf), "--model", model, "-o", str(out_u), str(out_v)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"lbf: the {what} instance would write ")
+    assert err.endswith(" scalars, above the limit 200000\n")
+    assert not out_u.exists() and not out_v.exists()
+
+
 def test_oracle_cap_is_checked_before_listing_candidates(write_curve, capsys):
     a = write_curve([interval(0, 1)])
     b = write_curve([interval(2, 3)])

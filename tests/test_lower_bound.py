@@ -701,6 +701,24 @@ def test_compute_lb_probe_count(monkeypatch):
     assert len(calls) == 1
 
 
+def test_compute_lb_probes_frozen(monkeypatch):
+    """The sweeps compute_lb runs on a zigzag against a segment, in order,
+    frozen.  Scaled by 1024 (grid step 5/512, 10 scaled), the rank pivots 1
+    and 1/2 are feasible and leave no candidate; the grid phase then probes
+    g = 1 and g - 1 = 51, both infeasible, so the value is 52 steps."""
+    u, v = ic(0, 4, 3, 3, 5), ic(0, 5)
+    calls = []
+    sweep = lower_bound._sweep
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(lower_bound, "_sweep", counted)
+    assert compute_lb(u, v, F(1, 64)) == F(65, 128) == 52 * F(5, 512)
+    assert calls == [1024, 512, 10, 510]
+
+
 def _reach(u, v):
     return reach_bound([p.span() for p in u.points], [p.span() for p in v.points])
 

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import random
 import sys
 from fractions import Fraction as F
 from math import lcm
@@ -25,7 +26,7 @@ from lbfrechet import (
     parse_scalar,
     reverse,
 )
-from lbfrechet.model import make_interval, make_set, reach_bound, scale_to_ints
+from lbfrechet.model import make_interval, make_set, midpoint, narrow, reach_bound, scale_to_ints
 
 
 # --- scalars ---------------------------------------------------------------
@@ -387,3 +388,36 @@ def test_deeply_nested_curve_json_is_a_format_error():
 def test_curve_json_missing_dimension_means_one():
     points = '"points": [{"type": "precise", "x": "1"}]'
     assert curve_from_json(f"{{{points}}}") == curve_from_json(f'{{"dimension": 1, {points}}}')
+
+
+# --- the bracket loop --------------------------------------------------------
+
+
+def test_narrow_matches_brute_force():
+    """narrow with a monotone decision returns the least accepted value as
+    hi and the value just below it (or the start) as lo, against a scan of
+    sorted lists: over indices with the midpoint pick, and over the values
+    themselves with a pick that takes any value inside the bracket.  Every
+    probe lies strictly inside the bracket and is decided once."""
+    rng = random.Random(2117)
+    for _ in range(2000):
+        xs = sorted(rng.sample(range(-40, 40), rng.randint(1, 12)))
+        cut = rng.randint(xs[0] - 2, xs[-1])  # the last value is accepted
+        least = next(k for k, x in enumerate(xs) if x >= cut)
+        probes = []
+
+        def accepts(x):
+            assert x not in probes
+            probes.append(x)
+            return x >= cut
+
+        lo, hi = narrow(lambda k: accepts(xs[k]), midpoint, -1, len(xs) - 1)
+        assert (lo, hi) == (least - 1, least), (xs, cut)
+        probes.clear()
+
+        def anywhere(lo, hi):
+            inside = [x for x in xs if lo < x < hi]
+            return rng.choice(inside) if inside else None
+
+        lo, hi = narrow(accepts, anywhere, xs[0] - 1, xs[-1])
+        assert hi == xs[least] and lo == (xs[least - 1] if least else xs[0] - 1), (xs, cut)

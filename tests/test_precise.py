@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from lbfrechet import precise
 from lbfrechet.model import growing_curve, scale_to_ints
 from lbfrechet.precise import (
     _decide,
@@ -382,3 +383,24 @@ def test_value_cores_on_reduction_curves():
         below = max(c for c in crit if c < value)
         assert frechet_decide_reference(ru, rv, value)
         assert not frechet_decide_reference(ru, rv, below)
+
+
+def test_value_search_probes_frozen(monkeypatch):
+    """The decisions frechet_value and discrete_weak make on one pair, in
+    order, frozen: scaled by 6 and by 3, the continuous search probes 9, 2,
+    4, 6 (delta 3/2, 1/3, 2/3, 1) and the discrete weak one 6, 9, 10."""
+    probes = []
+
+    def logged(decide):
+        def run(a, b, d, *rest):
+            probes.append(d)
+            return decide(a, b, d, *rest)
+
+        return run
+
+    for name in ("_decide", "_discrete_weak_decide"):
+        monkeypatch.setattr(precise, name, logged(getattr(precise, name)))
+    a, b = fr([0, 3, 1, 4]), fr([1, F(2, 3), 5])
+    assert frechet_value(a, b) == 1 and probes == [9, 2, 4, 6]
+    probes.clear()
+    assert discrete_weak(a, b, adjacency=4) == F(10, 3) and probes == [6, 9, 10]

@@ -1,6 +1,7 @@
 """CNF-to-curve reduction builders and their verification replay."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from lbfrechet.reductions import (
     build_ub_sat,
     build_weak_discrete_imprecise,
     build_weak_discrete_indecisive,
+    check_instance_size,
     check_ub_gadgets,
     lift_to_2d,
     parse_dimacs,
@@ -423,3 +425,37 @@ def test_lift_to_2d_sentinel_floor():
     with pytest.raises(ValueError):
         lift_to_2d(inst, 10 * top)
     lift_to_2d(inst, 10 * top + 1)
+
+
+# --- instance size ---------------------------------------------------------------
+
+
+def test_instance_size_counts_the_scalars_written():
+    """check_instance_size counts, from the formula alone, exactly the
+    positions the built instance holds, for both kinds and both models, on
+    random formulas with single clauses, even and odd clause counts and
+    repeated literals."""
+    rng = random.Random(2118)
+    builders = {
+        ("ub-sat", "indecisive"): lambda f: build_ub_sat(f, "indecisive"),
+        ("ub-sat", "imprecise"): lambda f: build_ub_sat(f, "imprecise"),
+        ("weak-discrete", "indecisive"): build_weak_discrete_indecisive,
+        ("weak-discrete", "imprecise"): build_weak_discrete_imprecise,
+    }
+    built = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        f = CnfFormula(n, tuple(clauses))
+        for (kind, model), build in builders.items():
+            try:
+                inst = build(f)
+            except ValueError:
+                continue  # a tautological clause, which the ub kind rejects
+            written = sum(len(p.endpoints()) for c in (inst.u, inst.v) for p in c.points)
+            assert check_instance_size(f, kind, model) == written, (f, kind, model)
+            built += 1
+    assert built >= 400

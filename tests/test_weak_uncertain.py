@@ -280,6 +280,41 @@ def test_value_probes_the_reach_bound_first(monkeypatch):
     assert wfr_min_value(u, v) == 3 and probes == [3]
 
 
+def test_value_lists_candidates_only_when_the_reach_bound_fails(monkeypatch):
+    """A feasible reach bound is the value, and candidate_deltas is never
+    called; an infeasible one is followed by bisection over the listed
+    candidates."""
+    listed = []
+
+    def listing(u, v):
+        listed.append((u, v))
+        return candidate_deltas(u, v)
+
+    monkeypatch.setattr(wu, "candidate_deltas", listing)
+    for u, v, want in (
+        (ic((0, 2), (1, 3), (0, 2)), ic((1, 3), (0, 2)), 0),
+        (ic(0, 2), ic((3, 4), (5, 6)), 3),
+    ):
+        assert wfr_min_value(u, v) == want and listed == []
+    u, v = ic(3, (4, 6), 2), ic((2, 4), (1, 3))
+    assert wfr_min_value(u, v) == F(1, 2) and listed == [(u, v)]
+
+
+def test_value_probes_frozen(monkeypatch):
+    """The decisions wfr_min_value makes on a pair whose reach bound 0 is
+    infeasible, in order, frozen: 0, then the upper midpoints of the
+    candidates above it."""
+    probes = []
+
+    def counted(u, v, delta, **kwargs):
+        probes.append(delta)
+        return wfr_min_decide(u, v, delta, **kwargs)
+
+    monkeypatch.setattr(wu, "wfr_min_decide", counted)
+    assert wfr_min_value(ic(3, (4, 6), 2), ic((2, 4), (1, 3))) == F(1, 2)
+    assert probes == [0, F(2, 3), F(1, 3), F(1, 2), F(2, 5)]
+
+
 def test_cap_is_one_budget_per_decision(monkeypatch):
     """The cap bounds the states summed over all DP runs of a decision:
     a cap above every single run but below their sum is exceeded."""
