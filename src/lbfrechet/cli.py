@@ -30,7 +30,6 @@ from .model import (
     parse_scalar,
 )
 from .oracle import DEFAULT_ENUMERATION_CAP, VARIANTS, CapExceeded, EnumerationSpec, bound_oracle
-from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d
 from .reductions import (
     MODELS,
     CnfFormula,
@@ -308,16 +307,8 @@ def _cmd_precise(args: argparse.Namespace) -> int:
             raise CurveFormatError(
                 f"{path}: the precise command needs fully precise curves"
             )
-    a = u.as_precise()
-    b = v.as_precise()
-    if args.variant == "frechet":
-        value = frechet_value(a, b)
-    elif args.variant == "discrete":
-        value = discrete_frechet(a, b)
-    elif args.variant == "weak":
-        value = weak_frechet_1d(a, b)
-    else:
-        value = discrete_weak(a, b, adjacency=args.adjacency)
+    # the one realisation pair's bound is the distance between the curves
+    value = bound_oracle(u, v, args.variant, "lower", adjacency=args.adjacency)
     _emit(args, "precise", (args.curve_a, args.curve_b), format_scalar(value))
     return 0
 
@@ -373,8 +364,10 @@ def _read_formula(cnf_path: str) -> CnfFormula:
 
 
 def _build_instance(formula: CnfFormula, kind: str, model: str) -> ReductionInstance:
-    """The reduction instance of kind ("ub" or "weak") and model for formula."""
-    if kind == "ub":
+    """The reduction instance of kind ("ub-sat" or "weak-discrete") and
+    model for formula, once its size is checked."""
+    check_instance_size(formula, kind, model)
+    if kind == "ub-sat":
         return build_ub_sat(formula, model=model)
     if model == "indecisive":
         return build_weak_discrete_indecisive(formula)
@@ -393,8 +386,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         return 0
 
     formula = _read_formula(args.cnf)
-    check_instance_size(formula, args.what, args.model)
-    inst = _build_instance(formula, "ub" if args.what == "ub-sat" else "weak", args.model)
+    inst = _build_instance(formula, args.what, args.model)
     _write_json(args.out[0], curve_to_json(inst.u))
     _write_json(args.out[1], curve_to_json(inst.v))
     result = (
@@ -418,7 +410,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     formula = _read_formula(args.cnf)
     # before building: the instances grow with the variable count
     check_brute_force_size(formula)
-    inst = _build_instance(formula, args.kind, args.model)
+    inst = _build_instance(formula, "ub-sat" if args.kind == "ub" else "weak-discrete", args.model)
     spec = EnumerationSpec(resolution=args.resolution, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
     report = verify_reduction(inst, spec)
     lines = report.summary_lines()[:-1]

@@ -8,9 +8,11 @@ lexicographic over the per-vertex candidate lists, so results and early
 exits are deterministic.
 
 bound_oracle scales every candidate of both curves, and stop_at, to ints
-in one model.scale_to_ints call (factor 2 for "frechet", whose critical
-values include half distances), scans with the precise module's integer
-cores and converts the bound back to a Fraction once.
+in one model.scale_to_ints call, by the variant's factor in precise.CORES
+(2 for "frechet", whose critical values include half distances), scans
+with the integer cores that table names and converts the bound back to a
+Fraction once.  A pair of precise curves has one realisation pair, so its
+bound is the precise distance; lbf precise computes it that way.
 
 On that int grid every value is an int, so "strictly better than best"
 is "<= best - 1" on the lower side and "not <= best" on the upper side.
@@ -27,27 +29,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .model import FiniteSet, Interval, Precise, UncertainCurve, UncertainPoint, scale_to_ints
-from .precise import (
-    _check_adjacency,
-    _decide,
-    _discrete_decide,
-    _discrete_frechet,
-    _discrete_weak,
-    _discrete_weak_decide,
-    _frechet_value,
-    _weak,
-    _weak_decide,
-)
+from .precise import CORES, _check_adjacency
 
 # The public metric of each variant.  The scan calls the integer cores
-# above; perfbench/tracing.py still looks these names up on this module.
+# in CORES; perfbench/tracing.py still looks these names up on this module.
 from .precise import discrete_frechet, discrete_weak, frechet_value, weak_frechet_1d  # noqa: F401
 
-VARIANTS = ("frechet", "discrete", "weak", "discrete-weak")
+VARIANTS = tuple(CORES)
 
 # Most realisations (or pairs of them) one enumeration may visit.
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -121,11 +114,33 @@ def enumeration_size(curve: UncertainCurve, spec: EnumerationSpec) -> int:
     return prod(_candidate_count(p, spec) for p in curve.points)
 
 
-def check_cap(curve: UncertainCurve, spec: EnumerationSpec) -> None:
-    """Raise CapExceeded when the curve has more realisations than the cap."""
+def count_text(n: int) -> str:
+    """A count for a cap message: in full up to 30 digits, else a power of
+    ten below it, as str() refuses ints of more than 4300 digits."""
+    if n < 10**30:
+        return str(n)
+    # 0.30102 < log10(2), so 10^k < 2^(bit_length - 1) <= n
+    return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"
+
+
+def check_cap(curve: UncertainCurve, spec: EnumerationSpec) -> int:
+    """The curve's realisation count; raise CapExceeded above the cap."""
     size = enumeration_size(curve, spec)
     if size > spec.cap:
-        raise CapExceeded(f"enumeration of {size} realisations exceeds cap {spec.cap}")
+        raise CapExceeded(
+            f"enumeration of {count_text(size)} realisations exceeds cap {count_text(spec.cap)}"
+        )
+    return size
+
+
+def check_pairs(u: UncertainCurve, v: UncertainCurve, spec: EnumerationSpec) -> int:
+    """The count of realisation pairs; raise CapExceeded above the cap."""
+    nu, nv = enumeration_size(u, spec), enumeration_size(v, spec)
+    if nu * nv > spec.cap:
+        raise CapExceeded(
+            f"{count_text(nu)} x {count_text(nv)} realisation pairs exceed cap {count_text(spec.cap)}"
+        )
+    return nu * nv
 
 
 def enumerate_realisations(
@@ -134,24 +149,6 @@ def enumerate_realisations(
     """All candidate realisations in lexicographic order."""
     check_cap(curve, spec)
     return itertools.product(*vertex_candidates(curve, spec))
-
-
-def _core(variant: str, adjacency: int) -> tuple[Callable, Callable]:
-    """The integer value core of a variant and its decision core (is the
-    value <= d?), on realisations scaled to ints."""
-    if variant == "frechet":
-        return _frechet_value, _decide
-    if variant == "discrete":
-        return _discrete_frechet, _discrete_decide
-    if variant == "weak":
-        return _weak, _weak_decide
-    if variant == "discrete-weak":
-        _check_adjacency(adjacency)
-        return (
-            lambda a, b: _discrete_weak(a, b, adjacency),
-            lambda a, b, d: _discrete_weak_decide(a, b, d, adjacency),
-        )
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
 def bound_oracle(
@@ -179,15 +176,16 @@ def bound_oracle(
     spec = spec or EnumerationSpec()
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    dist, decide = _core(variant, adjacency)
-    nu, nv = enumeration_size(u, spec), enumeration_size(v, spec)
-    if nu * nv > spec.cap:
-        raise CapExceeded(f"{nu} x {nv} realisation pairs exceed cap {spec.cap}")
+    if variant not in CORES:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    dist, decide, factor = CORES[variant]
+    if variant == "discrete-weak":
+        _check_adjacency(adjacency)
+        dist, decide = partial(dist, adjacency=adjacency), partial(decide, adjacency=adjacency)
+    check_pairs(u, v, spec)
     cu, cv = vertex_candidates(u, spec), vertex_candidates(v, spec)
     stops = () if stop_at is None else (Fraction(stop_at),)
-    s, scaled = scale_to_ints(
-        *cu, *cv, stops, factor=2 if variant == "frechet" else 1
-    )
+    s, scaled = scale_to_ints(*cu, *cv, stops, factor=factor)
     iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
     stop = scaled[-1][0] if stops else None
     return Fraction(_scan(iu, iv, dist, decide, side == "lower", stop), s)

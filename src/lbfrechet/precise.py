@@ -13,8 +13,10 @@ scale-free, so the oracle scales a whole candidate grid once and calls
 them directly; a result x of theirs means x / s.  Next to each value core
 sits a decision core (_decide, _discrete_decide, _weak_decide,
 _discrete_weak_decide) answering "is the value <= d?" on the same ints,
-which the oracle uses to skip pairs that cannot beat its best.  Float
-infinity appears only as an unreachable sentinel in min/max chains.
+which the oracle uses to skip pairs that cannot beat its best.  CORES
+names each variant's value core, decision core and scale factor; it is
+the one place a variant name meets its cores.  Float infinity appears
+only as an unreachable sentinel in min/max chains.
 """
 
 from __future__ import annotations
@@ -363,3 +365,13 @@ def discrete_weak(
     s, (ai, bi) = _scaled(a, b)
     _check_adjacency(adjacency)
     return Fraction(_discrete_weak(ai, bi, adjacency), s)
+
+
+# variant name -> (value core, decision core, scale factor of its inputs);
+# the discrete-weak cores take the adjacency as their last argument
+CORES = {
+    "frechet": (_frechet_value, _decide, 2),
+    "discrete": (_discrete_frechet, _discrete_decide, 1),
+    "weak": (_weak, _weak_decide, 1),
+    "discrete-weak": (_discrete_weak, _discrete_weak_decide, 1),
+}

@@ -41,8 +41,8 @@ from .model import (
     make_set,
     scale_to_ints,
 )
-from .oracle import CapExceeded, EnumerationSpec, bound_oracle, check_cap, enumeration_size
-from .precise import _discrete_frechet, _frechet_value, discrete_frechet, frechet_value
+from .oracle import CapExceeded, EnumerationSpec, bound_oracle, check_cap, check_pairs
+from .precise import CORES, discrete_frechet, frechet_value
 
 # perfbench/tracing.py still looks this public name up on this module
 from .oracle import enumerate_realisations  # noqa: F401
@@ -592,17 +592,17 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
     problems: dict[str, list[str]] = {"frechet": [], "discrete": []}
     v = eff.num_vars
     assignments = list(itertools.product((False, True), repeat=v)) if v <= 3 else []
-    # one scaling (factor 2 for the continuous halves) for every curve
+    # one scaling (the continuous core's, which keeps halves) for every curve
     s, (catch, catch2, (one, top), *rest) = scale_to_ints(
         ub_abs_curve(v), ub_abs2_curve(), (_ONE, _THREE_HALVES),
         *(ub_clause_gadget(cl, v) for cl in eff.clauses),
-        *(realise_variable_stack(v, bits) for bits in assignments), factor=2,
+        *(realise_variable_stack(v, bits) for bits in assignments), factor=CORES["frechet"][2],
     )
     gadgets, stacks = rest[: len(eff.clauses)], rest[len(eff.clauses) :]
 
     def check(a, b, want, what):
-        for metric, label in ((_frechet_value, "frechet"), (_discrete_frechet, "discrete")):
-            d = metric(a, b)
+        for label in problems:
+            d = CORES[label][0](a, b)
             if d != want:
                 problems[label].append(
                     f"{what}: {label} distance {Fraction(d, s)} != {Fraction(want, s)}"
@@ -622,9 +622,6 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
 
 
 def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dict:
-    # v is precise, so this check on u alone is bound_oracle's pair check,
-    # with the message of a one-curve enumeration
-    check_cap(inst.u, spec)
     bounds = {
         (metric, side): bound_oracle(inst.u, inst.v, metric, side, spec)
         for metric in ("frechet", "discrete")
@@ -701,13 +698,20 @@ def verify_reduction(
 ) -> VerifyReport:
     """Replay an instance: brute-force satisfiability vs oracle distances,
     plus the per-construction side checks.  Raises CapExceeded when the
-    realisation count is out of reach.  The kind's verifier returns the
-    report fields that differ between kinds; the rest are filled in here."""
+    realisation count is out of reach, before the brute-force search.  The
+    kind's verifier returns the report fields that differ between kinds;
+    the rest are filled in here."""
     if spec is None:
         spec = EnumerationSpec()
     verify_kind = {"ub-sat": _verify_ub, "weak-discrete": _verify_weak}.get(inst.kind)
     if verify_kind is None:
         raise ValueError(f"unknown instance kind {inst.kind!r}")
+    # the ub kind's v is precise, so its pairs are u's realisations, and
+    # its message is that of u's enumeration
+    if inst.kind == "ub-sat":
+        realisations = check_cap(inst.u, spec)
+    else:
+        realisations = check_pairs(inst.u, inst.v, spec)
     sat = satisfiable(inst.formula)
     fields = verify_kind(inst, spec, sat)
     lengths_ok = (len(inst.u), len(inst.v)) == _expected_lengths(
@@ -717,8 +721,6 @@ def verify_reduction(
     ok = lengths_ok and fields["equivalence_ok"] and fields["range_ok"]
     ok = ok and fields["gadget_ok"] is not False
     fields["notes"] = inst.notes + fields["notes"]
-    # the ub kind's v is precise, so this is its count of u's realisations
-    realisations = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
     return VerifyReport(
         kind=inst.kind, model=inst.model, sat=sat, lengths_ok=lengths_ok,
         realisations=realisations, ok=ok, **fields,

@@ -218,9 +218,8 @@ def _mm_q_ru(p, q):
     t = y - q1
     dlo = q4 if q4 >= t else t
     t = q3 - x
+    # dlo <= dhi, as x <= q1, y <= q3 and a closed q has q4 <= q5, q1 <= q3 - q4, q3 <= q1 + q5
     dhi = q5 if q5 <= t else t
-    if dlo > dhi:
-        return None
     t = y - q5
     xlo = x if x >= t else t
     t = x + q4
@@ -242,9 +241,8 @@ def _mm_q_ld(p, q):
     t = q2 - x
     dlo = q4 if q4 >= t else t
     t = y - q0
+    # dlo <= dhi, as x >= q0, y >= q2 and a closed q has q4 <= q5, q0 >= q2 - q5, q2 >= q0 + q4
     dhi = q5 if q5 <= t else t
-    if dlo > dhi:
-        return None
     t = y - q4
     xhi = x if x <= t else t
     t = x + q5
@@ -384,6 +382,7 @@ def bounds_covered(target: Bounds, cover: Sequence[Bounds]) -> bool:
             if meet_bounds(cell, q) is None:
                 remains.append(cell)
                 continue
+            # no bound below empties rem: it keeps cell & q, which is nonempty
             rem = cell
             for k in range(3):
                 lo, hi = q[2 * k], q[2 * k + 1]
@@ -391,14 +390,10 @@ def bounds_covered(target: Bounds, cover: Sequence[Bounds]) -> bool:
                 if part is not None:
                     remains.append(part)
                 rem = _cell_bound(rem, k, lo, upper=False)
-                if rem is None:
-                    break
                 part = _cell_bound(rem, k, hi + 1, upper=False)
                 if part is not None:
                     remains.append(part)
                 rem = _cell_bound(rem, k, hi, upper=True)
-                if rem is None:
-                    break
             # Whatever remains of rem lies inside q and is discarded.
         cells = remains
     return not cells

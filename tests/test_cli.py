@@ -541,6 +541,28 @@ def test_oracle_cap_is_checked_before_listing_candidates(write_curve, capsys):
     assert err.splitlines() == ["lbf: 1000000 x 1000000 realisation pairs exceed cap 10"]
 
 
+def test_oracle_cap_message_with_a_count_past_str_limit(write_curve, capsys):
+    """2**15000 realisations has 4516 digits, more than str() converts."""
+    a = write_curve([interval(0, 1)] * 15_000)
+    b = write_curve([Precise(F(0))])
+    code, out, err = run(capsys, ["oracle", "--variant", "frechet", "--side", "lower", a, b])
+    assert (code, out) == (4, "")
+    assert err == "lbf: more than 10^4515 x 1 realisation pairs exceed cap 1000000\n"
+
+
+@pytest.mark.parametrize("kind", ["ub", "weak"])
+def test_verify_checks_the_cap_before_brute_force(tmp_path, capsys, kind):
+    """20 variables: 2**20 assignments to try, and more realisations than
+    the default cap, which verify must see first."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 20 2\n1 0\n-1 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", str(cnf), "--kind", kind])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and "exceed" in err
+
+
 def test_unknown_subcommand_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -76,6 +76,12 @@ def test_single_interval_pair_witness():
     assert F(1, 2) <= wu[0] <= F(4, 5)
 
 
+def test_no_witness_on_an_infeasible_trace():
+    out = decide_lb(FIG_U, FIG_V, F(1, 10), trace=True)
+    assert not out.feasible
+    assert extract_witness(out.trace) is None
+
+
 def test_witness_is_checked_by_the_precise_decision(monkeypatch):
     # extract_witness must keep re-checking its pair exactly, through the
     # module attribute lbfrechet.precise.frechet_decide

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import lbfrechet.oracle
+from lbfrechet import precise
 from lbfrechet.model import Precise, UncertainCurve, make_interval, make_set
 from lbfrechet.oracle import (
     VARIANTS,
@@ -270,14 +270,14 @@ def test_scan_evaluates_only_strict_improvements(monkeypatch):
         side: bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)
         for side in ("lower", "upper")
     }
-    core = lbfrechet.oracle._discrete_weak
+    core, decide, factor = precise.CORES["discrete-weak"]
     values = []
 
     def counting(a, b, adjacency):
         values.append(core(a, b, adjacency))
         return values[-1]
 
-    monkeypatch.setattr(lbfrechet.oracle, "_discrete_weak", counting)
+    monkeypatch.setitem(precise.CORES, "discrete-weak", (counting, decide, factor))
     for side, better in (("lower", lambda x, y: y < x), ("upper", lambda x, y: y > x)):
         values.clear()
         got = bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)

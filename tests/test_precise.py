@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import lcm
 
 import pytest
@@ -9,13 +10,12 @@ import pytest
 from lbfrechet import precise
 from lbfrechet.model import growing_curve, scale_to_ints
 from lbfrechet.precise import (
+    CORES,
     _decide,
     _discrete_decide,
     _discrete_frechet,
-    _discrete_weak,
     _discrete_weak_decide,
     _frechet_value,
-    _weak,
     _weak_decide,
     discrete_frechet,
     discrete_weak,
@@ -293,13 +293,12 @@ def test_weak_is_two_sided_r_dp():
         assert weak_frechet_1d(a, b) == max(fwd, bwd)
 
 
-# (name, value core, decision core, scale factor) of the integer cores
-INT_CORES = [
-    ("frechet", _frechet_value, _decide, 2),
-    ("discrete", _discrete_frechet, _discrete_decide, 1),
-    ("weak", _weak, _weak_decide, 1),
-    ("discrete-weak-8", lambda a, b: _discrete_weak(a, b, 8), lambda a, b, d: _discrete_weak_decide(a, b, d, 8), 1),
-    ("discrete-weak-4", lambda a, b: _discrete_weak(a, b, 4), lambda a, b, d: _discrete_weak_decide(a, b, d, 4), 1),
+# (name, value core, decision core, scale factor) of the integer cores in
+# precise.CORES, with discrete-weak once per adjacency
+INT_CORES = [(name, *CORES[name]) for name in ("frechet", "discrete", "weak")] + [
+    (f"discrete-weak-{k}", partial(value, adjacency=k), partial(decide, adjacency=k), factor)
+    for value, decide, factor in [CORES["discrete-weak"]]
+    for k in (8, 4)
 ]
 
 

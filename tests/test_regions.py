@@ -362,11 +362,14 @@ def test_region_basics():
 
 
 def test_region_x_projection_merges():
+    # the first two pieces overlap in x but not in y, so they stay two
+    # pieces and only the projection merges them
     r = region_of(
-        (F(0), F(2), F(0), F(2), F(-SPAN), F(SPAN)),
-        (F(1), F(3), F(0), F(2), F(-SPAN), F(SPAN)),
+        (F(0), F(2), F(0), F(1), F(-SPAN), F(SPAN)),
+        (F(1), F(3), F(2), F(3), F(-SPAN), F(SPAN)),
         (F(5), F(6), F(0), F(2), F(-SPAN), F(SPAN)),
     )
+    assert len(r.pieces) == 3
     assert r.x_projection() == [(F(0), F(3)), (F(5), F(6))]
 
 
