@@ -43,6 +43,16 @@ regions.  So no pair is within any delta below L, the largest of those
 gaps, and the sweep returns no final part there.  Traced sweeps skip the
 filter and record every cell, so dumps and witnesses do not change.
 
+compute_lb pairs that negative filter with a positive one from the same
+paper, also O(m + n): _greedy walks one discrete coupling of the vertex
+sequences and accepts when some realisation pair keeps every coupled pair
+within delta, and only the probes it does not accept are swept.  Such a
+coupling bounds the continuous distance of the pair it places, since along
+each step both walkers move linearly and their distance is convex (Eiter
+and Mannila 1994).  Its constraints form a forest, whose current edge
+_greedy keeps as two exact intervals, so nonempty intervals at the end mean
+that such a pair exists.
+
 compute_lb finds the smallest feasible multiple of a grid step within tol.
 Before bisecting the grid it probes candidate values C: 0 and the endpoint
 differences and half differences of both curves, the critical values of the
@@ -582,6 +592,44 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
     return wu, wv
 
 
+def _greedy(su: list, sv: list, d: int) -> bool:
+    """True if one greedy discrete coupling of the vertex intervals su and
+    sv places some realisation pair within d of each other; O(m + n).
+
+    The walk is at a pair (i, j), with x and y the positions of u_i and v_j
+    that every earlier step allows.  It steps diagonally when the next two
+    intervals come within d, starting afresh, and otherwise takes a single
+    step that stays within d, the lagging curve first; the parked vertex is
+    narrowed to what the new one allows.  False when it gets stuck."""
+    def near(a: tuple, b: tuple) -> Optional[tuple]:
+        # the part of interval a within d of interval b
+        lo, hi = max(a[0], b[0] - d), min(a[1], b[1] + d)
+        return (lo, hi) if lo <= hi else None
+
+    m, n = len(su) - 1, len(sv) - 1
+    i = j = 0
+    x = near(su[0], sv[0])
+    if x is None:
+        return False
+    y = near(sv[0], x)
+    while i < m or j < n:
+        if i < m and j < n and (nx := near(su[i + 1], sv[j + 1])):
+            i, j, x = i + 1, j + 1, nx
+            y = near(sv[j], x)
+            continue
+        nx = near(su[i + 1], y) if i < m else None
+        ny = near(sv[j + 1], x) if j < n else None
+        if nx and (i * n <= j * m or not ny):
+            i, x = i + 1, nx
+            y = near(y, x)
+        elif ny:
+            j, y = j + 1, ny
+            x = near(x, y)
+        else:
+            return False
+    return True
+
+
 def _rank_pivot(lists: tuple, lo: int, hi: int) -> Optional[int]:
     """A pair difference xs[j] - xs[i] (i < j) of some sorted list of
     distinct ints with lo < xs[j] - xs[i] < hi, or None if there is none.
@@ -631,16 +679,19 @@ def compute_lb(
     feasible.
 
     The curves and step are scaled to ints once (factor 2, so every endpoint
-    is even and half distances are ints), and each probe runs the sweep on
-    decide_lb's clip box directly.  The search is two model.narrow calls,
-    which rely on the decision being monotone in delta.  The first narrows
+    is even and half distances are ints).  Each probe first walks the greedy
+    coupling (_greedy), O(m + n), and is feasible if it accepts; otherwise
+    it runs the sweep on decide_lb's clip box directly.  The filter only
+    accepts feasible deltas, so it changes no answer, only how many sweeps
+    run.  The search is two model.narrow calls, which rely on the decision
+    being monotone in delta.  The first narrows
     deltas with probes from the set C: the pair differences of the sorted
     distinct endpoints E of both curves and of E // 2, and 0.  Its first
     probe is the reach bound L (model.reach_bound), itself a pair difference
     of E: a realisation pair within delta matches its first vertices, its
     last vertices, and each vertex to a point in the span of the other
     curve's regions, so every delta below L is infeasible without a sweep.
-    When L is feasible the bracket is then one grid step wide and one sweep
+    When L is feasible the bracket is then one grid step wide and one probe
     settles the value.  Each later probe is the rank pivot (_rank_pivot) of
     the candidates still strictly between the largest delta known infeasible
     and the smallest known feasible, so it removes a quarter of them.  A
@@ -649,7 +700,7 @@ def compute_lb(
     narrows g: 0 stands for the first grid point (probed if no infeasible
     bound is known yet), then g - 1 is probed once, and bisection finishes
     whatever bracket is left.  So the result equals the plain grid
-    bisection's whatever C holds; C only decides how many sweeps run.  When
+    bisection's whatever C holds; C only decides how many probes run.  When
     delta* lies in C, the bracket is one grid step wide before the grid
     phase.  In 1D the precise critical values are such distances and half
     distances (Alt and Godau 1995); that delta* of the lower bound lies in C
@@ -676,6 +727,8 @@ def compute_lb(
     reach = reach_bound(su, sv)
 
     def feasible(d: int) -> bool:
+        if _greedy(su, sv, d):
+            return True
         *_, final_parts = _sweep(su, sv, d, *_clip_ints(hulls, d, s), False)
         return bool(final_parts)
 

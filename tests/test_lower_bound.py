@@ -686,25 +686,41 @@ def _alternating_pair(n, scale, shift, offset):
     return ic(*u), ic(*v)
 
 
-def test_compute_lb_probe_count(monkeypatch):
-    """The alternating family's value is its reach bound 3/8, so the first
-    probe, at that bound, pins it in one sweep, where bisecting the tol
-    grid takes k = 21 (step = span / 2^k)."""
-    u, v = _alternating_pair(48, F(3, 4), F(-5, 4), F(1, 2))
-    tol = F(1, 10**6)
-    calls = []
-    sweep = lower_bound._sweep
+def _spy_probes(monkeypatch):
+    """Record compute_lb's probes: (scaled delta, reach bound of the scaled
+    curves, filter verdict) per _greedy call, and the delta of each sweep."""
+    probes, sweeps = [], []
+    greedy, sweep = lower_bound._greedy, lower_bound._sweep
 
-    def counted(*args):
-        calls.append(args[2])
+    def spied_greedy(su, sv, d):
+        accepted = greedy(su, sv, d)
+        probes.append((d, reach_bound(su, sv), accepted))
+        return accepted
+
+    def spied_sweep(*args):
+        sweeps.append(args[2])
         return sweep(*args)
 
-    monkeypatch.setattr(lower_bound, "_sweep", counted)
+    monkeypatch.setattr(lower_bound, "_greedy", spied_greedy)
+    monkeypatch.setattr(lower_bound, "_sweep", spied_sweep)
+    return probes, sweeps
+
+
+def test_compute_lb_probe_count(monkeypatch):
+    """The alternating family's value is its reach bound 3/8, so the first
+    probe, at that bound, pins it, where bisecting the tol grid takes
+    k = 21 (step = span / 2^k).  The greedy coupling accepts that probe,
+    so no sweep runs."""
+    u, v = _alternating_pair(48, F(3, 4), F(-5, 4), F(1, 2))
+    tol = F(1, 10**6)
+    probes, sweeps = _spy_probes(monkeypatch)
     got = compute_lb(u, v, tol)
     step = _grid_step(u, v, tol)
     assert step == F(15, 8) / 2 ** 21
     assert got == math.ceil(F(3, 8) / step) * step == F(6291465, 16777216)
-    assert len(calls) == 1
+    [(d, reach, accepted)] = probes
+    assert d == reach and accepted
+    assert sweeps == []
 
 
 def test_compute_lb_probes_frozen(monkeypatch):
@@ -723,6 +739,50 @@ def test_compute_lb_probes_frozen(monkeypatch):
     monkeypatch.setattr(lower_bound, "_sweep", counted)
     assert compute_lb(u, v, F(1, 64)) == F(65, 128) == 52 * F(5, 512)
     assert calls == [1024, 512, 10, 510]
+
+
+def test_compute_lb_probe_split_frozen(monkeypatch):
+    """Which of compute_lb's probes the greedy coupling settles and which
+    ones sweep, in order, frozen on a prime-denominator pair.  Scaled by
+    270336 (2 lcm(4096, 33); grid step 3/4096, 198 scaled): the reach bound
+    16/3 sweeps infeasible, the rank pivots 7 and 6 are accepted by the
+    filter, the pivot 188/33 sweeps infeasible, and the grid phase's g - 1
+    probe, 6 - 3/4096, sweeps infeasible, so the value is 6.  The probe
+    sequence is the sweep sequence compute_lb ran without the filter."""
+    u = ic((-3, -2), -8, (0, 1))
+    v = ic((F(4, 11), F(34, 33)), 4, (-6, F(-16, 3)))
+    probes, sweeps = _spy_probes(monkeypatch)
+    assert compute_lb(u, v, F(1, 1000)) == 6
+    assert [(d, accepted) for d, _, accepted in probes] == [
+        (1441792, False), (1892352, True), (1622016, True), (1540096, False), (1621818, False),
+    ]
+    assert probes[0][0] == probes[0][1]
+    assert sweeps == [1441792, 1540096, 1621818]
+
+
+def test_greedy_filter_accepts_only_feasible_decisions():
+    """Two-sided check of the greedy coupling against the traced sweep,
+    which never filters, on 20,000 pairs of precise, interval, hulled
+    finite-set and one-vertex curves at scaled deltas d >= 0: every
+    acceptance is a feasible decision, and the filter accepts most
+    feasible ones, so a filter that never accepts fails here too."""
+    rng = random.Random(5152)
+    feasible = accepted = zero = one_vertex = 0
+    for t in range(20000):
+        u, v = _mixed_curve(rng, wide=t % 2), _mixed_curve(rng, wide=t % 3 == 0)
+        delta = F(0) if t % 10 == 0 else F(rng.randint(1, 24), rng.choice((1, 2, 3, 4)))
+        # finite sets hulled to their spans, as compute_lb does
+        s, ((d,), *hulls) = scale_to_ints((delta,), *(p.span() for p in u.points + v.points))
+        su, sv = hulls[: len(u)], hulls[len(u) :]
+        greedy = lower_bound._greedy(su, sv, d)
+        *_, final_parts = lower_bound._sweep(su, sv, d, *lower_bound._clip_ints(hulls, d, s), True)
+        assert bool(final_parts) or not greedy, (u, v, delta)
+        feasible += bool(final_parts)
+        accepted += greedy
+        zero += d == 0
+        one_vertex += len(u) == 1 or len(v) == 1
+    assert feasible >= 8000 and accepted >= 0.9 * feasible, (feasible, accepted)
+    assert zero == 2000 and one_vertex >= 5000, (zero, one_vertex)
 
 
 def _reach(u, v):
