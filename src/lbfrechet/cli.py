@@ -275,11 +275,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     extra_fields: dict = {}
     extra_lines: list[str] = []
     if args.witness and decision.feasible:
-        wu, wv = extract_witness(decision.trace)
-        extra_fields["witness_u"] = [format_scalar(x) for x in wu]
-        extra_fields["witness_v"] = [format_scalar(x) for x in wv]
-        extra_lines.append("witness u: " + " ".join(format_scalar(x) for x in wu))
-        extra_lines.append("witness v: " + " ".join(format_scalar(x) for x in wv))
+        for side, w in zip("uv", extract_witness(decision.trace)):
+            extra_fields[f"witness_{side}"] = texts = [format_scalar(x) for x in w]
+            extra_lines.append(f"witness {side}: " + " ".join(texts))
     _emit(
         args,
         "decide",

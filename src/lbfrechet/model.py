@@ -29,12 +29,13 @@ class CurveFormatError(ValueError):
 _SCALAR_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$|^[+-]?\d+/\d+$")
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse a decimal string like "0.5" or a ratio like "4/5" exactly."""
+def _ratio(text: str) -> tuple[int, int]:
+    """Parse a decimal string like "0.5", a ratio like "4/5" or a JSON
+    integer exactly, to (numerator, positive denominator), unreduced."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise CurveFormatError(f"scalar must be a string, got {reprlib.repr(text)}")
+        raise CurveFormatError(f"scalar must be a string or an integer, got {reprlib.repr(text)}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text, 1
     t = text.strip()
     if not _SCALAR_RE.match(t):
         raise CurveFormatError(f"not a decimal or ratio literal: {reprlib.repr(text)}")
@@ -43,16 +44,28 @@ def parse_scalar(text: str) -> Fraction:
     num, _, den = t.partition("/")
     whole, _, frac = num.partition(".")
     try:
-        return Fraction(int(whole + frac), int(den) if den else 10 ** len(frac))
-    except ZeroDivisionError:
-        raise CurveFormatError(f"bad scalar {reprlib.repr(text)}: zero denominator") from None
+        a, b = int(whole + frac), int(den) if den else 10 ** len(frac)
     except ValueError as exc:
         raise CurveFormatError(f"bad scalar {reprlib.repr(text)}: {exc}") from exc
+    if not b:
+        raise CurveFormatError(f"bad scalar {reprlib.repr(text)}: zero denominator")
+    return a, b
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse a decimal string like "0.5", a ratio like "4/5" or a JSON
+    integer exactly."""
+    return Fraction(*_ratio(text))
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction, building a new one only from other types."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def format_scalar(value: Fraction) -> str:
     """Format exactly: plain decimal when the denominator is 2^a 5^b, else p/q."""
-    value = Fraction(value)
+    value = _exact(value)
     den = value.denominator
     twos = 0
     while den % 2 == 0:
@@ -189,14 +202,14 @@ UncertainPoint = Union[Precise, Interval, FiniteSet]
 
 def make_set(xs: Iterable[Fraction]) -> UncertainPoint:
     """Build a finite-set vertex, collapsing singletons to a precise point."""
-    vals = tuple(sorted(set(Fraction(x) for x in xs)))
+    vals = tuple(sorted(set(map(_exact, xs))))
     if len(vals) == 1:
         return Precise(vals[0])
     return FiniteSet(vals)
 
 
 def make_interval(lo: Fraction, hi: Fraction) -> UncertainPoint:
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _exact(lo), _exact(hi)
     if lo == hi:
         return Precise(lo)
     return Interval(lo, hi)
@@ -296,11 +309,16 @@ def _point_from_json(obj: object) -> UncertainPoint:
     if kind == "precise":
         return Precise(parse_scalar(obj.get("x")))
     if kind == "interval":
-        lo = parse_scalar(obj.get("lo"))
-        hi = parse_scalar(obj.get("hi"))
-        if lo > hi:
+        # the ends are compared once, as a/b against c/d on ints (b, d > 0),
+        # and each Fraction is built once
+        a, b = _ratio(obj.get("lo"))
+        c, d = _ratio(obj.get("hi"))
+        ad, cb = a * d, c * b
+        if ad > cb:
             raise CurveFormatError(f"interval with lo > hi: {reprlib.repr(obj)}")
-        return make_interval(lo, hi)
+        if ad == cb:
+            return Precise(Fraction(a, b))
+        return Interval(Fraction(a, b), Fraction(c, d))
     if kind == "set":
         xs = obj.get("xs")
         if not isinstance(xs, list) or not xs:

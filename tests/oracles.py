@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -384,6 +385,39 @@ def clip_box_reference(u, v, delta):
     delta = Fraction(delta)
     pts = u.all_endpoints() + v.all_endpoints()
     return min(pts) - 2 * delta - 1, max(pts) + 2 * delta + 1
+
+
+# ---------------------------------------------------------------------------
+# Curve files read with Fraction's own string parser
+# ---------------------------------------------------------------------------
+
+
+def load_curve_reference(path):
+    """Read a curve file whose scalars are all accepted literals or JSON
+    integers: each literal through Fraction(text.strip()), interval ends
+    compared as Fractions.  Returns (name, vertices), one tuple per vertex:
+    ("precise", x), ("interval", lo, hi) or ("set", x1, x2, ...) in
+    increasing order, where equal interval ends and a set of one distinct
+    value give a precise vertex.  Raises ValueError for lo > hi."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+
+    def scalar(x):
+        return Fraction(x) if isinstance(x, int) else Fraction(x.strip())
+
+    out = []
+    for p in data["points"]:
+        if p["type"] == "precise":
+            out.append(("precise", scalar(p["x"])))
+        elif p["type"] == "interval":
+            lo, hi = scalar(p["lo"]), scalar(p["hi"])
+            if lo > hi:
+                raise ValueError(f"interval with lo > hi: {p!r}")
+            out.append(("precise", lo) if lo == hi else ("interval", lo, hi))
+        else:
+            xs = sorted({scalar(x) for x in p["xs"]})
+            out.append(("precise", xs[0]) if len(xs) == 1 else ("set", *xs))
+    return data.get("name", ""), out
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,17 @@ def test_malformed_curve_json(tmp_path, capsys):
     assert err
 
 
+def test_json_integer_scalar_loads_and_float_or_bool_exits_three(tmp_path, capsys):
+    """A vertex scalar may be a JSON integer; a float or a bool exits 3
+    with one line that names both accepted forms."""
+    path = tmp_path / "c.json"
+    for literal, want in (("3", (0, "true\n", "")), ("1.5", None), ("true", None)):
+        path.write_text(f'{{"dimension": 1, "points": [{{"type": "precise", "x": {literal}}}]}}')
+        got = run(capsys, ["decide", "--delta", "1", str(path), str(path)])
+        shown = repr(json.loads(literal))
+        assert got == (want or (3, "", f"lbf: scalar must be a string or an integer, got {shown}\n"))
+
+
 @pytest.mark.parametrize("dim", ["true", "1.0"])
 def test_non_integer_dimension_is_exit_three(tmp_path, capsys, dim):
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Scalars, vertex kinds, curves, and the JSON wire format."""
 
 import ast
+import json
 import pathlib
 import random
 import sys
@@ -26,7 +27,8 @@ from lbfrechet import (
     parse_scalar,
     reverse,
 )
-from lbfrechet.model import make_interval, make_set, midpoint, narrow, reach_bound, scale_to_ints
+from lbfrechet.model import load_curve, make_interval, make_set, midpoint, narrow, reach_bound, scale_to_ints
+from oracles import load_curve_reference
 
 
 # --- scalars ---------------------------------------------------------------
@@ -388,6 +390,172 @@ def test_deeply_nested_curve_json_is_a_format_error():
 def test_curve_json_missing_dimension_means_one():
     points = '"points": [{"type": "precise", "x": "1"}]'
     assert curve_from_json(f"{{{points}}}") == curve_from_json(f'{{"dimension": 1, {points}}}')
+
+
+# --- the curve-file loader against Fraction's own parser ----------------------
+
+# large denominators, for interval ends one unit apart
+_BIG_DENS = (10**12 + 39, 2**61 - 1, 10**18)
+_UNICODE_DIGITS = ("\u0660", "\u06f0", "\uff10", "\u0966")  # Arabic-Indic, Persian, fullwidth, Devanagari
+_PADS = ("", "", " ", "\t", "\n ", "\u00a0", "\u2003")
+
+
+def _decimal_spelling(rng, q: F):
+    """q as a decimal literal with at least the digits it needs, or None
+    when its denominator is not 2^a 5^b."""
+    shift = 0
+    while (q * 10**shift).denominator != 1:
+        shift += 1
+        if shift > 30:
+            return None
+    shift += rng.choice((0, 0, 1, 2))
+    digits = str(abs(q.numerator * 10**shift // q.denominator)).rjust(shift + 1, "0")
+    sign = "-" if q < 0 or (q == 0 and rng.random() < 0.5) else rng.choice(("", "+"))
+    whole, frac = digits[: len(digits) - shift], digits[len(digits) - shift :]
+    if whole == "0" and frac and rng.random() < 0.3:
+        whole = ""  # ".5"
+    return f"{sign}{whole}.{frac}" if frac or rng.random() < 0.5 else f"{sign}{whole}"
+
+
+def _spell(rng, q: F):
+    """A random accepted spelling of q: a ratio with a common factor, a
+    decimal, a JSON integer, Unicode digits, surrounding whitespace and a
+    negative zero for 0."""
+    if q.denominator == 1 and rng.random() < 0.2:
+        return int(q)
+    text = None
+    if rng.random() < 0.4:
+        text = _decimal_spelling(rng, q)
+    if text is None:
+        k = rng.choice((1, 1, 2, 3, 10))
+        sign = "-" if q < 0 or (q == 0 and rng.random() < 0.5) else rng.choice(("", "+"))
+        zeros = "0" * rng.choice((0, 0, 1, 2))
+        text = f"{sign}{zeros}{abs(q.numerator) * k}/{zeros}{q.denominator * k}"
+        if q.denominator == 1 and k == 1 and rng.random() < 0.5:
+            text = text.split("/")[0]
+    if rng.random() < 0.1:
+        zero = rng.choice(_UNICODE_DIGITS)
+        text = "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in text)
+    return rng.choice(_PADS) + text + rng.choice(_PADS)
+
+
+def _value(rng):
+    r = rng.random()
+    if r < 0.1:
+        return F(0)
+    if r < 0.7:
+        return F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 5, 7, 8, 10, 20, 125)))
+    return F(rng.randint(-(10**20), 10**20), rng.choice(_BIG_DENS))
+
+
+def _vertex(rng, inverted=False):
+    """A seeded vertex dict, every scalar spelled at random; with inverted,
+    an interval whose lo exceeds hi (by one unit at a large denominator
+    half of the time)."""
+    kind = "interval" if inverted else rng.choices(("precise", "interval", "set"), (2, 7, 1))[0]
+    if kind == "precise":
+        return {"type": "precise", "x": _spell(rng, _value(rng))}
+    if kind == "set":
+        xs = [_value(rng) for _ in range(rng.randint(1, 4))]
+        xs += [rng.choice(xs) for _ in range(rng.randint(0, 2))]  # repeats, spelled apart
+        return {"type": "set", "xs": [_spell(rng, x) for x in xs]}
+    lo = _value(rng)
+    r = rng.random()
+    if r < 0.3:
+        hi = lo
+    elif r < 0.6:
+        hi = lo + F(1, rng.choice(_BIG_DENS))
+    else:
+        hi = lo + F(rng.randint(1, 50), rng.choice((1, 2, 3, 8, 10**12 + 39)))
+    if inverted:
+        lo, hi = (hi, lo) if hi != lo else (lo, lo - 1)
+    return {"type": "interval", "lo": _spell(rng, lo), "hi": _spell(rng, hi)}
+
+
+def _shape(p):
+    """A library vertex in load_curve_reference's tuple form, its values
+    checked to be Fractions."""
+    if isinstance(p, Precise):
+        shape = ("precise", p.x)
+    elif isinstance(p, Interval):
+        shape = ("interval", p.lo, p.hi)
+    else:
+        shape = ("set", *p.xs)
+    assert all(type(x) is F for x in shape[1:])
+    return shape
+
+
+def test_loader_matches_fraction_reference(tmp_path):
+    """load_curve against tests/oracles.load_curve_reference on 2,500
+    seeded vertices in 50 files, and 150 files that each hide one interval
+    with lo > hi among valid vertices: the same vertex types and values,
+    and a rejection exactly where the reference rejects.  Equal ends are
+    spelled apart ("1/2", "0.50", "2/4"), ends one unit apart sit at
+    denominators up to 10^18, and zeros come signed."""
+    rng = random.Random(20240)
+
+    def write(k, pts):
+        path = tmp_path / f"c{k}.json"
+        path.write_text(json.dumps({"points": pts}))
+        return path
+
+    for k in range(50):
+        path = write(k, [_vertex(rng) for _ in range(50)])
+        _, want = load_curve_reference(path)
+        assert [_shape(p) for p in load_curve(str(path)).points] == want
+    for k in range(50, 200):
+        pts = [_vertex(rng) for _ in range(rng.randint(0, 9))]
+        pts.insert(rng.randint(0, len(pts)), _vertex(rng, inverted=True))
+        path = write(k, pts)
+        with pytest.raises(ValueError):
+            load_curve_reference(path)
+        with pytest.raises(CurveFormatError, match="^interval with lo > hi: "):
+            load_curve(str(path))
+
+
+# Each malformed vertex with the exact error the loader raises, the first
+# offending scalar or check in document order deciding.
+MALFORMED_VERTICES = [
+    ({"type": "interval", "lo": "2", "hi": "1"},
+     "interval with lo > hi: {'hi': '1', 'lo': '2', 'type': 'interval'}"),
+    ({"type": "interval", "lo": "0.50", "hi": "2/5"},
+     "interval with lo > hi: {'hi': '2/5', 'lo': '0.50', 'type': 'interval'}"),
+    ({"type": "interval", "lo": "-0", "hi": "-1/1000000007"},
+     "interval with lo > hi: {'hi': '-1/1000000007', 'lo': '-0', 'type': 'interval'}"),
+    ({"type": "interval", "lo": "500000004/1000000007", "hi": "500000003/1000000007"},
+     "interval with lo > hi: {'hi': '500000003/1000000007', 'lo': '500000004/1000000007', 'type': 'interval'}"),
+    ({"type": "interval", "lo": 3, "hi": "5/2"},
+     "interval with lo > hi: {'hi': '5/2', 'lo': 3, 'type': 'interval'}"),
+    ({"type": "precise", "x": "1/0"}, "bad scalar '1/0': zero denominator"),
+    ({"type": "interval", "lo": "0/0", "hi": "1"}, "bad scalar '0/0': zero denominator"),
+    ({"type": "interval", "lo": "0", "hi": "007/000"}, "bad scalar '007/000': zero denominator"),
+    ({"type": "interval", "lo": "2", "hi": "1/0"}, "bad scalar '1/0': zero denominator"),
+    ({"type": "set", "xs": ["1", "2/0"]}, "bad scalar '2/0': zero denominator"),
+    ({"type": "precise", "x": 1.5}, "scalar must be a string or an integer, got 1.5"),
+    ({"type": "interval", "lo": 0.5, "hi": "1"}, "scalar must be a string or an integer, got 0.5"),
+    ({"type": "interval", "lo": "0", "hi": 1.0}, "scalar must be a string or an integer, got 1.0"),
+    ({"type": "precise", "x": True}, "scalar must be a string or an integer, got True"),
+    ({"type": "interval", "lo": "0", "hi": False}, "scalar must be a string or an integer, got False"),
+    ({"type": "set", "xs": ["1", 2.5]}, "scalar must be a string or an integer, got 2.5"),
+    ({"type": "precise"}, "scalar must be a string or an integer, got None"),
+    ({"type": "precise", "x": ["1"]}, "scalar must be a string or an integer, got ['1']"),
+    ({"type": "precise", "x": "1e3"}, "not a decimal or ratio literal: '1e3'"),
+    ({"type": "interval", "lo": "1e3", "hi": "2e3"}, "not a decimal or ratio literal: '1e3'"),
+    ({"type": "precise", "x": "inf"}, "not a decimal or ratio literal: 'inf'"),
+    ({"type": "precise", "x": "1 / 2"}, "not a decimal or ratio literal: '1 / 2'"),
+    ({"type": "interval", "lo": "1/-2", "hi": "1"}, "not a decimal or ratio literal: '1/-2'"),
+    ({"type": "interval", "lo": "x", "hi": "1/0"}, "not a decimal or ratio literal: 'x'"),
+    ({"type": "set", "xs": []}, "set vertex needs a nonempty xs list: {'type': 'set', 'xs': []}"),
+    ({"type": "blob", "x": "1"}, "unknown vertex type 'blob'"),
+    (["not", "an", "object"], "vertex must be an object, got ['not', 'an', 'object']"),
+]
+
+
+@pytest.mark.parametrize("vertex,message", MALFORMED_VERTICES)
+def test_malformed_vertex_messages_frozen(vertex, message):
+    with pytest.raises(CurveFormatError) as info:
+        curve_from_json({"points": [{"type": "precise", "x": "0"}, vertex]})
+    assert type(info.value) is CurveFormatError and str(info.value) == message
 
 
 # --- the bracket loop --------------------------------------------------------
