@@ -109,7 +109,6 @@ def _sha256(path: str) -> str:
 
 def _emit(
     args: argparse.Namespace,
-    command: str,
     inputs: Sequence[str],
     result: str,
     extra_fields: Optional[dict] = None,
@@ -117,7 +116,7 @@ def _emit(
 ) -> None:
     if args.output == "json-lines":
         record = {
-            "command": command,
+            "command": args.command,
             "inputs": {path: _sha256(path) for path in inputs},
             "result": result,
         }
@@ -280,7 +279,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             extra_lines.append(f"witness {side}: " + " ".join(texts))
     _emit(
         args,
-        "decide",
         (args.curve_a, args.curve_b),
         "true" if decision.feasible else "false",
         extra_fields,
@@ -293,7 +291,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
     u = load_curve(args.curve_a)
     v = load_curve(args.curve_b)
     value = compute_lb(u, v, args.tol, strict=args.strict)
-    _emit(args, "value", (args.curve_a, args.curve_b), format_scalar(value))
+    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
     return 0
 
 
@@ -307,7 +305,7 @@ def _cmd_precise(args: argparse.Namespace) -> int:
             )
     # the one realisation pair's bound is the distance between the curves
     value = bound_oracle(u, v, args.variant, "lower", adjacency=args.adjacency)
-    _emit(args, "precise", (args.curve_a, args.curve_b), format_scalar(value))
+    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
     return 0
 
 
@@ -325,7 +323,7 @@ def _cmd_weak_lb(args: argparse.Namespace) -> int:
             raise CliUsageError("weak-lb value takes no --delta")
         value = wfr_min_value(u, v, cap=cap)
         result = format_scalar(value)
-    _emit(args, "weak-lb", (args.curve_a, args.curve_b), result)
+    _emit(args, (args.curve_a, args.curve_b), result)
     return 0
 
 
@@ -346,7 +344,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         adjacency=args.adjacency,
         stop_at=args.stop_at,
     )
-    _emit(args, "oracle", (args.curve_a, args.curve_b), format_scalar(value))
+    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
     return 0
 
 
@@ -380,7 +378,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         _write_json(args.out[0], lift_curve_to_2d(u, args.sentinel))
         _write_json(args.out[1], lift_curve_to_2d(v, args.sentinel))
         result = f"wrote {args.out[0]} and {args.out[1]}"
-        _emit(args, "reduce", (args.curve_a, args.curve_b), result)
+        _emit(args, (args.curve_a, args.curve_b), result)
         return 0
 
     formula = _read_formula(args.cnf)
@@ -400,7 +398,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     extra_lines = [
         f"delta {format_scalar(inst.delta)}, gap {format_scalar(inst.gap_value)}"
     ] + [f"note: {note}" for note in inst.notes]
-    _emit(args, "reduce", (args.cnf,), result, extra_fields, extra_lines)
+    _emit(args, (args.cnf,), result, extra_fields, extra_lines)
     return 0
 
 
@@ -411,7 +409,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _build_instance(formula, "ub-sat" if args.kind == "ub" else "weak-discrete", args.model)
     spec = EnumerationSpec(resolution=args.resolution, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
     report = verify_reduction(inst, spec)
-    lines = report.summary_lines()[:-1]
     extra_fields = {
         "ok": report.ok,
         "sat": report.sat,
@@ -421,14 +418,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "distances": {k: format_scalar(d) for k, d in report.distances.items()},
         "notes": list(report.notes),
     }
-    _emit(
-        args,
-        "verify",
-        (args.cnf,),
-        f"ok={str(report.ok).lower()}",
-        extra_fields,
-        lines,
-    )
+    _emit(args, (args.cnf,), f"ok={str(report.ok).lower()}", extra_fields, report.summary_lines())
     return 0
 
 

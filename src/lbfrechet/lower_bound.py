@@ -75,7 +75,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve, midpoint, narrow, reach_bound, scale_to_ints
+from .model import FiniteSet, PolyCurve, UncertainCurve, midpoint, narrow, rank_pivot, reach_bound, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -630,39 +630,6 @@ def _greedy(su: list, sv: list, d: int) -> bool:
     return True
 
 
-def _rank_pivot(lists: tuple, lo: int, hi: int) -> Optional[int]:
-    """A pair difference xs[j] - xs[i] (i < j) of some sorted list of
-    distinct ints with lo < xs[j] - xs[i] < hi, or None if there is none.
-
-    Per row i the live j form one range, found with two pointers; the pivot
-    is the weighted median of the row middles, weighted by row length.  At
-    least half the live pairs sit in rows whose middle is at most the pivot,
-    and at least half of each such row is at most its middle, so a quarter
-    of the live pairs are at most the pivot; likewise at least.  Selection
-    in sorted matrices, after Frederickson and Johnson (1984)."""
-    rows = []
-    for xs in lists:
-        n = len(xs)
-        a = b = 0
-        for x in xs:
-            while a < n and xs[a] - x <= lo:
-                a += 1
-            while b < n and xs[b] - x < hi:
-                b += 1
-            if b > a:
-                rows.append((xs[(a + b - 1) // 2] - x, b - a))
-    if not rows:
-        return None
-    rows.sort()
-    total = sum(w for _, w in rows)
-    acc = 0
-    for mid, w in rows:
-        acc += w
-        if 2 * acc >= total:
-            break
-    return mid
-
-
 def compute_lb(
     u: UncertainCurve,
     v: UncertainCurve,
@@ -692,7 +659,7 @@ def compute_lb(
     last vertices, and each vertex to a point in the span of the other
     curve's regions, so every delta below L is infeasible without a sweep.
     When L is feasible the bracket is then one grid step wide and one probe
-    settles the value.  Each later probe is the rank pivot (_rank_pivot) of
+    settles the value.  Each later probe is the rank pivot (rank_pivot) of
     the candidates still strictly between the largest delta known infeasible
     and the smallest known feasible, so it removes a quarter of them.  A
     feasible probe c bounds g above by ceil(c / step), an infeasible one
@@ -736,7 +703,7 @@ def compute_lb(
         # deltas in (clo, chi) are undecided, g in (clo // unit, ceil(chi / unit)]
         if -(-chi // unit) - clo // unit <= 1:
             return None
-        return reach if clo < reach < chi else _rank_pivot(lists, clo, chi)
+        return reach if clo < reach < chi else rank_pivot(lists, clo, chi)
 
     # every delta below the reach bound is infeasible
     clo, chi = narrow(feasible, candidate, reach - 1 if 0 < reach < top * unit else 0, top * unit)

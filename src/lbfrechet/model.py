@@ -108,6 +108,40 @@ def midpoint(lo: int, hi: int) -> Optional[int]:
     return (lo + hi) // 2 if hi - lo > 1 else None
 
 
+def rank_pivot(lists: tuple, lo: int, hi: int) -> Optional[int]:
+    """A pair difference xs[j] - xs[i] (i <= j) of some sorted list of
+    distinct ints with lo < xs[j] - xs[i] < hi, or None if there is none;
+    with lo < 0 the zero differences i = j are among them.
+
+    Per row i the live j form one range, found with two pointers; the pivot
+    is the weighted median of the row middles, weighted by row length.  At
+    least half the live pairs sit in rows whose middle is at most the pivot,
+    and at least half of each such row is at most its middle, so a quarter
+    of the live pairs are at most the pivot; likewise at least.  Selection
+    in sorted matrices, after Frederickson and Johnson (1984)."""
+    rows = []
+    for xs in lists:
+        n = len(xs)
+        a = b = 0
+        for x in xs:
+            while a < n and xs[a] - x <= lo:
+                a += 1
+            while b < n and xs[b] - x < hi:
+                b += 1
+            if b > a:
+                rows.append((xs[(a + b - 1) // 2] - x, b - a))
+    if not rows:
+        return None
+    rows.sort()
+    total = sum(w for _, w in rows)
+    acc = 0
+    for mid, w in rows:
+        acc += w
+        if 2 * acc >= total:
+            break
+    return mid
+
+
 def reach_bound(hull_u: Sequence[tuple], hull_v: Sequence[tuple]):
     """L, below which no realisation pair of these vertex hulls ((lo, hi)
     per vertex, ints or Fractions alike) is within any Frechet-type

@@ -13,19 +13,23 @@ scale-free, so the oracle scales a whole candidate grid once and calls
 them directly; a result x of theirs means x / s.  Next to each value core
 sits a decision core (_decide, _discrete_decide, _weak_decide,
 _discrete_weak_decide) answering "is the value <= d?" on the same ints,
-which the oracle uses to skip pairs that cannot beat its best.  CORES
-names each variant's value core, decision core and scale factor; it is
-the one place a variant name meets its cores.  Float infinity appears
-only as an unreachable sentinel in min/max chains.
+which the oracle uses to skip pairs that cannot beat its best.  The
+continuous and discrete weak value cores are one model.narrow call each,
+whose probes model.rank_pivot picks by rank among vertex distances (and
+halves) without listing them.  CORES names each variant's value core,
+decision core and scale factor; it is the one place a variant name meets
+its cores.  Float infinity appears only as an unreachable sentinel in
+min/max chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from functools import partial
+from itertools import accumulate
 from typing import Sequence
 
-from .model import midpoint, narrow, scale_to_ints
+from .model import narrow, rank_pivot, scale_to_ints
 
 INF = float("inf")
 
@@ -136,24 +140,22 @@ def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
 def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
     """Smallest critical value the decision accepts.  Inputs must be
     scaled by an even factor (every value even), so halves are ints.  The
-    candidates come from each curve's distinct values: a repeated value
-    adds no new distance, and equal values give 0, a candidate anyway."""
-    sa, sb = set(a), set(b)
-    cands = {0}
-    cands.update(abs(x - y) for x in sa for y in sb)
-    for xs in (sa, sb):
-        cands.update(abs(x - y) // 2 for x, y in combinations(xs, 2))
-    ordered = sorted(cands)
-    _, k = narrow(lambda k: _decide(a, b, ordered[k]), midpoint, -1, len(ordered) - 1)
-    return ordered[k]
+    probes are rank pivots (model.rank_pivot) among the differences of the
+    distinct values of both curves and of their halves, 0 included: a
+    superset of the critical values, whose smallest accepted member is the
+    distance, which is at most the span."""
+    ends = sorted({*a, *b})
+    pick = partial(rank_pivot, (ends, [x // 2 for x in ends]))
+    return narrow(lambda d: _decide(a, b, d), pick, -1, ends[-1] - ends[0])[1]
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """The continuous Frechet distance: smallest feasible critical value.
 
     In one dimension every critical value is a vertex-vertex distance or
-    half a vertex-vertex distance within one curve, so we binary-search
-    that candidate set with the decision procedure.  Scaling by twice the
+    half a vertex-vertex distance within one curve, so the decision
+    procedure narrows a bracket with probes picked by rank among those
+    distances and halves, without listing them.  Scaling by twice the
     common denominator keeps the halves integral.
     """
     s, (ai, bi) = _scaled(a, b, factor=2)
@@ -323,12 +325,12 @@ def _check_adjacency(adjacency: int) -> None:
 
 
 def _discrete_weak(a: Sequence[int], b: Sequence[int], adjacency: int) -> int:
-    """The smallest spot weight whose flood fill connects the corners."""
-    ordered = sorted({abs(x - y) for x in a for y in b})
-    _, k = narrow(
-        lambda k: _discrete_weak_decide(a, b, ordered[k], adjacency), midpoint, -1, len(ordered) - 1
-    )
-    return ordered[k]
+    """The smallest spot weight whose flood fill connects the corners,
+    found as the smallest accepted difference of the distinct values of
+    both curves, 0 included (model.rank_pivot picks each probe)."""
+    ends = sorted({*a, *b})
+    pick = partial(rank_pivot, (ends,))
+    return narrow(lambda d: _discrete_weak_decide(a, b, d, adjacency), pick, -1, ends[-1] - ends[0])[1]
 
 
 def _discrete_weak_decide(a: Sequence[int], b: Sequence[int], d: int, adjacency: int) -> bool:
@@ -359,8 +361,9 @@ def discrete_weak(
     """Bottleneck path value between corners of the vertex-pair grid.
 
     Spots are vertex pairs weighted by their distance; steps move to grid
-    neighbours (4- or 8-adjacency).  Computed by bisecting the spot
-    weights with a flood fill over the spots of weight at most each.
+    neighbours (4- or 8-adjacency).  Computed by narrowing a bracket of
+    spot weights, picked by rank without listing them, with a flood fill
+    over the spots of weight at most each probe.
     """
     s, (ai, bi) = _scaled(a, b)
     _check_adjacency(adjacency)

@@ -524,7 +524,6 @@ class VerifyReport:
             out.append(f"distance {key} = {format_scalar(self.distances[key])}")
         for note in self.notes:
             out.append(f"note: {note}")
-        out.append(f"ok={str(self.ok).lower()}")
         return out
 
 

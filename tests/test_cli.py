@@ -394,9 +394,16 @@ def test_reduce_ub_sat_and_verify(tmp_path, capsys):
     assert u_doc["dimension"] == 1
     code, out, _ = run(capsys, ["verify", str(cnf), "--kind", "ub"])
     assert code == 0
-    assert "ok=true" in out
-    assert "distance frechet_upper = 1.5" in out
-    assert "distance discrete_upper = 1.5" in out
+    # the result line once, then the report's lines
+    assert out.splitlines() == [
+        "ok=true",
+        "kind=ub-sat model=indecisive sat=true",
+        "lengths_ok=True equivalence_ok=True threshold_ok=True range_ok=True gadget_ok=True hull_ok=None",
+        "realisations=2 adjacency=None",
+        "distance discrete_upper = 1.5",
+        "distance frechet_upper = 1.5",
+        "note: single clause duplicated to keep curve endpoints alignable",
+    ]
 
 
 def test_reduce_weak_and_verify(tmp_path, capsys):

@@ -27,7 +27,16 @@ from lbfrechet import (
     parse_scalar,
     reverse,
 )
-from lbfrechet.model import load_curve, make_interval, make_set, midpoint, narrow, reach_bound, scale_to_ints
+from lbfrechet.model import (
+    load_curve,
+    make_interval,
+    make_set,
+    midpoint,
+    narrow,
+    rank_pivot,
+    reach_bound,
+    scale_to_ints,
+)
 from oracles import load_curve_reference
 
 
@@ -589,3 +598,34 @@ def test_narrow_matches_brute_force():
 
         lo, hi = narrow(accepts, anywhere, xs[0] - 1, xs[-1])
         assert hi == xs[least] and lo == (xs[least - 1] if least else xs[0] - 1), (xs, cut)
+
+
+def test_rank_pivot_narrows_to_least_listed_difference():
+    """narrow with the rank pivot, started at (-1, span) as the value
+    searches start it, returns the smallest pair difference >= t of the
+    lists, 0 included (i = j) when t <= 0.  Seeded sorted lists of distinct
+    ints, alone and with their halves (the values even, as the callers pass
+    them).  Every pick is a listed difference strictly inside its bracket."""
+    rng = random.Random(2118)
+    for k in range(1500):
+        xs = sorted(rng.sample(range(-30, 30), rng.randint(1, 10)))
+        lists = (xs,)
+        if k % 2:
+            xs = [2 * x for x in xs]
+            lists = (xs, [x // 2 for x in xs])
+        diffs = {y - x for ys in lists for x in ys for y in ys if y >= x}
+        span = xs[-1] - xs[0]
+        t = rng.randint(-3, span)
+        brackets = []
+
+        def pick(lo, hi):
+            c = rank_pivot(lists, lo, hi)
+            brackets.append((lo, c, hi))
+            return c
+
+        _, hi = narrow(lambda d: d >= t, pick, -1, span)
+        assert hi == min(d for d in diffs if d >= t), (lists, t)
+        for lo, c, hi in brackets[:-1]:
+            assert c in diffs and lo < c < hi, (lists, t, lo, c, hi)
+        lo, c, hi = brackets[-1]
+        assert c is None and not any(lo < d < hi for d in diffs), (lists, t)

@@ -14,6 +14,7 @@ from lbfrechet.precise import (
     _decide,
     _discrete_decide,
     _discrete_frechet,
+    _discrete_weak,
     _discrete_weak_decide,
     _frechet_value,
     _weak_decide,
@@ -351,15 +352,23 @@ def repetitive_curve(rng, pool):
 def test_value_cores_on_repeated_values():
     """The int value cores against the independent Fraction references on
     pairs with many repeated values and many one-vertex curves: the
-    continuous core builds its candidates from distinct values only, and
-    the discrete core unrolls the first row and column."""
+    continuous and discrete weak cores pick from distinct values only, and
+    the discrete core unrolls the first row and column.  One pair in ten
+    is one curve twice, and another one in ten has a single value, so its
+    span is 0 and the value searches start at the bracket (-1, 0)."""
     rng = random.Random(1212)
-    for _ in range(400):
+    for k in range(400):
         pool = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
         a, b = repetitive_curve(rng, pool), repetitive_curve(rng, pool)
+        if k % 10 == 3:
+            b = list(a)
+        elif k % 10 == 7:
+            a, b = [pool[0]] * len(a), [pool[0]] * len(b)
         assert _discrete_frechet(a, b) == discrete_frechet_recursive(a, b), (a, b)
         got = _frechet_value([2 * x for x in a], [2 * y for y in b])
         assert got == 2 * frechet_value_reference(a, b), (a, b)
+        for adjacency in (4, 8):
+            assert _discrete_weak(a, b, adjacency) == discrete_weak_bfs(a, b, adjacency), (a, b)
 
 
 def test_value_cores_on_reduction_curves():
@@ -386,8 +395,9 @@ def test_value_cores_on_reduction_curves():
 
 def test_value_search_probes_frozen(monkeypatch):
     """The decisions frechet_value and discrete_weak make on one pair, in
-    order, frozen: scaled by 6 and by 3, the continuous search probes 9, 2,
-    4, 6 (delta 3/2, 1/3, 2/3, 1) and the discrete weak one 6, 9, 10."""
+    order, frozen: scaled by 6 and by 3, the continuous search probes the
+    rank pivots 6, 0, 2, 3, 4 (delta 1, 0, 1/3, 1/2, 2/3) and the discrete
+    weak one 3, 9, 10."""
     probes = []
 
     def logged(decide):
@@ -400,6 +410,6 @@ def test_value_search_probes_frozen(monkeypatch):
     for name in ("_decide", "_discrete_weak_decide"):
         monkeypatch.setattr(precise, name, logged(getattr(precise, name)))
     a, b = fr([0, 3, 1, 4]), fr([1, F(2, 3), 5])
-    assert frechet_value(a, b) == 1 and probes == [9, 2, 4, 6]
+    assert frechet_value(a, b) == 1 and probes == [6, 0, 2, 3, 4]
     probes.clear()
-    assert discrete_weak(a, b, adjacency=4) == F(10, 3) and probes == [6, 9, 10]
+    assert discrete_weak(a, b, adjacency=4) == F(10, 3) and probes == [3, 9, 10]
