@@ -40,10 +40,25 @@ Every realisation pair within delta matches the first vertices to each
 other and the last to each other, and matches every vertex of one curve to
 a point of the other curve, which lies in the span of that curve's vertex
 regions.  So no pair is within any delta below L, the largest of those
-gaps, and the sweep returns no final part there.  Traced sweeps skip the
-filter and record every cell, so dumps and witnesses do not change.
+gaps, and the sweep returns no final part there.
 
-compute_lb pairs that negative filter with a positive one from the same
+The same argument, applied to suffixes, picks the cells an untraced sweep
+evaluates (model.live_windows, also O(m + n)).  In cell (i, j) both walkers
+are at or past u_i and v_j and before u_{i+1} and v_{j+1}, so each later
+vertex of u still meets a point of v in the span of the regions of
+v_j..v_n, and each later vertex of v a point in the span of those of
+u_i..u_m.  In a cell where one of those gaps exceeds delta no point has a
+completion within delta, and neither has any point it feeds, since a
+completion of the fed point would also complete its source.  The sweep
+evaluates only the cells that pass, one window of columns per row, and
+hands the stand-in for an empty region on from the others.  So it drops
+only points of no complete path, and the final parts, which keep exactly
+the points of complete paths, do not change.  Every path crosses every
+row, so a row whose window is empty leaves no final part, and the sweep
+returns before any cell.  Traced sweeps skip both filters and record
+every cell, so dumps and witnesses do not change.
+
+compute_lb pairs these negative filters with a positive one from the same
 paper, also O(m + n): _greedy walks one discrete coupling of the vertex
 sequences and accepts when some realisation pair keeps every coupled pair
 within delta, and only the probes it does not accept are swept.  Such a
@@ -75,7 +90,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve, midpoint, narrow, rank_pivot, reach_bound, scale_to_ints
+from .model import FiniteSet, PolyCurve, UncertainCurve, live_windows, midpoint, narrow, rank_pivot, reach_bound, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -316,7 +331,10 @@ def decide_lb(
     """Decide whether some realisation pair has Frechet distance <= delta.
 
     With trace=True the sweep also records every region it produces, which
-    extract_witness and LbTrace.provenance read back."""
+    extract_witness and LbTrace.provenance read back, and evaluates every
+    cell.  Untraced, it sweeps nothing below the reach bound, and elsewhere
+    only the cells inside each row's live window (see the module
+    docstring)."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -347,7 +365,9 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     trace; laid out as LbTrace.rows), the stand-in E for an empty region
     and the final parts (kind, i, j, pieces); the decision is feasible iff
     some final part is left.  Untraced, a d below the reach bound of su and
-    sv returns no final part without sweeping a cell."""
+    sv, or a row whose live window (model.live_windows) is empty, returns no
+    final part without sweeping a cell; otherwise only the cells inside
+    each row's window are evaluated, and the others hand E on."""
     m, n = len(su), len(sv)
 
     # Vertex slabs already trimmed to the band and the box.
@@ -358,8 +378,11 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     # the stand-in for an empty region: one piece beyond the box
     E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
     rows: dict = {k: [] for k in "UDRL"}
-    if not trace and d < reach_bound(su, sv):
-        # no realisation pair reaches delta: no final part survives
+    # per row i = 1..m-1, the columns [lo, hi) of the cells swept
+    windows = [(1, n)] * (m - 1) if trace else live_windows(su, sv, d)
+    if not trace and (d < reach_bound(su, sv) or n > 1 and any(lo >= hi for lo, hi in windows)):
+        # no realisation pair reaches delta, or no path crosses some row:
+        # no final part survives
         return ipieces, jpieces, x00, rows, E, []
 
     band = (blo, bhi, blo, bhi, -d, d)
@@ -437,14 +460,17 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
         return three(a, b, c)
 
     rlast = llast = ()
-    for i in range(1, m):
-        rcur, lcur = rbase[i], lbase[i]
+    for i, (lo, hi) in enumerate(windows, 1):
+        # cells outside the window reach no final part: they hand E on
+        ucol[1:lo] = dcol[1:lo] = [E] * (lo - 1)
+        ucol[hi:n] = dcol[hi:n] = [E] * (n - hi)
+        rcur, lcur = (rbase[i], lbase[i]) if lo == 1 else (E, E)
         if trace:
             rrow, lrow = [rcur], [lcur]
             rrows.append(rrow)
             lrows.append(lrow)
         inext = ipieces[i + 1]
-        for j in range(1, n):
+        for j in range(lo, hi):
             uij, dij, jnext = ucol[j], dcol[j], jpieces[j + 1]
             if rcur is E and lcur is E and uij is E and dij is E:
                 new_r = new_l = E  # ucol[j] and dcol[j] stay empty
@@ -500,7 +526,7 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
                 rrow.append(new_r)
                 lrow.append(new_l)
             rcur, lcur = new_r, new_l
-        rlast, llast = rcur, lcur
+        rlast, llast = (rcur, lcur) if hi == n else (E, E)
         if trace:
             urows.append(ucol[1:n])
             drows.append(dcol[1:n])
@@ -648,7 +674,8 @@ def compute_lb(
     The curves and step are scaled to ints once (factor 2, so every endpoint
     is even and half distances are ints).  Each probe first walks the greedy
     coupling (_greedy), O(m + n), and is feasible if it accepts; otherwise
-    it runs the sweep on decide_lb's clip box directly.  The filter only
+    it runs the untraced sweep on decide_lb's clip box directly, which
+    evaluates only the cells inside each row's live window.  The filter only
     accepts feasible deltas, so it changes no answer, only how many sweeps
     run.  The search is two model.narrow calls, which rely on the decision
     being monotone in delta.  The first narrows

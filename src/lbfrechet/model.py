@@ -164,6 +164,47 @@ def reach_bound(hull_u: Sequence[tuple], hull_v: Sequence[tuple]):
     )
 
 
+def live_windows(hull_u: Sequence[tuple], hull_v: Sequence[tuple], delta) -> list:
+    """Per row i = 1..m-1 of the cells (i, j), 1 <= j < n, between the
+    vertex hulls I_1..I_m and J_1..J_n (as for reach_bound), the columns
+    [lo, hi) from which a path may still reach the last corner within
+    delta; lo >= hi when none may.  O(m + n).
+
+    In cell (i, j) both walkers are at or past u_i and v_j and before
+    u_{i+1} and v_{j+1}.  From there on, each vertex a > i of u meets a
+    point of v at or past v_j, in hull(J_j..J_n), and each vertex b > j of
+    v meets a point in hull(I_i..I_m).  So a completion within delta needs
+    A(i, j) = max_{a>i} gap(I_a, hull(J_j..J_n)) <= delta and
+    B(i, j) = max_{b>j} gap(J_b, hull(I_i..I_m)) <= delta, each O(1) from
+    suffix minima and maxima.  A grows with j and B shrinks, so A holds on
+    a prefix of the row and B on a suffix; A shrinks and B grows with i, so
+    both ends only move right, and two pointers find every window."""
+    def suffixes(hulls: Sequence[tuple]) -> list:
+        # per k: (min lo, max hi, max lo, min hi) over hulls[k:]
+        out = []
+        for lo, hi in reversed(hulls):
+            if out:
+                a, b, c, d = out[-1]
+                out.append((min(a, lo), max(b, hi), max(c, lo), min(d, hi)))
+            else:
+                out.append((lo, hi, lo, hi))
+        return out[::-1]
+
+    m, n = len(hull_u), len(hull_v)
+    su, sv = suffixes(hull_u), suffixes(hull_v)
+    windows = []
+    lo = hi = 1
+    for i in range(1, m):
+        ulo, uhi, _, _ = su[i - 1]  # hull(I_i..I_m)
+        _, _, amax, amin = su[i]  # the vertices a > i
+        while hi < n and max(amax - sv[hi - 1][1], sv[hi - 1][0] - amin) <= delta:
+            hi += 1
+        while lo < n and max(sv[lo][2] - uhi, ulo - sv[lo][3]) > delta:
+            lo += 1
+        windows.append((lo, hi))
+    return windows
+
+
 @dataclass(frozen=True)
 class Precise:
     x: Fraction
@@ -190,6 +231,15 @@ class Interval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"interval with lo > hi: [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def _ordered(cls, lo: Fraction, hi: Fraction) -> Interval:
+        """The interval [lo, hi] from ends the caller has already ordered,
+        built without __post_init__'s second compare."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "lo", lo)
+        object.__setattr__(p, "hi", hi)
+        return p
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
@@ -344,7 +394,7 @@ def _point_from_json(obj: object) -> UncertainPoint:
         return Precise(parse_scalar(obj.get("x")))
     if kind == "interval":
         # the ends are compared once, as a/b against c/d on ints (b, d > 0),
-        # and each Fraction is built once
+        # and each Fraction and the Interval are built once
         a, b = _ratio(obj.get("lo"))
         c, d = _ratio(obj.get("hi"))
         ad, cb = a * d, c * b
@@ -352,7 +402,7 @@ def _point_from_json(obj: object) -> UncertainPoint:
             raise CurveFormatError(f"interval with lo > hi: {reprlib.repr(obj)}")
         if ad == cb:
             return Precise(Fraction(a, b))
-        return Interval(Fraction(a, b), Fraction(c, d))
+        return Interval._ordered(Fraction(a, b), Fraction(c, d))
     if kind == "set":
         xs = obj.get("xs")
         if not isinstance(xs, list) or not xs:

@@ -25,6 +25,7 @@ from lbfrechet.model import (
     Precise,
     UncertainCurve,
     is_realisation,
+    live_windows,
     make_interval,
     make_set,
     reach_bound,
@@ -631,9 +632,9 @@ def _grid_step(u, v, tol):
     return step
 
 
-def _mixed_curve(rng, wide):
+def _mixed_curve(rng, wide, max_len=5):
     pts = []
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(1, max_len)):
         den = rng.choice((1, 2, 3, 7))
         lo = F(rng.randint(-9, 9), den)
         kind = rng.randrange(3)
@@ -818,6 +819,60 @@ def test_reach_filter_rejects_only_infeasible_decisions():
                 elif delta == reach and traced.feasible:
                     at_bound += 1
     assert below >= 1000 and at_bound >= 300 and one_vertex >= 500, (below, at_bound, one_vertex)
+
+
+def test_live_windows_keep_the_final_parts():
+    """The untraced sweep evaluates only the cells inside each row's live
+    window; the traced sweep never takes the window.  On 5,000 pairs of
+    1-12 precise, interval and hulled finite-set vertices, at deltas from
+    below the reach bound to above the span, both return the same final
+    parts, and on a share of the pairs the window drops a cell whose
+    traced sources are not all empty, so a window that drops a cell some
+    complete path crosses fails here."""
+    rng = random.Random(2602)
+    dropped = windowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide finite sets are hulled
+        for t in range(5000):
+            u, v = _mixed_curve(rng, t % 2, 12), _mixed_curve(rng, t % 3 == 0, 12)
+            (ulo, uhi), (vlo, vhi) = u.span(), v.span()
+            # mostly below half of top, where the window bites; one in eight
+            # up to 5/4 of it, past the span
+            top = max(uhi - vlo, vhi - ulo, _reach(u, v)) + 1
+            scale = rng.randint(33, 80) if t % 8 == 0 else rng.randint(1, 32)
+            trace = decide_lb(u, v, top * F(scale, 64), trace=True).trace
+            m, n, d = trace.m, trace.n, trace.delta_scaled
+            su, sv = trace.hulls[:m], trace.hulls[m:]
+            *_, final_parts = lower_bound._sweep(su, sv, d, *trace.box_scaled, False)
+            assert final_parts == trace.final_parts, (u, v, d)
+            if d < reach_bound(su, sv):
+                continue  # the reach filter, not the window, settles these
+            windowed += 1
+            dropped += any(
+                any(trace.region(kind, i, j) for kind in "UDRL")
+                for i, (lo, hi) in enumerate(live_windows(su, sv, d), 1)
+                for j in range(1, n)
+                if not lo <= j < hi
+            )
+    assert 1500 <= windowed <= 4000 and dropped >= 0.2 * windowed, (windowed, dropped)
+
+
+def test_empty_row_window_sweeps_no_cell():
+    """u = 4, 2, 0, 2 against v = 4, 0, 2, 4, 2 at delta 1 is above the
+    reach bound, but no cell of row 2 is live (see
+    test_live_windows_by_hand): the untraced decision is infeasible without
+    calling a kernel, as the traced one finds by sweeping."""
+    u, v = ic(4, 2, 0, 2), ic(4, 0, 2, 4, 2)
+    assert _reach(u, v) <= 1
+    calls = []
+    kernel = lower_bound._mm_h_r
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lower_bound, "_mm_h_r", lambda p, q: calls.append(p) or kernel(p, q))
+        assert not decide_lb(u, v, F(1)).feasible
+        assert calls == []
+        assert not decide_lb(u, v, F(1), trace=True).feasible
+        assert calls
+    assert decide_lb(u, v, F(2)).feasible
 
 
 def test_compute_lb_at_and_above_the_reach_bound():

@@ -28,6 +28,7 @@ from lbfrechet import (
     reverse,
 )
 from lbfrechet.model import (
+    live_windows,
     load_curve,
     make_interval,
     make_set,
@@ -216,6 +217,63 @@ def test_reach_bound_has_three_callers():
     }
 
 
+def test_live_windows_by_hand():
+    """u = 0, 2, 2, 4 and v = 0, 0, 2, 4, 4 at delta 1.  Row 1 stops short
+    of column 4: from there v stays at 4 while u must still meet 2.  Rows 2
+    and 3 start at column 2: past u_2 = 2, u stays within [2, 4] while v
+    must still meet v_2 = 0.  Row 3 reaches column 4, as only 4 is left of
+    u.  In row 2 of u = 4, 2, 0, 2 against v = 4, 0, 2, 4, 2 no cell is
+    live: u is past u_2, so the rest of u lies within [0, 2] and must still
+    meet 0.  Then v must not have reached v_3 (columns 1 and 2, as the rest
+    of v from v_3 on lies within [2, 4]) and must have passed v_4 = 4
+    (column 4), which cannot both hold."""
+    def precise(*xs):
+        return [(x, x) for x in xs]
+
+    assert live_windows(precise(0, 2, 2, 4), precise(0, 0, 2, 4, 4), 1) == [(1, 4), (2, 4), (2, 5)]
+    assert live_windows(precise(0, 2, 2, 4), precise(0, 0, 2, 4, 4), 2) == [(1, 5)] * 3
+    assert live_windows(precise(4, 2, 0, 2), precise(4, 0, 2, 4, 2), 1) == [(1, 3), (4, 3), (4, 5)]
+    assert live_windows(precise(3), precise(0, 1), 0) == []
+    assert live_windows(precise(0, 5), precise(3), 0) == [(1, 1)]
+
+
+def test_live_windows_match_direct_evaluation():
+    """The two-pointer windows equal a direct O(mn) evaluation of both
+    conditions per cell on 1,200 seeded pairs of int hulls, many with one or
+    two vertices on a side and one in six of two equal curves: the live
+    columns of each row are exactly [lo, hi), and none when lo >= hi."""
+    rng = random.Random(2601)
+
+    def gap(a, b):
+        return max(a[0] - b[1], b[0] - a[1])
+
+    def hull(hs):
+        return min(lo for lo, _ in hs), max(hi for _, hi in hs)
+
+    def curve():
+        size = rng.choice((1, 2, rng.randint(1, 9)))
+        return [(lo, lo + rng.choice((0, 0, 1, 3))) for lo in (rng.randint(-6, 6) for _ in range(size))]
+
+    rows = bites = 0
+    for t in range(1200):
+        hu = curve()
+        hv = list(hu) if t % 6 == 0 else curve()
+        m, n = len(hu), len(hv)
+        d = rng.randint(0, 8)
+        windows = live_windows(hu, hv, d)
+        assert len(windows) == m - 1
+        for i, (lo, hi) in enumerate(windows, 1):
+            live = [
+                j for j in range(1, n)
+                if max(gap(hu[a - 1], hull(hv[j - 1 :])) for a in range(i + 1, m + 1)) <= d
+                and max(gap(hv[b - 1], hull(hu[i - 1 :])) for b in range(j + 1, n + 1)) <= d
+            ]
+            assert (list(range(lo, hi)) if lo < hi else []) == live, (hu, hv, d, i)
+            rows += 1
+            bites += len(live) < n - 1
+    assert rows >= 1500 and bites >= 400, (rows, bites)
+
+
 def test_star_import_binds_exactly_all():
     """Every name in __all__ resolves, once, and a star import binds
     nothing else, so no deleted name lingers as an export."""
@@ -252,6 +310,21 @@ def test_interval_vertex():
 def test_interval_rejects_reversed():
     with pytest.raises(ValueError):
         Interval(F(2), F(1))
+
+
+def test_loaded_interval_is_built_without_a_second_compare(monkeypatch):
+    """The loader orders an interval's ends on ints once and builds the
+    Interval without __post_init__; the result equals, and hashes as, the
+    one built directly, which still rejects reversed ends."""
+    calls = []
+    post_init = Interval.__post_init__
+    monkeypatch.setattr(Interval, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    got = curve_from_json({"points": [{"type": "interval", "lo": "1/3", "hi": "2.5"}]}).points[0]
+    assert calls == []
+    assert got == Interval(F(1, 3), F(5, 2)) and hash(got) == hash(Interval(F(1, 3), F(5, 2)))
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="lo > hi"):
+        Interval(F(5, 2), F(1, 3))
 
 
 def test_finite_set_vertex():

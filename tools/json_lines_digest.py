@@ -6,11 +6,14 @@ Run from the root of a source checkout.  For each workload of
 `perfbench/gen.py` and each seed, this writes the workload's input files
 into a temporary directory and runs every operation through
 `lbfrechet.cli.main(["--output", "json-lines", ...])` in-process, in the
-order one benchmark pass runs them.  The directory's path is replaced by a
-placeholder in the output.  It prints one sha256 per workload and seed over
-each operation's (exit code, stdout, stderr), then one total over those
-lines.  Two checkouts that print the same digests gave byte-identical
-results on every operation.
+order one benchmark pass runs them.  Each `decide --witness` operation also
+writes its traced regions with `--dump-regions` into a directory of its own.
+The directory's path is replaced by a placeholder in the output.  It prints
+one sha256 per workload and seed over each operation's (exit code, stdout,
+stderr) and, after a witness operation, its dump files' sorted names and
+contents; then one total over those lines.  Two checkouts that print the
+same digests gave byte-identical results and region dumps on every
+operation.
 """
 
 from __future__ import annotations
@@ -48,10 +51,15 @@ def digest(workload: str, seed: int) -> tuple:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         ops = gen.build(workload, seed, tmp)
-        for op in ops:
-            rc, out, err = run(op.argv)
-            record = f"{rc}\0{out}\0{err}\0".replace(tmp, PLACEHOLDER)
-            h.update(record.encode("utf-8"))
+        for k, op in enumerate(ops):
+            dump = os.path.join(tmp, f"dump{k:04d}") if op.kind == "witness" else None
+            rc, out, err = run(op.argv + ["--dump-regions", dump] if dump else op.argv)
+            records = [f"{rc}\0{out}\0{err}\0"]
+            for name in sorted(os.listdir(dump)) if dump else ():
+                with open(os.path.join(dump, name), encoding="utf-8") as fh:
+                    records.append(f"{name}\0{fh.read()}\0")
+            for record in records:
+                h.update(record.replace(tmp, PLACEHOLDER).encode("utf-8"))
     return h.hexdigest(), len(ops)
 
 
