@@ -15,13 +15,15 @@ Fraction once.  A pair of precise curves has one realisation pair, so its
 bound is the precise distance; lbf precise computes it that way.
 
 On that int grid every value is an int, so "strictly better than best"
-is "<= best - 1" on the lower side and "not <= best" on the upper side.
-The scan computes a pair's full value only when the variant's integer
-decision says so; on the lower side it first skips pairs whose endpoint
-distance max(|a[0] - b[0]|, |a[-1] - b[-1]|), a lower bound on every
-variant, is already >= best.  A skipped pair cannot change best, and
-stop_at can only trigger when best changes, so best, the stop position
-and the result are those of scanning every pair in full.
+is "<= best - 1" on the lower side and "> best" on the upper side.  After
+the first pair the scan calls each core with the bracket that says so
+(hi = best - 1 below, lo = best above; see precise), so a core returns a
+pair's exact value only when it beats best and may stop early otherwise.
+On the lower side it first skips pairs whose endpoint distance
+max(|a[0] - b[0]|, |a[-1] - b[-1]|), a lower bound on every variant, is
+already >= best.  A skipped pair cannot change best, and stop_at can only
+trigger when best changes, so best, the stop position and the result are
+those of scanning every pair in full.
 """
 
 from __future__ import annotations
@@ -168,49 +170,50 @@ def bound_oracle(
     as strong as stop_at (lower <= stop_at, upper >= stop_at); the result
     is then decision grade only.  The pair product must fit the cap.
 
-    A pair's full value is computed only when an integer decision says it
-    beats the best so far (see the module docstring); the pairs skipped
-    cannot change the best, so neither the result nor where stop_at stops
-    the scan differs from a full scan.
+    A pair's exact value is computed only when it beats the best so far
+    (see the module docstring); the pairs that do not cannot change the
+    best, so neither the result nor where stop_at stops the scan differs
+    from a full scan.
     """
     spec = spec or EnumerationSpec()
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if variant not in CORES:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    dist, decide, factor = CORES[variant]
+    dist, factor = CORES[variant]
     if variant == "discrete-weak":
         _check_adjacency(adjacency)
-        dist, decide = partial(dist, adjacency=adjacency), partial(decide, adjacency=adjacency)
+        dist = partial(dist, adjacency=adjacency)
     check_pairs(u, v, spec)
     cu, cv = vertex_candidates(u, spec), vertex_candidates(v, spec)
     stops = () if stop_at is None else (Fraction(stop_at),)
     s, scaled = scale_to_ints(*cu, *cv, stops, factor=factor)
     iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
     stop = scaled[-1][0] if stops else None
-    return Fraction(_scan(iu, iv, dist, decide, side == "lower", stop), s)
+    return Fraction(_scan(iu, iv, dist, side == "lower", stop), s)
 
 
-def _scan(cu, cv, dist, decide, lower: bool, stop: int | None) -> int:
+def _scan(cu, cv, dist, lower: bool, stop: int | None) -> int:
     """Min (lower) or max of dist over product(cu) x product(cv) in order,
     stopping at the first pair whose value meets stop.  All values are
-    scaled ints; after the first pair, dist runs only on the pairs that
-    decide shows strictly better than best (see the module docstring)."""
+    scaled ints; after the first pair, dist gets the bracket of the values
+    strictly better than best (see the module docstring)."""
     best = None
     for ra in itertools.product(*cu):
         for rb in itertools.product(*cv):
-            if best is not None:
-                if lower:
-                    if (
-                        abs(ra[0] - rb[0]) >= best
-                        or abs(ra[-1] - rb[-1]) >= best
-                        or not decide(ra, rb, best - 1)
-                    ):
-                        continue
-                elif decide(ra, rb, best):
+            if best is None:
+                value = dist(ra, rb)
+            elif lower:
+                if abs(ra[0] - rb[0]) >= best or abs(ra[-1] - rb[-1]) >= best:
                     continue
-            best = dist(ra, rb)
+                value = dist(ra, rb, hi=best - 1)
+                if value >= best:
+                    continue
+            else:
+                value = dist(ra, rb, lo=best)
+                if value <= best:
+                    continue
+            best = value
             if stop is not None and (best <= stop if lower else best >= stop):
                 return best
     return best
-

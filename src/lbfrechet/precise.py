@@ -10,36 +10,27 @@ the common denominator (model.scale_to_ints), runs an integer core and
 converts back with Fraction(x, s), so results are still Fractions.  The
 cores (_frechet_value, _discrete_frechet, _weak, _discrete_weak) are
 scale-free, so the oracle scales a whole candidate grid once and calls
-them directly; a result x of theirs means x / s.  Next to each value core
-sits a decision core (_decide, _discrete_decide, _weak_decide,
-_discrete_weak_decide) answering "is the value <= d?" on the same ints,
-which the oracle uses to skip pairs that cannot beat its best.  The
-continuous and discrete weak value cores are one model.narrow call each,
-whose probes model.rank_pivot picks by rank among vertex distances (and
-halves) without listing them.  CORES names each variant's value core,
-decision core and scale factor; it is the one place a variant name meets
-its cores.  Float infinity appears only as an unreachable sentinel in
-min/max chains.
+them directly; a result x of theirs means x / s.  Each core takes an
+optional bracket (lo, hi]: it returns the exact value when that lies
+inside and otherwise some int on the same side, so it may stop early
+("value <= d?" is core(a, b, hi=d) <= d).  The recurrences stop once a
+whole row exceeds hi; the continuous core decides at lo and at hi, then
+narrows (model.narrow) with probes model.rank_pivot picks by rank among
+vertex distances and halves; the discrete weak core is one bottleneck
+search.  The continuous decision _decide also serves frechet_decide.
+CORES names each variant's value core and scale factor; it is the one
+place a variant name meets its core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Sequence
 
 from .model import narrow, rank_pivot, scale_to_ints
-
-INF = float("inf")
-
-
-def _dist_to_interval(x: int, lo: int, hi: int) -> int:
-    if x < lo:
-        return lo - x
-    if x > hi:
-        return x - hi
-    return 0
 
 
 def _scaled(a, b, *extra, factor: int = 1) -> tuple[int, list[list[int]]]:
@@ -137,16 +128,26 @@ def frechet_decide(a: Sequence[Fraction], b: Sequence[Fraction], delta) -> bool:
     return _decide(ai, bi, d)
 
 
-def _frechet_value(a: Sequence[int], b: Sequence[int]) -> int:
-    """Smallest critical value the decision accepts.  Inputs must be
-    scaled by an even factor (every value even), so halves are ints.  The
-    probes are rank pivots (model.rank_pivot) among the differences of the
+def _frechet_value(a: Sequence[int], b: Sequence[int], lo: int = -1, hi: int | None = None) -> int:
+    """Smallest critical value the decision accepts, in the bracket (lo,
+    hi] (see the module docstring).  Inputs must be scaled by an even
+    factor (every value even), so halves are ints.  It decides at lo and
+    at hi first (a bracket one wide then holds only hi), then narrows
+    with rank pivots (model.rank_pivot) among the differences of the
     distinct values of both curves and of their halves, 0 included: a
-    superset of the critical values, whose smallest accepted member is the
-    distance, which is at most the span."""
+    superset of the critical values, whose smallest accepted member is
+    the distance, which is at most the span."""
+    if lo >= 0 and _decide(a, b, lo):
+        return lo
+    if hi is not None:
+        if not _decide(a, b, hi):
+            return hi + 1
+        if hi - lo == 1:
+            return hi
     ends = sorted({*a, *b})
+    top = ends[-1] - ends[0] if hi is None else min(hi, ends[-1] - ends[0])
     pick = partial(rank_pivot, (ends, [x // 2 for x in ends]))
-    return narrow(lambda d: _decide(a, b, d), pick, -1, ends[-1] - ends[0])[1]
+    return narrow(lambda d: _decide(a, b, d), pick, lo, top)[1]
 
 
 def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -162,15 +163,22 @@ def frechet_value(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(_frechet_value(ai, bi), s)
 
 
-def _discrete_frechet(a: Sequence[int], b: Sequence[int]) -> int:
+def _discrete_frechet(a: Sequence[int], b: Sequence[int], lo: int = -1, hi: int | None = None) -> int:
     """Coupling recurrence of Eiter & Mannila (1994), quadratic time, on
     rolling rows.  The first row and column have one predecessor, so they
-    are unrolled, and every other cell takes a few plain comparisons."""
-    prev = list(accumulate((abs(a[0] - y) for y in b), max))
+    are unrolled, and every other cell takes a few plain comparisons.
+    Entries never fall along a coupling and every coupling passes each
+    row, so once a whole row exceeds hi its least entry is an answer above
+    the bracket; lo is not used."""
+    x = a[0]
+    prev = list(accumulate([x - y if x > y else y - x for y in b], max))
     y0, rest = b[0], b[1:]
     for x in a[1:]:
+        if hi is not None and (least := min(prev)) > hi:
+            return least
         diag = prev[0]
-        left = max(diag, abs(x - y0))
+        d = x - y0 if x > y0 else y0 - x
+        left = diag if diag > d else d
         cur = [left]
         for up, y in zip(prev[1:], rest):
             reach = up if up < left else left
@@ -184,74 +192,42 @@ def _discrete_frechet(a: Sequence[int], b: Sequence[int]) -> int:
     return prev[-1]
 
 
-def _discrete_decide(a: Sequence[int], b: Sequence[int], d: int) -> bool:
-    """Is the discrete Frechet distance <= d?  The coupling recurrence on
-    booleans, row by row, giving up on a row with no reachable pair."""
-    n = len(b)
-    prev = [False] * n
-    for i, x in enumerate(a):
-        cur = [False] * n
-        for j, y in enumerate(b):
-            cur[j] = -d <= x - y <= d and (
-                (i == 0 and j == 0) or prev[j] or (j > 0 and (cur[j - 1] or prev[j - 1]))
-            )
-        if not any(cur):
-            return False
-        prev = cur
-    return prev[-1]
-
-
 def discrete_frechet(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """The discrete Frechet distance (coupling recurrence on ints)."""
     s, (ai, bi) = _scaled(a, b)
     return Fraction(_discrete_frechet(ai, bi), s)
 
 
-def _bottleneck(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list) -> int:
+def _bottleneck(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list, hi: int | None = None) -> int:
     """Forward bottleneck recurrence: entry (i, j) is the cheapest max-cost
     of interleaving the first i vertices of a with the first j of b, where
     reaching vertex i of a costs a[i - 1]'s distance to the image bimg[j]
-    of b, and reaching vertex j of b costs b[j - 1]'s distance to aimg[i]."""
-    m, n = len(a), len(b)
-    prev = [INF] * n
-    for i in range(m):
-        cur = [INF] * n
-        for j in range(n):
-            if i == 0 and j == 0:
-                cur[0] = abs(a[0] - b[0])
-                continue
-            best = INF
-            if i > 0 and prev[j] is not INF:
-                pen = _dist_to_interval(a[i - 1], *bimg[j])
-                cand = prev[j] if prev[j] > pen else pen
-                if cand < best:
-                    best = cand
-            if j > 0 and cur[j - 1] is not INF:
-                pen = _dist_to_interval(b[j - 1], *aimg[i])
-                cand = cur[j - 1] if cur[j - 1] > pen else pen
-                if cand < best:
-                    best = cand
-            cur[j] = best
-        prev = cur
-    return prev[n - 1]
-
-
-def _bottleneck_decide(a: Sequence[int], b: Sequence[int], aimg: list, bimg: list, d: int) -> bool:
-    """Is _bottleneck(a, b, aimg, bimg) <= d?  The same recurrence on
-    booleans: an entry is reachable when a neighbour is and its step's
-    penalty is at most d."""
-    m, n = len(a), len(b)
-    prev = [False] * n
-    for i in range(m):
-        cur = [False] * n
-        lo, hi = aimg[i]
-        for j in range(n):
-            if i == 0 and j == 0:
-                cur[0] = -d <= a[0] - b[0] <= d
-            else:
-                cur[j] = (
-                    prev[j] and bimg[j][0] - d <= a[i - 1] <= bimg[j][1] + d
-                ) or (j > 0 and cur[j - 1] and lo - d <= b[j - 1] <= hi + d)
+    of b, and reaching vertex j of b costs b[j - 1]'s distance to aimg[i].
+    The first row has one predecessor, so it is unrolled; on rolling rows,
+    as in _discrete_frechet, it stops once a whole row exceeds hi."""
+    p, q = aimg[0]
+    prev = list(accumulate(
+        [p - y if y < p else y - q if y > q else 0 for y in b[:-1]], max, initial=abs(a[0] - b[0])
+    ))
+    (p0, q0), rest = bimg[0], bimg[1:]
+    for x, (alo, ahi) in zip(a, aimg[1:]):
+        if hi is not None and (least := min(prev)) > hi:
+            return least
+        # x is a[i - 1] and (alo, ahi) is aimg[i]; below, (p, q) is
+        # bimg[j] and y is b[j - 1]
+        g = p0 - x if x < p0 else x - q0 if x > q0 else 0
+        left = prev[0] if prev[0] > g else g
+        cur = [left]
+        for up, (p, q), y in zip(prev[1:], rest, b):
+            g = p - x if x < p else x - q if x > q else 0
+            if up < g:
+                up = g
+            g = alo - y if y < alo else y - ahi if y > ahi else 0
+            if left < g:
+                left = g
+            if up < left:
+                left = up
+            cur.append(left)
         prev = cur
     return prev[-1]
 
@@ -266,8 +242,8 @@ def _prefix_hulls(xs: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _r_dp(a: Sequence[int], b: Sequence[int]) -> int:
-    return _bottleneck(a, b, _prefix_hulls(a), _prefix_hulls(b))
+def _r_dp(a: Sequence[int], b: Sequence[int], hi: int | None = None) -> int:
+    return _bottleneck(a, b, _prefix_hulls(a), _prefix_hulls(b), hi)
 
 
 def r_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -290,19 +266,15 @@ def rm_dp(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(_bottleneck(ai, bi, edge_images(ai), edge_images(bi)), s)
 
 
-def _weak(a: Sequence[int], b: Sequence[int]) -> int:
-    """The forward recurrence run from both ends, worse of the two."""
-    fwd = _r_dp(a, b)
-    bwd = _r_dp(a[::-1], b[::-1])
+def _weak(a: Sequence[int], b: Sequence[int], lo: int = -1, hi: int | None = None) -> int:
+    """The forward recurrence run from both ends, worse of the two; the
+    backward pass is skipped once the forward one exceeds hi, and lo is
+    not used."""
+    fwd = _r_dp(a, b, hi)
+    if hi is not None and fwd > hi:
+        return fwd
+    bwd = _r_dp(a[::-1], b[::-1], hi)
     return fwd if fwd >= bwd else bwd
-
-
-def _weak_decide(a: Sequence[int], b: Sequence[int], d: int) -> bool:
-    """Is _weak(a, b) <= d?  Both directions of the boolean recurrence."""
-    return all(
-        _bottleneck_decide(xs, ys, _prefix_hulls(xs), _prefix_hulls(ys), d)
-        for xs, ys in ((a, b), (a[::-1], b[::-1]))
-    )
 
 
 def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -324,33 +296,50 @@ def _check_adjacency(adjacency: int) -> None:
         raise ValueError(f"adjacency must be 4 or 8, got {adjacency}")
 
 
-def _discrete_weak(a: Sequence[int], b: Sequence[int], adjacency: int) -> int:
-    """The smallest spot weight whose flood fill connects the corners,
-    found as the smallest accepted difference of the distinct values of
-    both curves, 0 included (model.rank_pivot picks each probe)."""
-    ends = sorted({*a, *b})
-    pick = partial(rank_pivot, (ends,))
-    return narrow(lambda d: _discrete_weak_decide(a, b, d, adjacency), pick, -1, ends[-1] - ends[0])[1]
-
-
-def _discrete_weak_decide(a: Sequence[int], b: Sequence[int], d: int, adjacency: int) -> bool:
-    """Is _discrete_weak(a, b, adjacency) <= d?  A flood fill from the
-    first corner over the spots of weight <= d."""
+def _discrete_weak(
+    a: Sequence[int], b: Sequence[int], adjacency: int, lo: int = -1, hi: int | None = None
+) -> int:
+    """The smallest level whose flood fill over the spots of weight at
+    most the level connects the corners, in one search (a maximum-capacity
+    path, Pollack 1960).  Every path holds both corners, so the level
+    starts at their larger weight, or at lo if that is larger: a value at
+    or below lo then comes back as lo.  The fill floods the spots at or
+    below the level with a stack and parks the others on a heap; when the
+    stack empties, the level rises to the least parked weight, whose spots
+    are released.  The search returns the level once it reaches the far
+    corner.  Spots heavier than hi are never parked, so once the level
+    would pass hi the search returns a value above it."""
     m, n = len(a), len(b)
-    if abs(a[0] - b[0]) > d or abs(a[-1] - b[-1]) > d:
-        return False
+    # without hi, top is the largest weight, so no spot is dropped
+    top = max(max(a) - min(b), max(b) - min(a)) if hi is None else hi
+    level = max(abs(a[0] - b[0]), abs(a[-1] - b[-1]), lo)
+    if level > top:
+        return level
+    steps = _STEPS[adjacency]
     seen = {(0, 0)}
     stack = [(0, 0)]
-    while stack:
-        i, j = stack.pop()
-        if i == m - 1 and j == n - 1:
-            return True
-        for di, dj in _STEPS[adjacency]:
-            ii, jj = i + di, j + dj
-            if 0 <= ii < m and 0 <= jj < n and (ii, jj) not in seen and -d <= a[ii] - b[jj] <= d:
-                seen.add((ii, jj))
-                stack.append((ii, jj))
-    return False
+    heap: list = []
+    while True:
+        while stack:
+            i, j = stack.pop()
+            if i == m - 1 and j == n - 1:
+                return level
+            for di, dj in steps:
+                ii, jj = i + di, j + dj
+                if (
+                    0 <= ii < m and 0 <= jj < n and (ii, jj) not in seen
+                    and (w := abs(a[ii] - b[jj])) <= top
+                ):
+                    seen.add((ii, jj))
+                    if w <= level:
+                        stack.append((ii, jj))
+                    else:
+                        heappush(heap, (w, ii, jj))
+        if not heap:
+            return top + 1
+        level = heap[0][0]
+        while heap and heap[0][0] == level:
+            stack.append(heappop(heap)[1:])
 
 
 def discrete_weak(
@@ -361,20 +350,21 @@ def discrete_weak(
     """Bottleneck path value between corners of the vertex-pair grid.
 
     Spots are vertex pairs weighted by their distance; steps move to grid
-    neighbours (4- or 8-adjacency).  Computed by narrowing a bracket of
-    spot weights, picked by rank without listing them, with a flood fill
-    over the spots of weight at most each probe.
+    neighbours (4- or 8-adjacency).  Computed in one search that floods
+    the spots at or below a level and raises the level to the least
+    weight left waiting when the fill is stuck.
     """
     s, (ai, bi) = _scaled(a, b)
     _check_adjacency(adjacency)
     return Fraction(_discrete_weak(ai, bi, adjacency), s)
 
 
-# variant name -> (value core, decision core, scale factor of its inputs);
-# the discrete-weak cores take the adjacency as their last argument
+# variant name -> (value core, scale factor of its inputs); every core
+# takes a bracket lo=, hi= and the discrete-weak one the adjacency as its
+# third argument
 CORES = {
-    "frechet": (_frechet_value, _decide, 2),
-    "discrete": (_discrete_frechet, _discrete_decide, 1),
-    "weak": (_weak, _weak_decide, 1),
-    "discrete-weak": (_discrete_weak, _discrete_weak_decide, 1),
+    "frechet": (_frechet_value, 2),
+    "discrete": (_discrete_frechet, 1),
+    "weak": (_weak, 1),
+    "discrete-weak": (_discrete_weak, 1),
 }

@@ -595,16 +595,17 @@ def check_ub_gadgets(eff: CnfFormula) -> GadgetCheck:
     s, (catch, catch2, (one, top), *rest) = scale_to_ints(
         ub_abs_curve(v), ub_abs2_curve(), (_ONE, _THREE_HALVES),
         *(ub_clause_gadget(cl, v) for cl in eff.clauses),
-        *(realise_variable_stack(v, bits) for bits in assignments), factor=CORES["frechet"][2],
+        *(realise_variable_stack(v, bits) for bits in assignments), factor=CORES["frechet"][1],
     )
     gadgets, stacks = rest[: len(eff.clauses)], rest[len(eff.clauses) :]
 
     def check(a, b, want, what):
-        # distances are ints on this scale, so d == want iff d <= want and
-        # not d <= want - 1: two decisions, and the value only for a message
+        # distances are ints on this scale, so d == want iff d lies in the
+        # bracket (want - 1, want]: one bracketed call, and the full value
+        # only for a message
         for label in problems:
-            value, decide, _ = CORES[label]
-            if not decide(a, b, want) or decide(a, b, want - 1):
+            value = CORES[label][0]
+            if value(a, b, lo=want - 1, hi=want) != want:
                 problems[label].append(
                     f"{what}: {label} distance {Fraction(value(a, b), s)} != {Fraction(want, s)}"
                 )
@@ -652,8 +653,9 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dic
         )
     # Endpoint realisations decide the equivalence; interior positions of
     # the interval vertices must still stay under the 1.5 ceiling.
-    # Only "<= 1.5" is asked, so two decisions on one scaling of every
-    # sample settle it; the distances are computed for a note alone.
+    # Only "<= 1.5" is asked, so two calls with the bracket's lower end at
+    # 1.5 (an answer <= 1.5 then means the distance is) on one scaling of
+    # every sample settle it; the distances are computed for a note alone.
     if imprecise:
         rv = inst.v.as_precise()
         ts = [Fraction(k, 6) for k in range(1, 6)]
@@ -662,10 +664,10 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dic
             for t in ts
         ]
         _, (sv, (ceiling,), *sus) = scale_to_ints(
-            rv, (_THREE_HALVES,), *rus, factor=CORES["frechet"][2]
+            rv, (_THREE_HALVES,), *rus, factor=CORES["frechet"][1]
         )
         for t, ru, su in zip(ts, rus, sus):
-            if not all(CORES[label][1](su, sv, ceiling) for label in ("frechet", "discrete")):
+            if not all(CORES[k][0](su, sv, lo=ceiling) <= ceiling for k in ("frechet", "discrete")):
                 df, dd = frechet_value(ru, rv), discrete_frechet(ru, rv)
                 range_ok = False
                 notes.append(

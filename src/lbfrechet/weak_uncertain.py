@@ -44,7 +44,6 @@ from typing import Optional, Sequence
 
 from .model import Interval, UncertainCurve, narrow, reach_bound, scale_to_ints
 from .oracle import CapExceeded
-from .precise import _dist_to_interval
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -222,7 +221,7 @@ def _weak_dp(
                 for (x, y, xlo, xhi, ylo, yhi), val in prev[j - 1].items():
                     if len(cur) > left:
                         break
-                    pen = _dist_to_interval(x, ylo, yhi)
+                    pen = ylo - x if x < ylo else x - yhi if x > yhi else 0
                     base = val if val >= pen else pen
                     if base > d:
                         continue
@@ -238,7 +237,7 @@ def _weak_dp(
                 for (x, y, xlo, xhi, ylo, yhi), val in row[j - 2].items():
                     if len(cur) > left:
                         break
-                    pen = _dist_to_interval(y, xlo, xhi)
+                    pen = xlo - y if y < xlo else y - xhi if y > xhi else 0
                     base = val if val >= pen else pen
                     if base > d:
                         continue

@@ -259,10 +259,12 @@ def test_bound_oracle_precise_inputs_collapse():
 
 
 def test_scan_evaluates_only_strict_improvements(monkeypatch):
-    """On a weak-discrete verify instance the scan computes full values
-    only for pairs that beat the best so far: each value it computes is
-    strictly better than the one before, and on the lower side there are
-    far fewer of them than enumerated pairs."""
+    """On a weak-discrete verify instance the scan asks the core, after the
+    first pair, only for values strictly better than the best so far: each
+    call carries hi = best - 1 (lower side) or lo = best (upper side), the
+    answers inside that bracket each improve on the one before and the
+    last is the bound, and there are far fewer of them than enumerated
+    pairs."""
     inst = build_weak_discrete_indecisive(CnfFormula(2, ((1, 2), (-1, 2), (1, -2))))
     spec = EnumerationSpec()
     pairs = enumeration_size(inst.u, spec) * enumeration_size(inst.v, spec)
@@ -270,17 +272,23 @@ def test_scan_evaluates_only_strict_improvements(monkeypatch):
         side: bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)
         for side in ("lower", "upper")
     }
-    core, decide, factor = precise.CORES["discrete-weak"]
-    values = []
+    core, factor = precise.CORES["discrete-weak"]
+    calls = []
 
-    def counting(a, b, adjacency):
-        values.append(core(a, b, adjacency))
-        return values[-1]
+    def recording(a, b, adjacency, lo=-1, hi=None):
+        calls.append((lo, hi, core(a, b, adjacency, lo=lo, hi=hi)))
+        return calls[-1][2]
 
-    monkeypatch.setitem(precise.CORES, "discrete-weak", (counting, decide, factor))
-    for side, better in (("lower", lambda x, y: y < x), ("upper", lambda x, y: y > x)):
-        values.clear()
+    monkeypatch.setitem(precise.CORES, "discrete-weak", (recording, factor))
+    for side, lower in (("lower", True), ("upper", False)):
+        calls.clear()
         got = bound_oracle(inst.u, inst.v, "discrete-weak", side, spec, adjacency=8)
-        assert got == want[side] == values[-1]
-        assert all(better(x, y) for x, y in zip(values, values[1:])), side
-        assert len(values) * 20 <= pairs
+        assert calls[0][:2] == (-1, None), side
+        values = [calls[0][2]]
+        for lo, hi, answer in calls[1:]:
+            best = values[-1]
+            assert (lo, hi) == ((-1, best - 1) if lower else (best, None)), side
+            if (answer < best) if lower else (answer > best):
+                values.append(answer)
+        assert got == want[side] == values[-1], side
+        assert len(values) * 20 <= pairs, side

@@ -11,13 +11,10 @@ from lbfrechet import precise
 from lbfrechet.model import growing_curve, scale_to_ints
 from lbfrechet.precise import (
     CORES,
-    _decide,
-    _discrete_decide,
     _discrete_frechet,
     _discrete_weak,
-    _discrete_weak_decide,
     _frechet_value,
-    _weak_decide,
+    _weak,
     discrete_frechet,
     discrete_weak,
     frechet_decide,
@@ -294,42 +291,58 @@ def test_weak_is_two_sided_r_dp():
         assert weak_frechet_1d(a, b) == max(fwd, bwd)
 
 
-# (name, value core, decision core, scale factor) of the integer cores in
-# precise.CORES, with discrete-weak once per adjacency
+# (name, value core, scale factor) of the integer cores in precise.CORES,
+# with discrete-weak once per adjacency
 INT_CORES = [(name, *CORES[name]) for name in ("frechet", "discrete", "weak")] + [
-    (f"discrete-weak-{k}", partial(value, adjacency=k), partial(decide, adjacency=k), factor)
-    for value, decide, factor in [CORES["discrete-weak"]]
+    (f"discrete-weak-{k}", partial(value, adjacency=k), factor)
+    for value, factor in [CORES["discrete-weak"]]
     for k in (8, 4)
 ]
 
 
-@pytest.mark.parametrize("name,value,decide,factor", INT_CORES, ids=[c[0] for c in INT_CORES])
-def test_int_decisions_match_value_cores(name, value, decide, factor):
-    """Each decision core answers "value <= d" exactly at the value and
-    one step either side of it, on scaled int curves of 1-5 vertices."""
+def check_bracket(core, a, b, v, lo, hi):
+    """The bracket contract of an integer core: the value v itself inside
+    (lo, hi], an answer <= lo below it and > hi above it."""
+    got = core(a, b, lo=lo, hi=hi)
+    if v <= lo:
+        assert got <= lo, (a, b, lo, hi, got)
+    elif hi is not None and v > hi:
+        assert got > hi, (a, b, lo, hi, got)
+    else:
+        assert got == v, (a, b, lo, hi, got)
+
+
+@pytest.mark.parametrize("name,value,factor", INT_CORES, ids=[c[0] for c in INT_CORES])
+def test_int_decisions_match_value_cores(name, value, factor):
+    """Each value core keeps its bracket contract with lo and hi at the
+    value and one or two steps either side of it, one end or both given,
+    on scaled int curves of 1-5 vertices."""
     rng = random.Random(name)
     for _ in range(300):
         a, b = ([factor * rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] for _ in range(2))
         v = value(a, b)
-        for d in (v - 1, v, v + 1):
-            assert decide(a, b, d) == (v <= d), (a, b, d)
+        for lo in (-1, v - 2, v - 1, v, v + 1):
+            for hi in (None, v - 1, v, v + 1, v + 2):
+                if hi is None or lo < hi:
+                    check_bracket(value, a, b, v, lo, hi)
 
 
-# (name, independent Fraction decision from tests/oracles.py, decision core, factor)
+# (name, independent Fraction decision from tests/oracles.py, value core, factor)
 FRACTION_DECISIONS = [
-    ("frechet", frechet_decide_reference, _decide, 2),
-    ("discrete", lambda a, b, d: discrete_frechet_recursive(a, b) <= d, _discrete_decide, 1),
-    ("weak", weak_frechet_cells_decide, _weak_decide, 1),
-    ("discrete-weak-8", lambda a, b, d: discrete_weak_bfs(a, b, 8) <= d, lambda a, b, d: _discrete_weak_decide(a, b, d, 8), 1),
-    ("discrete-weak-4", lambda a, b, d: discrete_weak_bfs(a, b, 4) <= d, lambda a, b, d: _discrete_weak_decide(a, b, d, 4), 1),
+    ("frechet", frechet_decide_reference, _frechet_value, 2),
+    ("discrete", lambda a, b, d: discrete_frechet_recursive(a, b) <= d, _discrete_frechet, 1),
+    ("weak", weak_frechet_cells_decide, _weak, 1),
+    ("discrete-weak-8", lambda a, b, d: discrete_weak_bfs(a, b, 8) <= d, partial(_discrete_weak, adjacency=8), 1),
+    ("discrete-weak-4", lambda a, b, d: discrete_weak_bfs(a, b, 4) <= d, partial(_discrete_weak, adjacency=4), 1),
 ]
 
 
-@pytest.mark.parametrize("name,reference,decide,factor", FRACTION_DECISIONS, ids=[c[0] for c in FRACTION_DECISIONS])
-def test_int_decisions_match_references(name, reference, decide, factor):
-    """Each decision core, on curves and delta scaled together, against an
-    independent Fraction decision, with delta at a vertex distance or half
-    of one (a critical value) and one 1/97 either side of it."""
+@pytest.mark.parametrize("name,reference,core,factor", FRACTION_DECISIONS, ids=[c[0] for c in FRACTION_DECISIONS])
+def test_int_decisions_match_references(name, reference, core, factor):
+    """Each value core bracketed above at d, core(a, b, hi=d) <= d, on
+    curves and delta scaled together, against an independent Fraction
+    decision, with delta at a vertex distance or half of one (a critical
+    value) and one 1/97 either side of it."""
     rng = random.Random(name)
     for k in range(200):
         a, b, _ = random_pair(rng, k, max_len=5)
@@ -339,7 +352,44 @@ def test_int_decisions_match_references(name, reference, decide, factor):
             if delta < 0:
                 continue
             _, (ai, bi, (d,)) = scale_to_ints(a, b, (delta,), factor=factor)
-            assert decide(ai, bi, d) == reference(a, b, delta), (a, b, delta)
+            assert (core(ai, bi, hi=d) <= d) == reference(a, b, delta), (a, b, delta)
+
+
+def random_walk(rng, n):
+    """n int vertices, each step -4..4 from the one before."""
+    xs = [rng.randint(-3, 3)]
+    for _ in range(n - 1):
+        xs.append(xs[-1] + rng.randint(-4, 4))
+    return xs
+
+
+def test_value_cores_on_long_walks():
+    """The weak, discrete weak and discrete cores two-sided against the
+    independent references on seeded random walks of 20-80 vertices, long
+    enough for the recurrences' row stop and the discrete weak level heap
+    to matter: weak_frechet_1d is accepted at its value and rejected half
+    a unit below, and the discrete values equal the references'.  Their
+    int cores keep the bracket contract just above, at and below the
+    value."""
+    rng = random.Random(2718)
+    for _ in range(12):
+        ai, bi = random_walk(rng, rng.randint(20, 80)), random_walk(rng, rng.randint(20, 80))
+        a, b = fr(ai), fr(bi)
+        w = weak_frechet_1d(a, b)
+        assert weak_frechet_cells_decide(a, b, w), (a, b)
+        assert not weak_frechet_cells_decide(a, b, w - F(1, 2)), (a, b)
+        values = [(_weak, w)]
+        for adjacency in (4, 8):
+            v = discrete_weak_bfs(a, b, adjacency)
+            assert discrete_weak(a, b, adjacency) == v, (a, b)
+            values.append((partial(_discrete_weak, adjacency=adjacency), v))
+        v = discrete_frechet_recursive(a, b)
+        assert discrete_frechet(a, b) == v, (a, b)
+        values.append((_discrete_frechet, v))
+        for core, v in values:
+            v = int(v)
+            for lo, hi in ((-1, v - 1), (v - 1, v), (v, None)):
+                check_bracket(core, ai, bi, v, lo, hi)
 
 
 def repetitive_curve(rng, pool):
@@ -394,22 +444,29 @@ def test_value_cores_on_reduction_curves():
 
 
 def test_value_search_probes_frozen(monkeypatch):
-    """The decisions frechet_value and discrete_weak make on one pair, in
-    order, frozen: scaled by 6 and by 3, the continuous search probes the
-    rank pivots 6, 0, 2, 3, 4 (delta 1, 0, 1/3, 1/2, 2/3) and the discrete
-    weak one 3, 9, 10."""
+    """The decisions frechet_value makes on one pair, in order, frozen:
+    scaled by 6, the continuous search probes the rank pivots 6, 0, 2, 3,
+    4 (delta 1, 0, 1/3, 1/2, 2/3).  discrete_weak makes no decisions; its
+    one search, scaled by 3, passes the levels 3 (the corner bound), 6, 7,
+    9 and 10, read off the weights it takes from its heap."""
     probes = []
 
-    def logged(decide):
-        def run(a, b, d, *rest):
-            probes.append(d)
-            return decide(a, b, d, *rest)
+    def logged_decide(a, b, d):
+        probes.append(d)
+        return decide(a, b, d)
 
-        return run
+    def logged_heappop(heap):
+        item = heappop(heap)
+        if item[0] != levels[-1]:
+            levels.append(item[0])
+        return item
 
-    for name in ("_decide", "_discrete_weak_decide"):
-        monkeypatch.setattr(precise, name, logged(getattr(precise, name)))
+    decide, heappop = precise._decide, precise.heappop
+    monkeypatch.setattr(precise, "_decide", logged_decide)
+    monkeypatch.setattr(precise, "heappop", logged_heappop)
     a, b = fr([0, 3, 1, 4]), fr([1, F(2, 3), 5])
     assert frechet_value(a, b) == 1 and probes == [6, 0, 2, 3, 4]
     probes.clear()
-    assert discrete_weak(a, b, adjacency=4) == F(10, 3) and probes == [3, 9, 10]
+    levels = [3]
+    assert discrete_weak(a, b, adjacency=4) == F(10, 3) and probes == []
+    assert levels == [3, 6, 7, 9, 10]

@@ -303,7 +303,7 @@ def ub_scan_reference(inst, spec):
 def test_ub_verify_agrees_with_bound_oracle(model, resolution):
     """The verifier reads its distances and range from bound_oracle's
     pruned scans; ub_scan_reference recomputes them without the oracle's
-    pruning or integer decision cores."""
+    pruning or bracketed integer cores."""
     spec = EnumerationSpec(resolution=resolution)
     for f in UB_TWO_SIDED:
         inst = build_ub_sat(f, model=model)
