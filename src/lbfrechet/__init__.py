@@ -2,8 +2,7 @@
 
 Curves live on the real line, vertices may be precise points, closed
 intervals, or finite sets of candidate positions.  All arithmetic is exact
-rational arithmetic; nothing in here touches floating point except as an
-infinity sentinel in bottleneck recurrences.
+rational arithmetic; nothing in here touches floating point.
 """
 
 from .model import (

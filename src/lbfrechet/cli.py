@@ -39,8 +39,7 @@ from .reductions import (
     build_weak_discrete_indecisive,
     check_brute_force_size,
     check_instance_size,
-    check_sentinel,
-    lift_curve_to_2d,
+    lift_to_2d,
     parse_dimacs,
     verify_reduction,
 )
@@ -374,9 +373,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.what == "lift2d":
         u = load_curve(args.curve_a)
         v = load_curve(args.curve_b)
-        check_sentinel(u, v, args.sentinel)
-        _write_json(args.out[0], lift_curve_to_2d(u, args.sentinel))
-        _write_json(args.out[1], lift_curve_to_2d(v, args.sentinel))
+        for path, doc in zip(args.out, lift_to_2d(u, v, args.sentinel)):
+            _write_json(path, doc)
         result = f"wrote {args.out[0]} and {args.out[1]}"
         _emit(args, (args.curve_a, args.curve_b), result)
         return 0

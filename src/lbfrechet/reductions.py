@@ -14,7 +14,7 @@ curves:
   minimum discrete weak Frechet distance over realisations is 1 exactly
   when the formula is satisfiable and larger otherwise.
 
-lift_to_2d re-emits any built pair as 2D curves with a far-away sentinel
+lift_to_2d re-emits any curve pair as 2D curves with a far-away sentinel
 vertex interleaved between consecutive vertices, which forces discrete
 matchings into lockstep; no 2D solver is provided here.
 
@@ -229,13 +229,36 @@ def realise_variable_stack(num_vars: int, assignment: Sequence[bool]) -> PolyCur
     return tuple(vals)
 
 
+def _effective_formula(
+    f: CnfFormula, kind: str, model: str
+) -> tuple[CnfFormula, tuple[str, ...]]:
+    """(the formula the kind and model's instance is built from, its
+    notes).  A single ub-sat clause is duplicated: otherwise the precise
+    curve would start at the 3.5 anchor, too far from the uncertain curve's
+    endpoint at 1, and the duplicate restores the catch-block padding.  An
+    even imprecise weak-discrete clause count gets the tautology
+    (1, -1, 1), so that the last clause block ends at the top height.
+    Neither changes satisfiability."""
+    c = len(f.clauses)
+    if kind == "ub-sat" and c == 1:
+        return (
+            CnfFormula(f.num_vars, f.clauses * 2),
+            ("single clause duplicated to keep curve endpoints alignable",),
+        )
+    if kind == "weak-discrete" and model == "imprecise" and c % 2 == 0:
+        return (
+            CnfFormula(f.num_vars, f.clauses + ((1, -1, 1),)),
+            ("even clause count padded with tautology (x1 or not x1 or x1)",),
+        )
+    return f, ()
+
+
 def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
     """Curve pair whose upper-bound Frechet distance (continuous and
     discrete) is 1.5 iff the formula is satisfiable, 1 otherwise, at
     threshold delta = 1."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    notes: list[str] = []
     for cl in f.clauses:
         pos = {lit for lit in cl if lit > 0}
         neg = {-lit for lit in cl if lit < 0}
@@ -244,15 +267,7 @@ def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
                 "clause contains a variable in both polarities; the per-variable "
                 "literal slot cannot encode a tautological clause"
             )
-    clauses = f.clauses
-    if len(clauses) == 1:
-        # with a single clause the precise curve would start at the 3.5
-        # anchor, too far from the uncertain curve's endpoint at 1; a
-        # duplicate clause restores the catch-block padding without
-        # changing satisfiability
-        clauses = clauses * 2
-        notes.append("single clause duplicated to keep curve endpoints alignable")
-    eff = CnfFormula(f.num_vars, clauses)
+    eff, notes = _effective_formula(f, "ub-sat", model)
     c = len(eff.clauses)
     v = eff.num_vars
 
@@ -279,7 +294,7 @@ def build_ub_sat(f: CnfFormula, model: str = "indecisive") -> ReductionInstance:
         expected_lengths=_expected_lengths("ub-sat", model, eff),
         formula=f,
         effective_formula=eff,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -384,12 +399,7 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
     """
     _require_3sat(f)
     n = f.num_vars
-    clauses = f.clauses
-    notes: list[str] = []
-    if len(clauses) % 2 == 0:
-        clauses = clauses + ((1, -1, 1),)
-        notes.append("even clause count padded with tautology (x1 or not x1 or x1)")
-    eff = CnfFormula(n, clauses)
+    eff, notes = _effective_formula(f, "weak-discrete", "imprecise")
     t = Fraction(10 * (n + 2))
 
     ladder_up: list[UncertainPoint] = []
@@ -433,7 +443,7 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
         expected_lengths=_expected_lengths("weak-discrete", "imprecise", eff),
         formula=f,
         effective_formula=eff,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -442,21 +452,13 @@ def build_weak_discrete_imprecise(f: CnfFormula) -> ReductionInstance:
 # ---------------------------------------------------------------------------
 
 
-def lift_curve_to_2d(curve: UncertainCurve, sentinel: Fraction) -> dict:
-    """Embed a 1D curve at height 0 and insert a precise sentinel vertex at
-    (0, sentinel) between every pair of consecutive vertices."""
-    pts: list[dict] = []
-    for idx, p in enumerate(curve.points):
-        if idx:
-            pts.append({"type": "precise", "x": "0", "y": format_scalar(sentinel)})
-        pts.append({**_point_to_json(p), "y": "0"})
-    return {"dimension": 2, "name": curve.name, "points": pts}
-
-
-def check_sentinel(u: UncertainCurve, v: UncertainCurve, sentinel: Fraction) -> None:
-    """Reject a sentinel height that does not clear ten times the largest
-    coordinate magnitude of the pair, so that sentinel-to-sentinel matches
-    are the only cheap ones."""
+def lift_to_2d(u: UncertainCurve, v: UncertainCurve, sentinel: Fraction) -> tuple[dict, dict]:
+    """2D re-emission of a curve pair: each curve is embedded at height 0,
+    with a precise sentinel vertex at (0, sentinel) between every pair of
+    consecutive vertices.  A sentinel height that does not clear ten times
+    the largest coordinate magnitude of the pair raises ValueError, so that
+    sentinel-to-sentinel matches are the only cheap ones."""
+    sentinel = Fraction(sentinel)
     top = max(
         (abs(e) for e in u.all_endpoints() + v.all_endpoints()),
         default=Fraction(0),
@@ -466,17 +468,17 @@ def check_sentinel(u: UncertainCurve, v: UncertainCurve, sentinel: Fraction) -> 
             f"sentinel {format_scalar(sentinel)} too small: "
             f"needs to exceed 10 * {format_scalar(top)}"
         )
+    y = format_scalar(sentinel)
 
+    def lift(curve: UncertainCurve) -> dict:
+        pts: list[dict] = []
+        for idx, p in enumerate(curve.points):
+            if idx:
+                pts.append({"type": "precise", "x": "0", "y": y})
+            pts.append({**_point_to_json(p), "y": "0"})
+        return {"dimension": 2, "name": curve.name, "points": pts}
 
-def lift_to_2d(inst: ReductionInstance, sentinel: Fraction) -> tuple[dict, dict]:
-    """2D re-emission of both instance curves with a shared sentinel height
-    (see check_sentinel)."""
-    sentinel = Fraction(sentinel)
-    check_sentinel(inst.u, inst.v, sentinel)
-    return (
-        lift_curve_to_2d(inst.u, sentinel),
-        lift_curve_to_2d(inst.v, sentinel),
-    )
+    return lift(u), lift(v)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +550,7 @@ def check_instance_size(f: CnfFormula, kind: str, model: str) -> int:
     and one per further height of the indecisive clause curve's sets.
     Raises CapExceeded above INSTANCE_SCALAR_LIMIT."""
     c, n = len(f.clauses), f.num_vars
-    # the builders duplicate a single ub clause and pad an even imprecise count
-    padded = c == 1 if kind == "ub-sat" else model == "imprecise" and c % 2 == 0
-    eff = CnfFormula(n, f.clauses + f.clauses[:1]) if padded else f
+    eff, _ = _effective_formula(f, kind, model)
     count = sum(_expected_lengths(kind, model, eff)) + n
     if kind == "weak-discrete" and model == "indecisive":
         # c + 1 runs of n neutral vertices with n heights each

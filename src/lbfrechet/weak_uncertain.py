@@ -4,19 +4,22 @@ The weak distance of a realisation pair decomposes into a forward and a
 backward prefix-image bottleneck, and both only depend on where each curve
 attains its running extrema and on which values those extrema take.  So
 the search enumerates, per curve, the indices of the global minimum and
-maximum, runs a forward dynamic program whose states carry the current
-vertex values and the running images, and joins the forward table with the
-same table built on the reversed curves, whose extremum vertices are
-pinned to the values the forward table reached.  Both runs drop every
-state whose bottleneck exceeds delta.  Optimal vertex positions can be
-assumed to lie on a grid of uncertainty-region endpoints shifted by small
-integer multiples of delta, and optimal deltas among endpoint differences
-divided by small integers, which keeps everything exact and finite.
+maximum, builds a forward reachability table whose states carry the
+current vertex values and the running images, and joins its final images
+with those of the same table built on the reversed curves, whose extremum
+vertices are pinned to the values the forward table reached.  A step is
+allowed when the vertex it leaves lies within delta of the other curve's
+running image, so both tables hold exactly the states whose bottleneck
+stays within delta, and no table stores a bottleneck value.  Optimal
+vertex positions can be assumed to lie on a grid of uncertainty-region
+endpoints shifted by small integer multiples of delta, and optimal deltas
+among endpoint differences divided by small integers, which keeps
+everything exact and finite.
 
 wfr_min_decide scales the region endpoints and delta to ints once
-(model.scale_to_ints), builds the position grids on ints and runs the DP
-on ints.  The int grid is an order-preserving image of the Fraction grid,
-so the DP visits the same states.  candidate_positions is a public
+(model.scale_to_ints), builds the position grids on ints and fills the
+tables on ints.  The int grid is an order-preserving image of the Fraction
+grid, so the tables hold the same states.  candidate_positions is a public
 wrapper over the same integer code.
 
 A decision only runs the extremum-index tuples whose vertices can hold
@@ -139,29 +142,29 @@ def candidate_positions(
     return tuple([[Fraction(x, s) for x in vals] for vals in pos] for pos in (pos_u, pos_v))
 
 
-def _extend_hull(t: int, val: int, lo: int, hi: int, t_min: int, t_max: int):
-    """Update a running image when vertex t takes val, honouring the
+def _extend_hull(t: int, x: int, lo: int, hi: int, t_min: int, t_max: int):
+    """Update a running image when vertex t takes x, honouring the
     extremum indices.  Returns the new (lo, hi) or None when inadmissible."""
     if t == t_min:
-        if val > lo:
+        if x > lo:
             return None
-        lo = val
+        lo = x
     elif t > t_min:
-        if val < lo:
+        if x < lo:
             return None
     else:
-        if val < lo:
-            lo = val
+        if x < lo:
+            lo = x
     if t == t_max:
-        if val < hi:
+        if x < hi:
             return None
-        hi = val
+        hi = x
     elif t > t_max:
-        if val > hi:
+        if x > hi:
             return None
     else:
-        if val > hi:
-            hi = val
+        if x > hi:
+            hi = x
     return lo, hi
 
 
@@ -174,18 +177,18 @@ def _weak_dp(
     *,
     budget: _Budget,
     pins: Optional[tuple] = None,
-) -> dict:
-    """Forward bottleneck DP on positions scaled to ints; returns
-    {((xlo,xhi),(ylo,yhi)): value} at the final grid corner, over the
-    states whose value stays within d.
+) -> set:
+    """Forward reachability table on positions scaled to ints; returns the
+    set of final images ((xlo, xhi), (ylo, yhi)) reachable within d at the
+    last grid corner.
 
-    States at grid index (i, j) are keyed by the current vertex values and
-    the running images; the value is the best bottleneck so far.  Steps
-    advance one curve, paying that curve's leaving vertex against the
-    other's running image.  The tables live in two rolling rows of
-    per-cell dicts, and every table's states are drawn from budget.
-    pins, ((x-min values, x-max values), (y-min values, y-max values)),
-    keeps the vertices at the extremum indices to those values.
+    A state at grid index (i, j) is (x, y, xlo, xhi, ylo, yhi): the current
+    vertex values and the running images.  A step advances one curve, and
+    is allowed when that curve's leaving vertex lies within d of the other
+    curve's running image.  The tables live in two rolling rows of per-cell
+    sets, and every table's states are drawn from budget.  pins,
+    ((x-min values, x-max values), (y-min values, y-max values)), keeps the
+    vertices at the extremum indices to those values.
     """
     m, n = len(pos_u), len(pos_v)
     i_min, i_max = iext
@@ -196,18 +199,15 @@ def _weak_dp(
             for t, allowed in zip(ext, map(set, axis)):
                 choices[t - 1] = [x for x in choices[t - 1] if x in allowed]
 
-    start: dict = {}
+    start: set = set()
     for x1 in u_choices[0]:
         hx = _extend_hull(1, x1, x1, x1, i_min, i_max)
         if hx is None:
             continue
         for y1 in v_choices[0]:
             hy = _extend_hull(1, y1, y1, y1, j_min, j_max)
-            if hy is None:
-                continue
-            val = abs(x1 - y1)
-            if val <= d:
-                start[(x1, y1, hx[0], hx[1], hy[0], hy[1])] = val
+            if hy is not None and abs(x1 - y1) <= d:
+                start.add((x1, y1, hx[0], hx[1], hy[0], hy[1]))
     budget.spend(len(start))
 
     for i in range(1, m + 1):
@@ -216,50 +216,32 @@ def _weak_dp(
             # one cell's table can outgrow the budget: stop filling it
             # there, and spend() below raises
             left = budget.left
-            cur: dict = {}
+            cur: set = set()
             if i > 1:
-                for (x, y, xlo, xhi, ylo, yhi), val in prev[j - 1].items():
+                for x, y, xlo, xhi, ylo, yhi in prev[j - 1]:
                     if len(cur) > left:
                         break
-                    pen = ylo - x if x < ylo else x - yhi if x > yhi else 0
-                    base = val if val >= pen else pen
-                    if base > d:
+                    if not ylo - d <= x <= yhi + d:
                         continue
                     for x2 in u_choices[i - 1]:
                         h = _extend_hull(i, x2, xlo, xhi, i_min, i_max)
-                        if h is None:
-                            continue
-                        key = (x2, y, h[0], h[1], ylo, yhi)
-                        old = cur.get(key)
-                        if old is None or base < old:
-                            cur[key] = base
+                        if h is not None:
+                            cur.add((x2, y, h[0], h[1], ylo, yhi))
             if j > 1:
-                for (x, y, xlo, xhi, ylo, yhi), val in row[j - 2].items():
+                for x, y, xlo, xhi, ylo, yhi in row[j - 2]:
                     if len(cur) > left:
                         break
-                    pen = xlo - y if y < xlo else y - xhi if y > xhi else 0
-                    base = val if val >= pen else pen
-                    if base > d:
+                    if not xlo - d <= y <= xhi + d:
                         continue
                     for y2 in v_choices[j - 1]:
                         h = _extend_hull(j, y2, ylo, yhi, j_min, j_max)
-                        if h is None:
-                            continue
-                        key = (x, y2, xlo, xhi, h[0], h[1])
-                        old = cur.get(key)
-                        if old is None or base < old:
-                            cur[key] = base
+                        if h is not None:
+                            cur.add((x, y2, xlo, xhi, h[0], h[1]))
             row.append(cur)
             budget.spend(len(cur))
         prev = row
 
-    out: dict = {}
-    for (x, y, xlo, xhi, ylo, yhi), val in prev[-1].items():
-        key = ((xlo, xhi), (ylo, yhi))
-        old = out.get(key)
-        if old is None or val < old:
-            out[key] = val
-    return out
+    return {((xlo, xhi), (ylo, yhi)) for _, _, xlo, xhi, ylo, yhi in prev[-1]}
 
 
 def _extremum_slots(pos: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -284,9 +266,9 @@ def wfr_min_decide(
 ) -> bool:
     """Is there a realisation pair with weak Frechet distance <= delta?
 
-    Joins the forward table with the table of the reversed curves over
-    matching extremum indices and values: a pair is witnessed exactly when
-    both directions stay within delta for the same image constraints.
+    Joins the final images of the forward table with those of the table
+    of the reversed curves, per extremum-index tuple: a pair is witnessed
+    exactly when both directions stay within delta for the same images.
     All runs draw on one budget of cap states.
     """
     _, d, pos_u, pos_v = _int_positions(u, v, delta)
@@ -310,7 +292,7 @@ def wfr_min_decide(
             budget=budget,
             pins=pins,
         )
-        if any(key in bwd for key in fwd):
+        if not fwd.isdisjoint(bwd):
             return True
     return False
 

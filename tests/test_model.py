@@ -172,6 +172,21 @@ def test_library_imports_only_the_stdlib():
     assert not outside
 
 
+def test_library_is_float_free():
+    """No float or complex constant, and no float, inf or nan name or
+    attribute, in the library: all its arithmetic is exact."""
+    found = set()
+    for path in pathlib.Path(lbfrechet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.add((path.name, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Name) and node.id in ("float", "inf", "nan"):
+                found.add((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in ("float", "inf", "nan"):
+                found.add((path.name, node.lineno, node.attr))
+    assert not found
+
+
 def test_reach_bound_by_hand():
     # the gap of the first hulls, of the last hulls, and of a vertex hull
     # to the other curve's span, each the largest in turn; 0 on overlap

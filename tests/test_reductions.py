@@ -407,7 +407,7 @@ def test_instance_invariants_guarded():
 
 def test_lift_to_2d_shape():
     inst = build_ub_sat(CnfFormula(1, ((1,),)))
-    du, dv = lift_to_2d(inst, F(1000))
+    du, dv = lift_to_2d(inst.u, inst.v, F(1000))
     for doc, curve in ((du, inst.u), (dv, inst.v)):
         assert doc["dimension"] == 2
         assert len(doc["points"]) == 2 * len(curve) - 1
@@ -423,8 +423,8 @@ def test_lift_to_2d_sentinel_floor():
     inst = build_ub_sat(CnfFormula(1, ((1,),)))
     top = max(abs(e) for e in inst.u.all_endpoints() + inst.v.all_endpoints())
     with pytest.raises(ValueError):
-        lift_to_2d(inst, 10 * top)
-    lift_to_2d(inst, 10 * top + 1)
+        lift_to_2d(inst.u, inst.v, 10 * top)
+    lift_to_2d(inst.u, inst.v, 10 * top + 1)
 
 
 # --- instance size ---------------------------------------------------------------

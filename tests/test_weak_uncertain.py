@@ -228,7 +228,7 @@ def test_extremum_filter_drops_only_empty_tuples():
                     pos_u, pos_v, (i_min, i_max), (j_min, j_max), grid_span(pos_u, pos_v),
                     budget=_Budget(DEFAULT_STATE_CAP),
                 )
-                assert table == {}, (
+                assert not table, (
                     u, v, delta, (i_min, i_max, j_min, j_max),
                 )
     assert dropped >= 1000
@@ -340,6 +340,46 @@ def test_cap_is_one_budget_per_decision(monkeypatch):
     assert wfr_min_value(u, v, cap=sum(runs)) == F(1)
 
 
+def test_states_per_run_frozen(monkeypatch):
+    """budget.left after every _weak_dp run of a decision, frozen: the
+    cap counts the states of every table.  Two seeded pairs are decided at
+    their value (feasible) and at the candidate below it (infeasible),
+    with a cap of 2000.  A run that exceeds the cap stops filling its cell
+    once that cell alone passes what is left, so how far below 0 it ends
+    depends on the order the cell's states are visited in: for the capped
+    decision, only the runs before it are frozen."""
+    lefts = []
+
+    def counted(*args, budget, **kwargs):
+        try:
+            return _weak_dp(*args, budget=budget, **kwargs)
+        finally:
+            lefts.append(budget.left)
+
+    monkeypatch.setattr(wu, "_weak_dp", counted)
+    rng = random.Random(6049)
+    frozen = (
+        (
+            (F(2), True, [1988, 1976]),
+            (F(3, 2), False, [1990, 1990, 1979, 1979, 1969, 1969, 1958, 1958]),
+        ),
+        (
+            (F(4), True, [1648, 1596]),
+            (F(3), False, [1736, 1736, 1568, 1568, 1376, 1376, 1178, 1178, 1052, 1052, 908, 908]),
+        ),
+    )
+    for decisions in frozen:
+        u, v = random_mixed_curve(rng, 3, 4), random_mixed_curve(rng, 3, 4, shift=1)
+        for delta, want, want_lefts in decisions:
+            lefts.clear()
+            assert wfr_min_decide(u, v, delta, cap=2000) is want
+            assert lefts == want_lefts, (u, v, delta)
+    lefts.clear()
+    with pytest.raises(CapExceeded, match="cap 400"):
+        wfr_min_decide(ic((0, 1), (2, 3), (0, 1)), ic((1, 2), (0, 1), (2, 3)), F(1, 3), cap=400)
+    assert lefts[:-1] == [375, 271, 271, 196] and lefts[-1] < 0
+
+
 def brute_min_r(pos_u, pos_v, ext_u, ext_v):
     """min r_dp over grid realisations whose extrema sit at the given
     (index of min, index of max, min, max) of each curve, or infinity."""
@@ -359,15 +399,15 @@ def brute_min_r(pos_u, pos_v, ext_u, ext_v):
 
 
 def pinned_dp(pos_u, pos_v, ext_u, ext_v, d=None):
-    """(s, the value of the pinned key or None) from one _weak_dp run on
-    the grids and pins scaled to ints by s, with each extremum's domain
+    """(s, whether the pinned image is in the table) from one _weak_dp run
+    on the grids and pins scaled to ints by s, with each extremum's domain
     pinned to its value; d is scaled too and defaults to the grid's span,
     which prunes nothing."""
     (i_min, i_max, *x_ext), (j_min, j_max, *y_ext) = ext_u, ext_v
     s, scaled = scale_to_ints(*pos_u, *pos_v, (*x_ext, *y_ext))
     x_min, x_max, y_min, y_max = scaled[-1]
     grid_u, grid_v = scaled[: len(pos_u)], scaled[len(pos_u) : -1]
-    res = _weak_dp(
+    table = _weak_dp(
         grid_u,
         grid_v,
         (i_min, i_max),
@@ -376,13 +416,20 @@ def pinned_dp(pos_u, pos_v, ext_u, ext_v, d=None):
         budget=_Budget(DEFAULT_STATE_CAP),
         pins=(((x_min,), (x_max,)), ((y_min,), (y_max,))),
     )
-    return s, res.get(((x_min, x_max), (y_min, y_max)))
+    return s, ((x_min, x_max), (y_min, y_max)) in table
 
 
-def dp_min_r(pos_u, pos_v, ext_u, ext_v):
-    """brute_min_r's minimum from one unpruned pinned_dp run."""
-    s, val = pinned_dp(pos_u, pos_v, ext_u, ext_v)
-    return float("inf") if val is None else F(val, s)
+def assert_pinned_dp_reaches(pos_u, pos_v, ext_u, ext_v, want):
+    """The pinned image is in the unpruned table exactly when brute_min_r
+    is finite; then it stays at the scaled minimum d and is gone at d - 1."""
+    s, present = pinned_dp(pos_u, pos_v, ext_u, ext_v)
+    assert present == (want != float("inf")), (pos_u, pos_v, ext_u, ext_v)
+    if present:
+        d = int(want * s)
+        assert d == want * s
+        assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d) == (s, True)
+        assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d - 1) == (s, False)
+    return present
 
 
 def test_pinned_dp_brute_force_agreement():
@@ -390,13 +437,14 @@ def test_pinned_dp_brute_force_agreement():
     v = ic((1, 3), 2)
     pos_u, pos_v = candidate_positions(u, v, F(1))
     ext_u, ext_v = (1, 1, F(0), F(0)), (1, 2, F(1), F(2))
-    assert dp_min_r(pos_u, pos_v, ext_u, ext_v) == brute_min_r(pos_u, pos_v, ext_u, ext_v) == 1
+    assert brute_min_r(pos_u, pos_v, ext_u, ext_v) == 1
+    assert assert_pinned_dp_reaches(pos_u, pos_v, ext_u, ext_v, 1)
     # a pin with a denominator the curves lack: no realisation holds it
     for pin in (F(1, 7), F(-1, 3)):
-        assert dp_min_r(pos_u, pos_v, (1, 1, pin, pin), ext_v) == float("inf")
+        assert not assert_pinned_dp_reaches(pos_u, pos_v, (1, 1, pin, pin), ext_v, float("inf"))
     # endpoints k/p, deltas with another prime, and pins that are either
     # grid values or carry a denominator the curves lack (no realisation
-    # holds them, so the answer is infinity)
+    # holds them, so the minimum is infinity)
     rng = random.Random(6041)
     finite = 0
     for _ in range(60):
@@ -417,16 +465,6 @@ def test_pinned_dp_brute_force_agreement():
             return ext
 
         ext_u, ext_v = extrema(pos_u), extrema(pos_v)
-        got = dp_min_r(pos_u, pos_v, ext_u, ext_v)
         want = brute_min_r(pos_u, pos_v, ext_u, ext_v)
-        assert got == want, (u, v, ext_u, ext_v)
-        if got != float("inf"):
-            finite += 1
-            assert type(got) is F
-            # pruning at the scaled minimum d keeps the key with its value;
-            # at d - 1 it is gone
-            s, d = pinned_dp(pos_u, pos_v, ext_u, ext_v)
-            assert F(d, s) == want
-            assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d) == (s, d)
-            assert pinned_dp(pos_u, pos_v, ext_u, ext_v, d - 1) == (s, None)
+        finite += assert_pinned_dp_reaches(pos_u, pos_v, ext_u, ext_v, want)
     assert finite >= 10
