@@ -367,8 +367,22 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     some final part is left.  Untraced, a d below the reach bound of su and
     sv, or a row whose live window (model.live_windows) is empty, returns no
     final part without sweeping a cell; otherwise only the cells inside
-    each row's window are evaluated, and the others hand E on."""
+    each row's window are evaluated, and the others hand E on.  Those two
+    tests run before anything is built, and their early return holds None
+    for every part but the (empty) final parts, the only one an untraced
+    caller reads."""
     m, n = len(su), len(sv)
+    # per row i = 1..m-1, the columns [lo, hi) of the cells swept
+    if trace:
+        windows = [(1, n)] * (m - 1)
+    else:
+        # no realisation pair reaches delta, or no path crosses some row:
+        # no final part survives
+        if d < reach_bound(su, sv):
+            return None, None, None, None, None, []
+        windows = live_windows(su, sv, d)
+        if n > 1 and any(lo >= hi for lo, hi in windows):
+            return None, None, None, None, None, []
 
     # Vertex slabs already trimmed to the band and the box.
     ipieces = [None] + [close_bounds(lo, hi, blo, bhi, -d, d) for lo, hi in su]
@@ -378,13 +392,6 @@ def _sweep(su: list, sv: list, d: int, blo: int, bhi: int, trace: bool) -> tuple
     # the stand-in for an empty region: one piece beyond the box
     E = ((bhi + 1, blo - 1, bhi + 1, blo - 1, bhi - blo + 1, blo - bhi - 1),)
     rows: dict = {k: [] for k in "UDRL"}
-    # per row i = 1..m-1, the columns [lo, hi) of the cells swept
-    windows = [(1, n)] * (m - 1) if trace else live_windows(su, sv, d)
-    if not trace and (d < reach_bound(su, sv) or n > 1 and any(lo >= hi for lo, hi in windows)):
-        # no realisation pair reaches delta, or no path crosses some row:
-        # no final part survives
-        return ipieces, jpieces, x00, rows, E, []
-
     band = (blo, bhi, blo, bhi, -d, d)
 
     def base_walk(slabs, count, kinds):

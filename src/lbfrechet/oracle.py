@@ -21,9 +21,13 @@ the first pair the scan calls each core with the bracket that says so
 pair's exact value only when it beats best and may stop early otherwise.
 On the lower side it first skips pairs whose endpoint distance
 max(|a[0] - b[0]|, |a[-1] - b[-1]|), a lower bound on every variant, is
-already >= best.  A skipped pair cannot change best, and stop_at can only
-trigger when best changes, so best, the stop position and the result are
-those of scanning every pair in full.
+already >= best.  On the upper side it first skips pairs that one greedy
+monotone coupling walk (precise._coupled, O(m + n)) keeps within best:
+a coupling bounds every variant from above, with diagonal steps for all
+but the discrete weak distance at adjacency 4, whose paths move along
+one axis at a time.  So on both sides a skipped pair cannot change best,
+and stop_at can only trigger when best changes, so best, the stop
+position and the result are those of scanning every pair in full.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from math import prod
 from typing import Iterator
 
 from .model import FiniteSet, Interval, Precise, UncertainCurve, UncertainPoint, scale_to_ints
-from .precise import CORES, _check_adjacency
+from .precise import CORES, _check_adjacency, _coupled
 
 # The public metric of each variant.  The scan calls the integer cores
 # in CORES; perfbench/tracing.py still looks these names up on this module.
@@ -190,14 +194,20 @@ def bound_oracle(
     s, scaled = scale_to_ints(*cu, *cv, stops, factor=factor)
     iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
     stop = scaled[-1][0] if stops else None
-    return Fraction(_scan(iu, iv, dist, side == "lower", stop), s)
+    # a diagonal step is a path step of the discrete weak grid only at
+    # adjacency 8
+    diagonal = variant != "discrete-weak" or adjacency == 8
+    return Fraction(_scan(iu, iv, dist, side == "lower", stop, diagonal), s)
 
 
-def _scan(cu, cv, dist, lower: bool, stop: int | None) -> int:
+def _scan(cu, cv, dist, lower: bool, stop: int | None, diagonal: bool) -> int:
     """Min (lower) or max of dist over product(cu) x product(cv) in order,
     stopping at the first pair whose value meets stop.  All values are
-    scaled ints; after the first pair, dist gets the bracket of the values
-    strictly better than best (see the module docstring)."""
+    scaled ints; after the first pair, a pair that a cheap check shows
+    cannot beat best is skipped (the endpoint distance below, the coupling
+    walk _coupled with the given diagonal flag above), and dist gets the
+    bracket of the values strictly better than best (see the module
+    docstring)."""
     best = None
     for ra in itertools.product(*cu):
         for rb in itertools.product(*cv):
@@ -210,6 +220,8 @@ def _scan(cu, cv, dist, lower: bool, stop: int | None) -> int:
                 if value >= best:
                     continue
             else:
+                if _coupled(ra, rb, best, diagonal):
+                    continue
                 value = dist(ra, rb, lo=best)
                 if value <= best:
                     continue

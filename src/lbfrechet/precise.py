@@ -19,7 +19,9 @@ narrows (model.narrow) with probes model.rank_pivot picks by rank among
 vertex distances and halves; the discrete weak core is one bottleneck
 search.  The continuous decision _decide also serves frechet_decide.
 CORES names each variant's value core and scale factor; it is the one
-place a variant name meets its core.
+place a variant name meets its core.  _coupled is a one-sided O(m + n)
+test of "value <= d" for every variant, one greedy coupling walk, which
+the oracle's upper scan and the ub verifier try before a core.
 """
 
 from __future__ import annotations
@@ -282,6 +284,33 @@ def weak_frechet_1d(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     both ends, worse of the two."""
     s, (ai, bi) = _scaled(a, b)
     return Fraction(_weak(ai, bi), s)
+
+
+def _coupled(a: Sequence[int], b: Sequence[int], d: int, diagonal: bool) -> bool:
+    """True if one greedy monotone coupling of the scaled curves a and b
+    matches every vertex pair within d; O(m + n), no allocation.  From
+    (0, 0) it steps diagonally when diagonal is set and that stays within
+    d, otherwise to the nearer of the two single steps.  A coupling bounds
+    the discrete distance, so the continuous and weak ones (Eiter and
+    Mannila 1994), and is a discrete weak path, at adjacency 4 only
+    without diagonal steps.  So True means the value is <= d."""
+    m, n = len(a) - 1, len(b) - 1
+    i = j = 0
+    if abs(a[0] - b[0]) > d:
+        return False
+    while i < m or j < n:
+        if diagonal and i < m and j < n and abs(a[i + 1] - b[j + 1]) <= d:
+            i, j = i + 1, j + 1
+            continue
+        gi = abs(a[i + 1] - b[j]) if i < m else d + 1
+        gj = abs(a[i] - b[j + 1]) if j < n else d + 1
+        if gi <= gj and gi <= d:
+            i += 1
+        elif gj <= d:
+            j += 1
+        else:
+            return False
+    return True
 
 
 # grid steps of each adjacency

@@ -42,7 +42,7 @@ from .model import (
     scale_to_ints,
 )
 from .oracle import CapExceeded, EnumerationSpec, bound_oracle, check_cap, check_pairs
-from .precise import CORES, discrete_frechet, frechet_value
+from .precise import CORES, _coupled, discrete_frechet, frechet_value
 
 # perfbench/tracing.py still looks this public name up on this module
 from .oracle import enumerate_realisations  # noqa: F401
@@ -653,9 +653,11 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dic
         )
     # Endpoint realisations decide the equivalence; interior positions of
     # the interval vertices must still stay under the 1.5 ceiling.
-    # Only "<= 1.5" is asked, so two calls with the bracket's lower end at
-    # 1.5 (an answer <= 1.5 then means the distance is) on one scaling of
-    # every sample settle it; the distances are computed for a note alone.
+    # Only "<= 1.5" is asked, on one scaling of every sample: a coupling
+    # walk within 1.5 (precise._coupled) bounds both distances, and only
+    # when it fails do two calls with the bracket's lower end at 1.5 (an
+    # answer <= 1.5 then means the distance is) settle it; the distances
+    # are computed for a note alone.
     if imprecise:
         rv = inst.v.as_precise()
         ts = [Fraction(k, 6) for k in range(1, 6)]
@@ -667,7 +669,10 @@ def _verify_ub(inst: ReductionInstance, spec: EnumerationSpec, sat: bool) -> dic
             rv, (_THREE_HALVES,), *rus, factor=CORES["frechet"][1]
         )
         for t, ru, su in zip(ts, rus, sus):
-            if not all(CORES[k][0](su, sv, lo=ceiling) <= ceiling for k in ("frechet", "discrete")):
+            if not (
+                _coupled(su, sv, ceiling, True)
+                or all(CORES[k][0](su, sv, lo=ceiling) <= ceiling for k in ("frechet", "discrete"))
+            ):
                 df, dd = frechet_value(ru, rv), discrete_frechet(ru, rv)
                 range_ok = False
                 notes.append(

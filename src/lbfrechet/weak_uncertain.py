@@ -306,7 +306,8 @@ def wfr_min_value(
     """Smallest candidate delta accepted by the decision procedure.
 
     The first decision is at the reach bound L of the vertex spans
-    (model.reach_bound), an endpoint difference and so a candidate: a
+    (model.reach_bound, taken on the spans scaled to ints once), an
+    endpoint difference and so a candidate: a
     realisation pair within weak distance delta still matches its first
     vertices, its last vertices, and each vertex to a point of the other
     curve's image, which lies in the span of that curve's regions, so no
@@ -320,7 +321,8 @@ def wfr_min_value(
     prunes the most states, while a decision at a middle candidate can
     cost minutes on curves of five or six intervals.
     """
-    reach = Fraction(reach_bound([p.span() for p in u.points], [p.span() for p in v.points]))
+    s, spans = scale_to_ints(*(p.span() for p in u.points), *(p.span() for p in v.points))
+    reach = Fraction(reach_bound(spans[: len(u)], spans[len(u) :]), s)
     if wfr_min_decide(u, v, reach, cap=cap):
         return reach
     cands = candidate_deltas(u, v)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lbfrechet import precise
+from lbfrechet import oracle, precise
 from lbfrechet.model import Precise, UncertainCurve, make_interval, make_set
 from lbfrechet.oracle import (
     VARIANTS,
@@ -292,3 +292,47 @@ def test_scan_evaluates_only_strict_improvements(monkeypatch):
                 values.append(answer)
         assert got == want[side] == values[-1], side
         assert len(values) * 20 <= pairs, side
+
+
+def test_upper_scan_walks_a_staircase_at_adjacency_4():
+    """The first realisation pair has discrete weak value 22 at adjacency
+    4, the second 30, yet a diagonal coupling walk keeps the second within
+    22: the upper scan must not skip it on a diagonal walk.  At adjacency
+    8 the diagonal walk is a path, and the bound is the larger value
+    there too."""
+    u = curve(Precise(-8), Precise(-6), make_set([-20, 12]), Precise(-20), Precise(-16))
+    v = curve(*(Precise(y) for y in (-4, -16, -12, 4, 16, -18)))
+    (rv,) = enumerate_realisations(v, EnumerationSpec())
+    for adjacency, want in ((4, [22, 30]), (8, [22, 8])):
+        values = [discrete_weak_bfs(list(ra), list(rv), adjacency) for ra in enumerate_realisations(u, EnumerationSpec())]
+        assert values == want
+        assert bound_oracle(u, v, "discrete-weak", "upper", adjacency=adjacency) == max(want)
+
+
+@pytest.mark.parametrize("variant,adjacency", [
+    ("frechet", 8), ("discrete", 8), ("weak", 8), ("discrete-weak", 8), ("discrete-weak", 4),
+])
+def test_upper_scan_skips_pairs_the_walk_settles(monkeypatch, variant, adjacency):
+    """On one 4+4 pair of the benchmark's oracle size (two interval
+    vertices per curve, resolution 3: 81 realisation pairs) the upper scan
+    calls the core on fewer than half its pairs, and its bound, with and
+    without stop_at, is the one it gives with the walk switched off."""
+    u = curve(Precise(0), make_interval(-2, 1), Precise(2), make_interval(0, 2))
+    v = curve(make_interval(-1, 2), Precise(-2), make_interval(-2, 0), Precise(1))
+    spec = EnumerationSpec(resolution=3)
+    pairs = enumeration_size(u, spec) * enumeration_size(v, spec)
+    assert pairs == 81
+    args = (u, v, variant, "upper", spec)
+    core, factor = precise.CORES[variant]
+    calls = []
+
+    def counting(a, b, lo=-1, hi=None, **adjacency):
+        calls.append((lo, hi))
+        return core(a, b, lo=lo, hi=hi, **adjacency)
+
+    monkeypatch.setitem(precise.CORES, variant, (counting, factor))
+    got = {None: bound_oracle(*args, adjacency=adjacency)}
+    assert calls[0] == (-1, None) and len(calls) * 2 < pairs, calls
+    got.update((stop, bound_oracle(*args, adjacency=adjacency, stop_at=stop)) for stop in (F(3, 2), F(5, 2)))
+    monkeypatch.setattr(oracle, "_coupled", lambda *_: False)
+    assert got == {stop: bound_oracle(*args, adjacency=adjacency, stop_at=stop) for stop in got}

@@ -11,6 +11,7 @@ from lbfrechet import precise
 from lbfrechet.model import growing_curve, scale_to_ints
 from lbfrechet.precise import (
     CORES,
+    _coupled,
     _discrete_frechet,
     _discrete_weak,
     _frechet_value,
@@ -325,6 +326,40 @@ def test_int_decisions_match_value_cores(name, value, factor):
             for hi in (None, v - 1, v, v + 1, v + 2):
                 if hi is None or lo < hi:
                     check_bracket(value, a, b, v, lo, hi)
+
+
+def test_coupled_walk_bounds_every_value_core():
+    """When the coupling walk accepts at d, the core's value is at most d:
+    the diagonal walk for the continuous, discrete, weak and adjacency-8
+    discrete weak cores, the staircase walk for adjacency 4, on 3,000
+    seeded pairs of 1-8 vertices each, with d one below the value, at it
+    and drawn at random up to the largest vertex distance."""
+    for name, core, factor in INT_CORES:
+        diagonal = name != "discrete-weak-4"
+        rng = random.Random(f"coupled/{name}")
+        accepted = 0
+        for _ in range(3000):
+            a, b = ([factor * rng.randint(-20, 20) for _ in range(rng.randint(1, 8))] for _ in range(2))
+            v = core(a, b)
+            top = max(max(a) - min(b), max(b) - min(a))
+            for d in (v - 1, v, rng.randint(0, top)):
+                if _coupled(a, b, d, diagonal):
+                    accepted += 1
+                    assert v <= d, (name, a, b, d, v)
+        # the check is not vacuous: the walk settles many pairs at d = v
+        assert accepted >= 1500, name
+
+
+def test_diagonal_walk_undercuts_adjacency_4():
+    """At adjacency 4 a diagonal move is not a path step: on this pair the
+    discrete weak value is 30 (8 at adjacency 8), yet a diagonal walk
+    keeps every matched pair within 12.  The staircase walk accepts no d
+    below 30."""
+    a, b = [-8, -6, 12, -20, -16], [-4, -16, -12, 4, 16, -18]
+    assert _discrete_weak(a, b, 4) == 30 and _discrete_weak(a, b, 8) == 8
+    assert _coupled(a, b, 12, True)
+    assert not any(_coupled(a, b, d, False) for d in range(30))
+    assert _coupled(a, b, 30, False)
 
 
 # (name, independent Fraction decision from tests/oracles.py, value core, factor)

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from lbfrechet import oracle, precise, reductions
 from lbfrechet.model import FiniteSet, Interval, Precise
-from lbfrechet.oracle import EnumerationSpec, enumerate_realisations
+from lbfrechet.oracle import EnumerationSpec, enumerate_realisations, enumeration_size
 from lbfrechet.precise import discrete_frechet, frechet_value
 from lbfrechet.reductions import (
     CnfFormula,
@@ -315,6 +316,32 @@ def test_ub_verify_agrees_with_bound_oracle(model, resolution):
         assert rep.distances == distances, f
         assert rep.range_ok == range_ok, f
         assert rep.realisations == count, f
+
+
+def test_ub_verify_upper_side_skips_pairs_the_walk_settles(monkeypatch):
+    """On the imprecise instance of the three-variable, three-clause
+    formula, the cores are asked "> best" (upper scans) or "> 1.5"
+    (interior samples) on fewer than half of the 2 x 7 upper-scan pairs
+    after the first and 2 x 5 samples, because a coupling walk settles the
+    others; with the walk switched off the report is the same."""
+    inst = build_ub_sat(CnfFormula(3, ((1, 2, 3), (-1, -2, -3), (1, -2, 3))), model="imprecise")
+    spec = EnumerationSpec()
+    asked = 2 * (enumeration_size(inst.u, spec) - 1) + 2 * 5
+    calls = []
+    for variant in ("frechet", "discrete"):
+        core, factor = precise.CORES[variant]
+
+        def counting(a, b, lo=-1, hi=None, core=core):
+            calls.append((lo, hi))
+            return core(a, b, lo=lo, hi=hi)
+
+        monkeypatch.setitem(precise.CORES, variant, (counting, factor))
+    rep = verify_reduction(inst, spec)
+    upper = [c for c in calls if c[0] >= 0 and c[1] is None]
+    assert asked == 24 and 2 * len(upper) < asked, len(upper)
+    monkeypatch.setattr(oracle, "_coupled", lambda *_: False)
+    monkeypatch.setattr(reductions, "_coupled", lambda *_: False)
+    assert verify_reduction(inst, spec) == rep
 
 
 # --- weak-discrete construction -----------------------------------------------
