@@ -26,6 +26,7 @@ from .model import (
     CurveFormatError,
     curve_to_json,
     format_scalar,
+    is_realisation,
     load_curve,
     parse_scalar,
 )
@@ -273,9 +274,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     extra_fields: dict = {}
     extra_lines: list[str] = []
     if args.witness and decision.feasible:
-        for side, w in zip("uv", extract_witness(decision.trace)):
+        for side, w, curve in zip("uv", extract_witness(decision.trace), (u, v)):
             extra_fields[f"witness_{side}"] = texts = [format_scalar(x) for x in w]
             extra_lines.append(f"witness {side}: " + " ".join(texts))
+            # the decision ran on the hulled curves, so the witness may put
+            # a finite-set vertex between its positions
+            if not is_realisation(w, curve):
+                warnings.warn("witness realises the hulled curves only, not the finite sets")
     _emit(
         args,
         (args.curve_a, args.curve_b),

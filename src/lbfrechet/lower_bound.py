@@ -59,14 +59,10 @@ returns before any cell.  Traced sweeps skip both filters and record
 every cell, so dumps and witnesses do not change.
 
 compute_lb pairs these negative filters with a positive one from the same
-paper, also O(m + n): _greedy walks one discrete coupling of the vertex
-sequences and accepts when some realisation pair keeps every coupled pair
-within delta, and only the probes it does not accept are swept.  Such a
-coupling bounds the continuous distance of the pair it places, since along
-each step both walkers move linearly and their distance is convex (Eiter
-and Mannila 1994).  Its constraints form a forest, whose current edge
-_greedy keeps as two exact intervals, so nonempty intervals at the end mean
-that such a pair exists.
+paper, also O(m + n): the coupling walk model.coupled, which the oracle
+also runs, accepts when some realisation pair keeps every pair of one
+greedy discrete coupling within delta, which bounds that pair's continuous
+distance; only the probes it does not accept are swept.
 
 compute_lb finds the smallest feasible multiple of a grid step within tol.
 Before bisecting the grid it probes candidate values C: 0 and the endpoint
@@ -90,7 +86,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import precise
-from .model import FiniteSet, PolyCurve, UncertainCurve, live_windows, midpoint, narrow, rank_pivot, reach_bound, scale_to_ints
+from .model import FiniteSet, PolyCurve, UncertainCurve, coupled, live_windows, midpoint, narrow, rank_pivot, reach_bound, scale_to_ints
 from .regions import (
     Bounds,
     ClipBox,
@@ -625,44 +621,6 @@ def extract_witness(trace: LbTrace) -> Optional[tuple[PolyCurve, PolyCurve]]:
     return wu, wv
 
 
-def _greedy(su: list, sv: list, d: int) -> bool:
-    """True if one greedy discrete coupling of the vertex intervals su and
-    sv places some realisation pair within d of each other; O(m + n).
-
-    The walk is at a pair (i, j), with x and y the positions of u_i and v_j
-    that every earlier step allows.  It steps diagonally when the next two
-    intervals come within d, starting afresh, and otherwise takes a single
-    step that stays within d, the lagging curve first; the parked vertex is
-    narrowed to what the new one allows.  False when it gets stuck."""
-    def near(a: tuple, b: tuple) -> Optional[tuple]:
-        # the part of interval a within d of interval b
-        lo, hi = max(a[0], b[0] - d), min(a[1], b[1] + d)
-        return (lo, hi) if lo <= hi else None
-
-    m, n = len(su) - 1, len(sv) - 1
-    i = j = 0
-    x = near(su[0], sv[0])
-    if x is None:
-        return False
-    y = near(sv[0], x)
-    while i < m or j < n:
-        if i < m and j < n and (nx := near(su[i + 1], sv[j + 1])):
-            i, j, x = i + 1, j + 1, nx
-            y = near(sv[j], x)
-            continue
-        nx = near(su[i + 1], y) if i < m else None
-        ny = near(sv[j + 1], x) if j < n else None
-        if nx and (i * n <= j * m or not ny):
-            i, x = i + 1, nx
-            y = near(y, x)
-        elif ny:
-            j, y = j + 1, ny
-            x = near(x, y)
-        else:
-            return False
-    return True
-
-
 def compute_lb(
     u: UncertainCurve,
     v: UncertainCurve,
@@ -680,13 +638,13 @@ def compute_lb(
 
     The curves and step are scaled to ints once (factor 2, so every endpoint
     is even and half distances are ints).  Each probe first walks the greedy
-    coupling (_greedy), O(m + n), and is feasible if it accepts; otherwise
-    it runs the untraced sweep on decide_lb's clip box directly, which
-    evaluates only the cells inside each row's live window.  The filter only
-    accepts feasible deltas, so it changes no answer, only how many sweeps
-    run.  The search is two model.narrow calls, which rely on the decision
-    being monotone in delta.  The first narrows
-    deltas with probes from the set C: the pair differences of the sorted
+    coupling (model.coupled), O(m + n), and is feasible if it accepts;
+    otherwise it runs the untraced sweep on decide_lb's clip box directly,
+    which evaluates only the cells inside each row's live window.  The
+    filter only accepts feasible deltas, so it changes no answer, only how
+    many sweeps run.  The search is two model.narrow calls, which rely on
+    the decision being monotone in delta.  The first narrows deltas with
+    probes from the set C: the pair differences of the sorted
     distinct endpoints E of both curves and of E // 2, and 0.  Its first
     probe is the reach bound L (model.reach_bound), itself a pair difference
     of E: a realisation pair within delta matches its first vertices, its
@@ -726,9 +684,10 @@ def compute_lb(
     ends = sorted({x for h in hulls for x in h})
     lists = (ends, [x // 2 for x in ends])
     reach = reach_bound(su, sv)
+    bounds = (*zip(*su), *zip(*sv))  # the walk's alo, ahi, blo, bhi
 
     def feasible(d: int) -> bool:
-        if _greedy(su, sv, d):
+        if coupled(*bounds, d, True):
             return True
         *_, final_parts = _sweep(su, sv, d, *_clip_ints(hulls, d, s), False)
         return bool(final_parts)

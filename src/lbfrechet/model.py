@@ -205,6 +205,58 @@ def live_windows(hull_u: Sequence[tuple], hull_v: Sequence[tuple], delta) -> lis
     return windows
 
 
+def coupled(alo: Sequence, ahi: Sequence, blo: Sequence, bhi: Sequence, d, diagonal: bool) -> bool:
+    """True if one greedy discrete coupling of the curves a and b keeps
+    every coupled pair within d for some realisation pair, where vertex k
+    of a lies in [alo[k], ahi[k]] (a precise curve passes one list twice),
+    and likewise b; O(m + n), no allocation.
+
+    The walk keeps the ranges [xl, xh] of a_i and [yl, yh] of b_j that
+    every earlier step allows, each narrowed to within d of the other (a
+    point needs none, as every step is checked).  It steps diagonally when
+    diagonal is set and the next two regions come within d, starting
+    afresh; otherwise it advances the lagging curve, else the other one, if
+    that curve's next region comes within d of the other's range.
+
+    The constraints |x - y| <= d of the coupled pairs form a forest (a
+    single step hangs a new vertex on the current edge, a diagonal step
+    starts a new tree, a vertex left is never coupled again), so the ranges
+    hold exactly the positions of the current edge's ends that extend to
+    its whole tree.  Such a coupling bounds the pair's discrete, continuous
+    and weak distances (Eiter and Mannila 1994), and it is a discrete weak
+    path at adjacency 8, and at adjacency 4 only without diagonal steps."""
+    m, n = len(alo) - 1, len(blo) - 1
+    i = j = 0
+    xl, xh, yl, yh = alo[0], ahi[0], blo[0], bhi[0]
+    if xl - yh > d or yl - xh > d:
+        return False
+    while True:
+        if xl < xh:
+            if xl < yl - d:
+                xl = yl - d
+            if xh > yh + d:
+                xh = yh + d
+        if yl < yh:
+            if yl < xl - d:
+                yl = xl - d
+            if yh > xh + d:
+                yh = xh + d
+        if diagonal and i < m and j < n and alo[i + 1] - bhi[j + 1] <= d and blo[j + 1] - ahi[i + 1] <= d:
+            i += 1
+            j += 1
+            xl, xh, yl, yh = alo[i], ahi[i], blo[j], bhi[j]
+            continue
+        step_b = j < n and blo[j + 1] - xh <= d and xl - bhi[j + 1] <= d
+        if i < m and alo[i + 1] - yh <= d and yl - ahi[i + 1] <= d and (i * n <= j * m or not step_b):
+            i += 1
+            xl, xh = alo[i], ahi[i]
+        elif step_b:
+            j += 1
+            yl, yh = blo[j], bhi[j]
+        else:
+            return i == m and j == n
+
+
 @dataclass(frozen=True)
 class Precise:
     x: Fraction

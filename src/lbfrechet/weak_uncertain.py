@@ -199,15 +199,9 @@ def _weak_dp(
             for t, allowed in zip(ext, map(set, axis)):
                 choices[t - 1] = [x for x in choices[t - 1] if x in allowed]
 
-    start: set = set()
-    for x1 in u_choices[0]:
-        hx = _extend_hull(1, x1, x1, x1, i_min, i_max)
-        if hx is None:
-            continue
-        for y1 in v_choices[0]:
-            hy = _extend_hull(1, y1, y1, y1, j_min, j_max)
-            if hy is not None and abs(x1 - y1) <= d:
-                start.add((x1, y1, hx[0], hx[1], hy[0], hy[1]))
+    # _extend_hull(1, x, x, x, ...) is (x, x) whatever the extremum
+    # indices: with lo = hi = x none of its tests can fail
+    start = {(x, y, x, x, y, y) for x in u_choices[0] for y in v_choices[0] if abs(x - y) <= d}
     budget.spend(len(start))
 
     for i in range(1, m + 1):

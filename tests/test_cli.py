@@ -12,6 +12,7 @@ from lbfrechet import cli
 from lbfrechet.cli import main
 from lbfrechet.lower_bound import decide_lb
 from lbfrechet.model import Precise, UncertainCurve, curve_to_json, make_interval, make_set, reach_bound
+from lbfrechet.reductions import CnfFormula, build_weak_discrete_imprecise, build_weak_discrete_indecisive
 
 
 @pytest.fixture
@@ -406,16 +407,21 @@ def test_reduce_ub_sat_and_verify(tmp_path, capsys):
     ]
 
 
-def test_reduce_weak_and_verify(tmp_path, capsys):
+@pytest.mark.parametrize("model", ["indecisive", "imprecise"])
+def test_reduce_weak_and_verify(tmp_path, capsys, model):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("1 0\n")
-    u_path = str(tmp_path / "U.json")
-    v_path = str(tmp_path / "V.json")
+    u_path = tmp_path / "U.json"
+    v_path = tmp_path / "V.json"
     code, out, _ = run(
-        capsys, ["reduce", "weak-discrete", str(cnf), "-o", u_path, v_path]
+        capsys, ["reduce", "weak-discrete", str(cnf), "--model", model, "-o", str(u_path), str(v_path)]
     )
     assert code == 0
-    code, out, _ = run(capsys, ["verify", str(cnf), "--kind", "weak"])
+    build = {"indecisive": build_weak_discrete_indecisive, "imprecise": build_weak_discrete_imprecise}[model]
+    inst = build(CnfFormula(1, ((1,),)))
+    assert json.loads(u_path.read_text()) == curve_to_json(inst.u)
+    assert json.loads(v_path.read_text()) == curve_to_json(inst.v)
+    code, out, _ = run(capsys, ["verify", str(cnf), "--kind", "weak", "--model", model])
     assert code == 0
     assert "ok=true" in out
     assert "distance discrete_weak_lower = 1" in out
@@ -629,6 +635,12 @@ def test_unknown_option_is_one_line_usage_error(write_curve, capsys):
     assert "Traceback" not in out.err and "--no-such-option" in out.err
 
 
+_HULLED = (
+    "lbf: warning: finite-set vertex hulled to its spanning interval "
+    "for the lower-bound decision\n"
+)
+
+
 @pytest.mark.parametrize("mode", [[], ["--output", "json-lines"]])
 @pytest.mark.parametrize("command", [["value"], ["decide", "--delta", "1"]])
 def test_library_warning_is_one_line(write_curve, capsys, mode, command):
@@ -636,10 +648,30 @@ def test_library_warning_is_one_line(write_curve, capsys, mode, command):
     b = write_curve([interval(0, 1), make_set([F(2), F(4)])])
     code, out, err = run(capsys, [*mode, *command, a, b])
     assert code == 0 and out
-    assert err == (
-        "lbf: warning: finite-set vertex hulled to its spanning interval "
-        "for the lower-bound decision\n"
+    assert err == _HULLED
+
+
+def test_decide_witness_off_the_finite_set_warns(write_curve, capsys):
+    """The decision runs on v's set {1, 2} hulled to [1, 2], so its witness
+    puts v at 5/4, which is no position of the set: the witness is still
+    printed, with a second warning that it realises the hulled curves only."""
+    a = write_curve([Precise(F(3, 2))])
+    b = write_curve([make_set([F(1), F(2)])])
+    code, out, err = run(capsys, ["decide", "--delta", "1/4", "--witness", a, b])
+    assert code == 0
+    assert out.splitlines() == ["true", "witness u: 1.5", "witness v: 1.25"]
+    assert err == _HULLED + (
+        "lbf: warning: witness realises the hulled curves only, not the finite sets\n"
     )
+
+
+def test_decide_witness_on_the_finite_sets_does_not_warn(write_curve, capsys):
+    a = write_curve([Precise(F(0)), Precise(F(3))])
+    b = write_curve([make_set([F(0), F(1)]), make_set([F(3), F(5)])])
+    code, out, err = run(capsys, ["decide", "--delta", "1/2", "--witness", a, b])
+    assert code == 0
+    assert out.splitlines() == ["true", "witness u: 0 3", "witness v: 0 3"]
+    assert err == _HULLED
 
 
 def _run_any(capsys, argv):

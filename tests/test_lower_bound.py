@@ -24,6 +24,7 @@ from lbfrechet.model import (
     FiniteSet,
     Precise,
     UncertainCurve,
+    coupled,
     is_realisation,
     live_windows,
     make_interval,
@@ -689,20 +690,20 @@ def _alternating_pair(n, scale, shift, offset):
 
 def _spy_probes(monkeypatch):
     """Record compute_lb's probes: (scaled delta, reach bound of the scaled
-    curves, filter verdict) per _greedy call, and the delta of each sweep."""
+    curves, filter verdict) per coupling walk, and the delta of each sweep."""
     probes, sweeps = [], []
-    greedy, sweep = lower_bound._greedy, lower_bound._sweep
+    walk, sweep = lower_bound.coupled, lower_bound._sweep
 
-    def spied_greedy(su, sv, d):
-        accepted = greedy(su, sv, d)
-        probes.append((d, reach_bound(su, sv), accepted))
+    def spied_walk(alo, ahi, blo, bhi, d, diagonal):
+        accepted = walk(alo, ahi, blo, bhi, d, diagonal)
+        probes.append((d, reach_bound(list(zip(alo, ahi)), list(zip(blo, bhi))), accepted))
         return accepted
 
     def spied_sweep(*args):
         sweeps.append(args[2])
         return sweep(*args)
 
-    monkeypatch.setattr(lower_bound, "_greedy", spied_greedy)
+    monkeypatch.setattr(lower_bound, "coupled", spied_walk)
     monkeypatch.setattr(lower_bound, "_sweep", spied_sweep)
     return probes, sweeps
 
@@ -762,8 +763,8 @@ def test_compute_lb_probe_split_frozen(monkeypatch):
 
 
 def test_greedy_filter_accepts_only_feasible_decisions():
-    """Two-sided check of the greedy coupling against the traced sweep,
-    which never filters, on 20,000 pairs of precise, interval, hulled
+    """Two-sided check of the coupling walk on intervals against the traced
+    sweep, which never filters, on 20,000 pairs of precise, interval, hulled
     finite-set and one-vertex curves at scaled deltas d >= 0: every
     acceptance is a feasible decision, and the filter accepts most
     feasible ones, so a filter that never accepts fails here too."""
@@ -775,7 +776,7 @@ def test_greedy_filter_accepts_only_feasible_decisions():
         # finite sets hulled to their spans, as compute_lb does
         s, ((d,), *hulls) = scale_to_ints((delta,), *(p.span() for p in u.points + v.points))
         su, sv = hulls[: len(u)], hulls[len(u) :]
-        greedy = lower_bound._greedy(su, sv, d)
+        greedy = coupled(*zip(*su), *zip(*sv), d, True)
         *_, final_parts = lower_bound._sweep(su, sv, d, *lower_bound._clip_ints(hulls, d, s), True)
         assert bool(final_parts) or not greedy, (u, v, delta)
         feasible += bool(final_parts)

@@ -334,5 +334,5 @@ def test_upper_scan_skips_pairs_the_walk_settles(monkeypatch, variant, adjacency
     got = {None: bound_oracle(*args, adjacency=adjacency)}
     assert calls[0] == (-1, None) and len(calls) * 2 < pairs, calls
     got.update((stop, bound_oracle(*args, adjacency=adjacency, stop_at=stop)) for stop in (F(3, 2), F(5, 2)))
-    monkeypatch.setattr(oracle, "_coupled", lambda *_: False)
+    monkeypatch.setattr(oracle, "coupled", lambda *_: False)
     assert got == {stop: bound_oracle(*args, adjacency=adjacency, stop_at=stop) for stop in got}

@@ -8,10 +8,9 @@ from math import lcm
 import pytest
 
 from lbfrechet import precise
-from lbfrechet.model import growing_curve, scale_to_ints
+from lbfrechet.model import coupled, growing_curve, scale_to_ints
 from lbfrechet.precise import (
     CORES,
-    _coupled,
     _discrete_frechet,
     _discrete_weak,
     _frechet_value,
@@ -343,7 +342,7 @@ def test_coupled_walk_bounds_every_value_core():
             v = core(a, b)
             top = max(max(a) - min(b), max(b) - min(a))
             for d in (v - 1, v, rng.randint(0, top)):
-                if _coupled(a, b, d, diagonal):
+                if coupled(a, a, b, b, d, diagonal):
                     accepted += 1
                     assert v <= d, (name, a, b, d, v)
         # the check is not vacuous: the walk settles many pairs at d = v
@@ -353,13 +352,13 @@ def test_coupled_walk_bounds_every_value_core():
 def test_diagonal_walk_undercuts_adjacency_4():
     """At adjacency 4 a diagonal move is not a path step: on this pair the
     discrete weak value is 30 (8 at adjacency 8), yet a diagonal walk
-    keeps every matched pair within 12.  The staircase walk accepts no d
-    below 30."""
+    keeps every matched pair within 12.  The staircase walk, which
+    advances the lagging curve first, accepts no d below 32."""
     a, b = [-8, -6, 12, -20, -16], [-4, -16, -12, 4, 16, -18]
     assert _discrete_weak(a, b, 4) == 30 and _discrete_weak(a, b, 8) == 8
-    assert _coupled(a, b, 12, True)
-    assert not any(_coupled(a, b, d, False) for d in range(30))
-    assert _coupled(a, b, 30, False)
+    assert coupled(a, a, b, b, 12, True)
+    assert not any(coupled(a, a, b, b, d, False) for d in range(32))
+    assert coupled(a, a, b, b, 32, False)
 
 
 # (name, independent Fraction decision from tests/oracles.py, value core, factor)

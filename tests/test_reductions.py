@@ -1,5 +1,6 @@
 """CNF-to-curve reduction builders and their verification replay."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from lbfrechet import oracle, precise, reductions
-from lbfrechet.model import FiniteSet, Interval, Precise
+from lbfrechet.model import FiniteSet, Interval, Precise, UncertainCurve
 from lbfrechet.oracle import EnumerationSpec, enumerate_realisations, enumeration_size
 from lbfrechet.precise import discrete_frechet, frechet_value
 from lbfrechet.reductions import (
@@ -339,9 +340,26 @@ def test_ub_verify_upper_side_skips_pairs_the_walk_settles(monkeypatch):
     rep = verify_reduction(inst, spec)
     upper = [c for c in calls if c[0] >= 0 and c[1] is None]
     assert asked == 24 and 2 * len(upper) < asked, len(upper)
-    monkeypatch.setattr(oracle, "_coupled", lambda *_: False)
-    monkeypatch.setattr(reductions, "_coupled", lambda *_: False)
+    monkeypatch.setattr(oracle, "coupled", lambda *_: False)
+    monkeypatch.setattr(reductions, "coupled", lambda *_: False)
     assert verify_reduction(inst, spec) == rep
+
+
+def test_ub_verify_reports_an_interior_sample_above_the_ceiling():
+    """Widening the one interval vertex [-3/2, 0] of the imprecise
+    single-variable instance to [-3/2, 40] lifts every interior sample
+    above 1.5: range_ok fails, and each sample gets a note with both
+    distances, the first at t = 1/6."""
+    inst = build_ub_sat(CnfFormula(1, ((1,),)), "imprecise")
+    points = tuple(
+        dataclasses.replace(p, hi=F(40)) if isinstance(p, Interval) else p for p in inst.u.points
+    )
+    assert sum(isinstance(p, Interval) for p in points) == 1
+    rep = verify_reduction(dataclasses.replace(inst, u=dataclasses.replace(inst.u, points=points)))
+    assert not rep.range_ok and not rep.ok
+    samples = [note for note in rep.notes if note.startswith("interior sample")]
+    assert len(samples) == 5
+    assert samples[0] == "interior sample t=1/6 exceeds 1.5: frechet 23/12, discrete 23/12"
 
 
 # --- weak-discrete construction -----------------------------------------------
@@ -403,6 +421,37 @@ def test_weak_imprecise_verify():
     assert rep.sat and rep.ok
     assert rep.distances == {"discrete_weak_lower": F(1)}
     assert rep.adjacency_used == 8
+
+
+def _weak_instance(formula, u, v):
+    """A hand-built weak-discrete instance of precise curves u and v."""
+    return ReductionInstance(
+        UncertainCurve(tuple(Precise(F(x)) for x in u)), UncertainCurve(tuple(Precise(F(y)) for y in v)),
+        delta=F(1), gap_value=F(2), kind="weak-discrete", model="indecisive",
+        expected_lengths=(len(u), len(v)), formula=formula, effective_formula=formula,
+    )
+
+
+def test_weak_verify_falls_back_to_adjacency_4():
+    """On the unsatisfiable (x1)(-x1) with u = <0, 3> and v = <1, 2>, the
+    diagonal pairs give a lower bound of 1 at adjacency 8, which claims
+    satisfiability; at adjacency 4 every path passes a pair 2 apart, so
+    the equivalence holds there only, and the report says so."""
+    rep = verify_reduction(_weak_instance(CnfFormula(1, ((1,), (-1,))), (0, 3), (1, 2)))
+    assert not rep.sat and rep.equivalence_ok and rep.range_ok
+    assert rep.distances == {"discrete_weak_lower": F(1), "discrete_weak_lower_adj4": F(2)}
+    assert rep.adjacency_used == 4
+    assert rep.notes == ("equivalence holds under 4-adjacency but not 8-adjacency",)
+
+
+def test_weak_verify_fails_under_both_adjacencies():
+    """On the satisfiable (x1) with u = <0> and v = <2>, both adjacencies
+    give 2, not 1: the report keeps adjacency 8 and says both fail."""
+    rep = verify_reduction(_weak_instance(CnfFormula(1, ((1,),)), (0,), (2,)))
+    assert rep.sat and not rep.equivalence_ok and not rep.ok
+    assert rep.distances == {"discrete_weak_lower": F(2), "discrete_weak_lower_adj4": F(2)}
+    assert rep.adjacency_used == 8
+    assert rep.notes == ("equivalence fails under both adjacencies",)
 
 
 def test_non_3sat_rejected_by_weak_builders():
