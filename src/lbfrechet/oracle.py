@@ -7,12 +7,14 @@ finite sets and precise vertices enumerate exactly.  Enumeration order is
 lexicographic over the per-vertex candidate lists, so results and early
 exits are deterministic.
 
-bound_oracle scales every candidate of both curves, and stop_at, to ints
-in one model.scale_to_ints call, by the variant's factor in precise.CORES
-(2 for "frechet", whose critical values include half distances), scans
-with the integer cores that table names and converts the bound back to a
-Fraction once.  A pair of precise curves has one realisation pair, so its
-bound is the precise distance; lbf precise computes it that way.
+The grids are built on ints: one model.scale_to_ints call scales every
+vertex's endpoints, the include positions and stop_at by the variant's
+factor in precise.CORES (2 for "frechet", whose critical values include
+half distances) times resolution - 1, so each grid step is an int.
+bound_oracle scans those lists with the integer cores that table names
+and converts the bound back to a Fraction once; vertex_candidates is
+their Fraction view.  A pair of precise curves has one realisation pair,
+so its bound is the precise distance; lbf precise computes it that way.
 
 On that int grid every value is an int, so "strictly better than best"
 is "<= best - 1" on the lower side and "> best" on the upper side.  After
@@ -40,7 +42,7 @@ from functools import partial
 from math import prod
 from typing import Iterator
 
-from .model import FiniteSet, Interval, Precise, UncertainCurve, UncertainPoint, coupled, scale_to_ints
+from .model import FiniteSet, Interval, UncertainCurve, UncertainPoint, coupled, scale_to_ints
 from .precise import CORES, _check_adjacency
 
 # The public metric of each variant.  The scan calls the integer cores
@@ -77,23 +79,27 @@ class EnumerationSpec:
 
 def vertex_candidates(curve: UncertainCurve, spec: EnumerationSpec) -> list[list[Fraction]]:
     """Per-vertex sorted candidate positions."""
-    out: list[list[Fraction]] = []
-    for p in curve.points:
-        if isinstance(p, Precise):
-            out.append([p.x])
-        elif isinstance(p, FiniteSet):
-            out.append(list(p.xs))
-        elif isinstance(p, Interval):
-            lo, hi = p.lo, p.hi
-            if lo == hi:
-                out.append([lo])
-                continue
-            r = spec.resolution
-            grid = [lo + Fraction(k * (hi - lo), r - 1) for k in range(r)]
-            out.append(sorted(grid + list(_off_grid(p, spec))))
-        else:
-            raise TypeError(f"unknown vertex kind {type(p).__name__}")
-    return out
+    s, cands, _ = _scaled_candidates(curve.points, spec, (), 1)
+    return [[Fraction(x, s) for x in xs] for xs in cands]
+
+
+def _scaled_candidates(points, spec: EnumerationSpec, extra, factor: int) -> tuple:
+    """(s, each vertex's sorted candidates, extra), all as ints times s,
+    from one model.scale_to_ints call over the vertices' endpoints, the
+    include positions and extra, by factor * (resolution - 1): each step
+    (hi - lo) / (r - 1) is then an int, the grid is lo + k * step, and an
+    include position in [lo, hi] is off it when (x - lo) % step != 0."""
+    r = spec.resolution
+    s, (*ends, inc, extra) = scale_to_ints(
+        *(p.endpoints() for p in points), spec.include_positions, extra, factor=factor * (r - 1)
+    )
+    for k, (p, xs) in enumerate(zip(points, ends)):
+        if isinstance(p, Interval) and len(xs) == 2:
+            lo, hi = xs
+            step = (hi - lo) // (r - 1)
+            off = {x for x in inc if lo <= x <= hi and (x - lo) % step}
+            ends[k] = sorted([*range(lo, hi + 1, step), *off])
+    return s, ends, extra
 
 
 def _off_grid(p: Interval, spec: EnumerationSpec) -> set[Fraction]:
@@ -190,15 +196,14 @@ def bound_oracle(
         _check_adjacency(adjacency)
         dist = partial(dist, adjacency=adjacency)
     check_pairs(u, v, spec)
-    cu, cv = vertex_candidates(u, spec), vertex_candidates(v, spec)
     stops = () if stop_at is None else (Fraction(stop_at),)
-    s, scaled = scale_to_ints(*cu, *cv, stops, factor=factor)
-    iu, iv = scaled[: len(cu)], scaled[len(cu) : -1]
-    stop = scaled[-1][0] if stops else None
+    s, cands, stops = _scaled_candidates((*u.points, *v.points), spec, stops, factor)
+    stop = stops[0] if stops else None
     # a diagonal step is a path step of the discrete weak grid only at
     # adjacency 8
     diagonal = variant != "discrete-weak" or adjacency == 8
-    return Fraction(_scan(iu, iv, dist, side == "lower", stop, diagonal), s)
+    lower = side == "lower"
+    return Fraction(_scan(cands[: len(u)], cands[len(u) :], dist, lower, stop, diagonal), s)
 
 
 def _scan(cu, cv, dist, lower: bool, stop: int | None, diagonal: bool) -> int:

@@ -17,7 +17,8 @@ inside and otherwise some int on the same side, so it may stop early
 whole row exceeds hi; the continuous core decides at lo and at hi, then
 narrows (model.narrow) with probes model.rank_pivot picks by rank among
 vertex distances and halves; the discrete weak core is one bottleneck
-search.  The continuous decision _decide also serves frechet_decide.
+search.  The continuous decision _decide also serves frechet_decide; it
+returns False as soon as a column leaves no right-boundary interval.
 CORES names each variant's value core and scale factor; it is the one
 place a variant name meets its core.
 """
@@ -111,6 +112,11 @@ def _decide(a: list[int], b: list[int], d: int) -> bool:
             if cur_l is None and br[0] > lo:
                 lo = br[0]
             br = (lo, hi) if lo <= hi else None
+        # no right-boundary interval: no path crosses this column, as the
+        # next bottom one is live only if its start (a[i + 1], b[0]) is
+        # reachable, and that point lies on new_lr[0]
+        if not any(new_lr):
+            return False
         top_last = br
         lr = new_lr
     right_last = lr[n - 2]

@@ -331,6 +331,28 @@ def grid_point_choices(point, positions):
     return vals
 
 
+def vertex_candidates_reference(curve, spec):
+    """Per-vertex sorted candidates of the brute-force oracle, in Fractions:
+    an interval's r grid points lo + k (hi - lo) / (r - 1), plus the include
+    positions inside it that are not among them."""
+    from lbfrechet.model import FiniteSet, Interval, Precise
+
+    out = []
+    for p in curve.points:
+        if isinstance(p, Precise):
+            out.append([p.x])
+        elif isinstance(p, FiniteSet):
+            out.append(list(p.xs))
+        elif p.lo == p.hi:
+            out.append([p.lo])
+        else:
+            r = spec.resolution
+            grid = [p.lo + Fraction(k * (p.hi - p.lo), r - 1) for k in range(r)]
+            extra = {x for x in spec.include_positions if p.lo <= x <= p.hi and x not in grid}
+            out.append(sorted(grid + list(extra)))
+    return out
+
+
 def min_weak_over_choices(choices_u, choices_v):
     """Minimum continuous weak Frechet value when each vertex is restricted
     to an explicit list of candidate positions."""

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from lbfrechet import oracle, precise
-from lbfrechet.model import Precise, UncertainCurve, make_interval, make_set
+from lbfrechet.model import Interval, Precise, UncertainCurve, make_interval, make_set
 from lbfrechet.oracle import (
     VARIANTS,
     CapExceeded,
@@ -25,6 +25,7 @@ from oracles import (
     discrete_frechet_recursive,
     discrete_weak_bfs,
     frechet_value_reference,
+    vertex_candidates_reference,
     weak_frechet_cells_value,
 )
 
@@ -85,17 +86,20 @@ def test_enumeration_size_and_order():
 
 def test_enumeration_size_counts_without_listing():
     """The counted size equals the listed candidates' product, with include
-    positions on the grid, off it, outside every interval and repeated."""
+    positions on the grid, off it, outside every interval and repeated, and
+    the int grids read back as Fractions equal the Fraction reference."""
     rng = random.Random(11)
     for _ in range(300):
         pts = []
         for _ in range(rng.randint(1, 4)):
             lo = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-            kind = rng.randrange(4)
+            kind = rng.randrange(5)
             if kind == 0:
                 pts.append(Precise(lo))
             elif kind == 1:
                 pts.append(make_set([lo, lo + rng.randint(1, 3), lo + F(1, 2)]))
+            elif kind == 2:
+                pts.append(Interval(lo, lo))
             else:
                 pts.append(make_interval(lo, lo + (F(rng.randint(0, 6), rng.choice((1, 2, 5))))))
         c = curve(*pts)
@@ -106,6 +110,7 @@ def test_enumeration_size_counts_without_listing():
         inc += rng.sample(inc, min(len(inc), 2))
         spec = EnumerationSpec(resolution=r, include_positions=tuple(inc))
         cands = vertex_candidates(c, spec)
+        assert cands == vertex_candidates_reference(c, spec), (c, spec)
         assert enumeration_size(c, spec) == math.prod(map(len, cands)), (c, spec)
         for p, cs in zip(pts, cands):
             assert enumeration_size(curve(p), spec) == len(cs), (p, spec)

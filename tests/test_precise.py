@@ -157,6 +157,19 @@ def test_frechet_decide_matches_reference():
         assert frechet_decide(a, b, d) == frechet_decide_reference(a, b, d)
 
 
+def test_decide_stops_only_at_a_dead_column():
+    """The continuous decision, which returns False once a column leaves no
+    right-boundary interval, against the reference on small int pairs at
+    the value, just below it (int curves have half-integer critical values)
+    and at a random delta."""
+    rng = random.Random(79)
+    for _ in range(2000):
+        a, b = ([rng.randint(-6, 6) for _ in range(rng.randint(2, 7))] for _ in range(2))
+        v = frechet_value(a, b)
+        for d in {v, v - F(1, 2), F(rng.randint(0, 16), 2)} - {F(-1, 2)}:
+            assert frechet_decide(a, b, d) == frechet_decide_reference(a, b, d), (a, b, d)
+
+
 # Denominators are primes near 2**16, so the common denominator has 80
 # bits (prime-family inputs reach that size).  The distance is half the
 # drop from a's second vertex to its third.
