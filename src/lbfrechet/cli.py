@@ -111,8 +111,8 @@ def _emit(
     args: argparse.Namespace,
     inputs: Sequence[str],
     result: str,
-    extra_fields: Optional[dict] = None,
-    extra_lines: Optional[Sequence[str]] = None,
+    extra_fields: dict,
+    extra_lines: Sequence[str],
 ) -> None:
     if args.output == "json-lines":
         record = {
@@ -120,12 +120,11 @@ def _emit(
             "inputs": {path: _sha256(path) for path in inputs},
             "result": result,
         }
-        if extra_fields:
-            record.update(extra_fields)
+        record.update(extra_fields)
         print(json.dumps(record, sort_keys=True))
     else:
         print(result)
-        for line in extra_lines or ():
+        for line in extra_lines:
             print(line)
 
 
@@ -170,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_decide.add_argument("curve_a")
     p_decide.add_argument("curve_b")
+    p_decide.set_defaults(run=_cmd_decide)
 
     p_value = sub.add_parser(
         "value",
@@ -182,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--strict", action="store_true")
     p_value.add_argument("curve_a")
     p_value.add_argument("curve_b")
+    p_value.set_defaults(run=_cmd_value)
 
     p_precise = sub.add_parser(
         "precise", help="distances between two precise curves"
@@ -192,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_precise.add_argument("--adjacency", type=int, choices=(4, 8), default=8)
     p_precise.add_argument("curve_a")
     p_precise.add_argument("curve_b")
+    p_precise.set_defaults(run=_cmd_precise)
 
     p_weak = sub.add_parser(
         "weak-lb", help="minimum weak Frechet distance over realisations"
@@ -209,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_weak.add_argument("curve_a")
     p_weak.add_argument("curve_b")
+    p_weak.set_defaults(run=_cmd_weak_lb)
 
     p_oracle = sub.add_parser(
         "oracle", help="brute-force bound over enumerated realisations"
@@ -229,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--stop-at", type=_scalar_arg)
     p_oracle.add_argument("curve_a")
     p_oracle.add_argument("curve_b")
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_reduce = sub.add_parser(
         "reduce", help="generate hardness instances from a CNF formula"
@@ -243,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_cnf.add_argument("cnf")
         p_cnf.add_argument("--model", choices=MODELS, default="indecisive")
         p_cnf.add_argument("-o", "--out", nargs=2, required=True, metavar=("U_JSON", "V_JSON"))
+        p_cnf.set_defaults(run=_cmd_reduce)
 
     p_lift = sub_reduce.add_parser(
         "lift2d", help="re-emit a curve pair in 2D with sentinel vertices"
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("curve_b")
     p_lift.add_argument("-M", "--sentinel", type=_positive_scalar_arg, required=True)
     p_lift.add_argument("-o", "--out", nargs=2, required=True, metavar=("A_JSON", "B_JSON"))
+    p_lift.set_defaults(run=_cmd_lift2d)
 
     p_verify = sub.add_parser(
         "verify", help="build and brute-force check a reduction instance"
@@ -260,13 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--model", choices=MODELS, default="indecisive")
     p_verify.add_argument("--resolution", type=_int_at_least(2), default=2)
     p_verify.add_argument("--cap", type=_positive_int_arg)
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
-    u = load_curve(args.curve_a)
-    v = load_curve(args.curve_b)
+def _cmd_decide(args: argparse.Namespace, u, v) -> tuple:
     need_trace = bool(args.dump_regions or args.witness)
     decision = decide_lb(u, v, args.delta, strict=args.strict, trace=need_trace)
     if args.dump_regions:
@@ -281,27 +286,14 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             # a finite-set vertex between its positions
             if not is_realisation(w, curve):
                 warnings.warn("witness realises the hulled curves only, not the finite sets")
-    _emit(
-        args,
-        (args.curve_a, args.curve_b),
-        "true" if decision.feasible else "false",
-        extra_fields,
-        extra_lines,
-    )
-    return 0
+    return "true" if decision.feasible else "false", extra_fields, extra_lines
 
 
-def _cmd_value(args: argparse.Namespace) -> int:
-    u = load_curve(args.curve_a)
-    v = load_curve(args.curve_b)
-    value = compute_lb(u, v, args.tol, strict=args.strict)
-    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
-    return 0
+def _cmd_value(args: argparse.Namespace, u, v) -> tuple:
+    return format_scalar(compute_lb(u, v, args.tol, strict=args.strict)), {}, ()
 
 
-def _cmd_precise(args: argparse.Namespace) -> int:
-    u = load_curve(args.curve_a)
-    v = load_curve(args.curve_b)
+def _cmd_precise(args: argparse.Namespace, u, v) -> tuple:
     for path, curve in ((args.curve_a, u), (args.curve_b, v)):
         if not curve.is_precise:
             raise CurveFormatError(
@@ -309,47 +301,31 @@ def _cmd_precise(args: argparse.Namespace) -> int:
             )
     # the one realisation pair's bound is the distance between the curves
     value = bound_oracle(u, v, args.variant, "lower", adjacency=args.adjacency)
-    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
-    return 0
+    return format_scalar(value), {}, ()
 
 
-def _cmd_weak_lb(args: argparse.Namespace) -> int:
-    u = load_curve(args.curve_a)
-    v = load_curve(args.curve_b)
+def _cmd_weak_lb(args: argparse.Namespace, u, v) -> tuple:
     cap = _cap(args, DEFAULT_STATE_CAP)
     if args.mode == "decide":
         if args.delta is None:
             raise CliUsageError("weak-lb decide requires --delta")
         answer = wfr_min_decide(u, v, args.delta, cap=cap)
-        result = "true" if answer else "false"
-    else:
-        if args.delta is not None:
-            raise CliUsageError("weak-lb value takes no --delta")
-        value = wfr_min_value(u, v, cap=cap)
-        result = format_scalar(value)
-    _emit(args, (args.curve_a, args.curve_b), result)
-    return 0
+        return "true" if answer else "false", {}, ()
+    if args.delta is not None:
+        raise CliUsageError("weak-lb value takes no --delta")
+    return format_scalar(wfr_min_value(u, v, cap=cap)), {}, ()
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    u = load_curve(args.curve_a)
-    v = load_curve(args.curve_b)
+def _cmd_oracle(args: argparse.Namespace, u, v) -> tuple:
     spec = EnumerationSpec(
         resolution=args.resolution,
         include_positions=tuple(args.include_position),
         cap=_cap(args, DEFAULT_ENUMERATION_CAP),
     )
     value = bound_oracle(
-        u,
-        v,
-        args.variant,
-        args.side,
-        spec,
-        adjacency=args.adjacency,
-        stop_at=args.stop_at,
+        u, v, args.variant, args.side, spec, adjacency=args.adjacency, stop_at=args.stop_at
     )
-    _emit(args, (args.curve_a, args.curve_b), format_scalar(value))
-    return 0
+    return format_scalar(value), {}, ()
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -374,17 +350,13 @@ def _build_instance(formula: CnfFormula, kind: str, model: str) -> ReductionInst
     return build_weak_discrete_imprecise(formula)
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    if args.what == "lift2d":
-        u = load_curve(args.curve_a)
-        v = load_curve(args.curve_b)
-        for path, doc in zip(args.out, lift_to_2d(u, v, args.sentinel)):
-            _write_json(path, doc)
-        result = f"wrote {args.out[0]} and {args.out[1]}"
-        _emit(args, (args.curve_a, args.curve_b), result)
-        return 0
+def _cmd_lift2d(args: argparse.Namespace, u, v) -> tuple:
+    for path, doc in zip(args.out, lift_to_2d(u, v, args.sentinel)):
+        _write_json(path, doc)
+    return f"wrote {args.out[0]} and {args.out[1]}", {}, ()
 
-    formula = _read_formula(args.cnf)
+
+def _cmd_reduce(args: argparse.Namespace, formula: CnfFormula) -> tuple:
     inst = _build_instance(formula, args.what, args.model)
     _write_json(args.out[0], curve_to_json(inst.u))
     _write_json(args.out[1], curve_to_json(inst.v))
@@ -401,12 +373,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     extra_lines = [
         f"delta {format_scalar(inst.delta)}, gap {format_scalar(inst.gap_value)}"
     ] + [f"note: {note}" for note in inst.notes]
-    _emit(args, (args.cnf,), result, extra_fields, extra_lines)
-    return 0
+    return result, extra_fields, extra_lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    formula = _read_formula(args.cnf)
+def _cmd_verify(args: argparse.Namespace, formula: CnfFormula) -> tuple:
     # before building: the instances grow with the variable count
     check_brute_force_size(formula)
     inst = _build_instance(formula, "ub-sat" if args.kind == "ub" else "weak-discrete", args.model)
@@ -421,23 +391,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "distances": {k: format_scalar(d) for k, d in report.distances.items()},
         "notes": list(report.notes),
     }
-    _emit(args, (args.cnf,), f"ok={str(report.ok).lower()}", extra_fields, report.summary_lines())
-    return 0
+    return f"ok={str(report.ok).lower()}", extra_fields, report.summary_lines()
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Load the command's inputs (the two curves, or the CNF formula), run
+    the handler its subparser names, and write its one record over the
+    input files.  A handler takes (args, *inputs) and returns (result line,
+    extra json-lines fields, extra human lines)."""
+    if "cnf" in args:
+        paths = (args.cnf,)
+        inputs = (_read_formula(args.cnf),)
+    else:
+        paths = (args.curve_a, args.curve_b)
+        inputs = (load_curve(args.curve_a), load_curve(args.curve_b))
+    _emit(args, paths, *args.run(args, *inputs))
 
 
 class CliUsageError(Exception):
     """Usage problem detectable only after argparse (exit code 2)."""
-
-
-_DISPATCH = {
-    "decide": _cmd_decide,
-    "value": _cmd_value,
-    "precise": _cmd_precise,
-    "weak-lb": _cmd_weak_lb,
-    "oracle": _cmd_oracle,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-}
 
 
 # One parser per process: parsing keeps no state in it, and LBF_CAP is
@@ -459,7 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = show
         try:
-            return _DISPATCH[args.command](args)
+            _run(args)
+            return 0
         except CliUsageError as exc:
             print(f"lbf: {exc}", file=sys.stderr)
             return 2

@@ -186,8 +186,9 @@ def _weak_dp(
     vertex values and the running images.  A step advances one curve, and
     is allowed when that curve's leaving vertex lies within d of the other
     curve's running image.  The tables live in two rolling rows of per-cell
-    sets, and every table's states are drawn from budget.  pins,
-    ((x-min values, x-max values), (y-min values, y-max values)), keeps the
+    dicts (None values: insertion order reads faster than a set's hash
+    order), and every table's states are drawn from budget.  pins, ((x-min
+    values, x-max values), (y-min values, y-max values)), keeps the
     vertices at the extremum indices to those values.
     """
     m, n = len(pos_u), len(pos_v)
@@ -201,7 +202,7 @@ def _weak_dp(
 
     # _extend_hull(1, x, x, x, ...) is (x, x) whatever the extremum
     # indices: with lo = hi = x none of its tests can fail
-    start = {(x, y, x, x, y, y) for x in u_choices[0] for y in v_choices[0] if abs(x - y) <= d}
+    start = {(x, y, x, x, y, y): None for x in u_choices[0] for y in v_choices[0] if abs(x - y) <= d}
     budget.spend(len(start))
 
     for i in range(1, m + 1):
@@ -210,7 +211,7 @@ def _weak_dp(
             # one cell's table can outgrow the budget: stop filling it
             # there, and spend() below raises
             left = budget.left
-            cur: set = set()
+            cur: dict = {}
             if i > 1:
                 for x, y, xlo, xhi, ylo, yhi in prev[j - 1]:
                     if len(cur) > left:
@@ -220,7 +221,7 @@ def _weak_dp(
                     for x2 in u_choices[i - 1]:
                         h = _extend_hull(i, x2, xlo, xhi, i_min, i_max)
                         if h is not None:
-                            cur.add((x2, y, h[0], h[1], ylo, yhi))
+                            cur[x2, y, h[0], h[1], ylo, yhi] = None
             if j > 1:
                 for x, y, xlo, xhi, ylo, yhi in row[j - 2]:
                     if len(cur) > left:
@@ -230,7 +231,7 @@ def _weak_dp(
                     for y2 in v_choices[j - 1]:
                         h = _extend_hull(j, y2, ylo, yhi, j_min, j_max)
                         if h is not None:
-                            cur.add((x, y2, xlo, xhi, h[0], h[1]))
+                            cur[x, y2, xlo, xhi, h[0], h[1]] = None
             row.append(cur)
             budget.spend(len(cur))
         prev = row

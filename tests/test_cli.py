@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import functools
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -184,6 +185,83 @@ def test_decide_json_lines(write_curve, capsys):
     for digest in record["inputs"].values():
         assert len(digest) == 64
     assert "witness_u" in record and "witness_v" in record
+
+
+_NOTE = "note: single clause duplicated to keep curve endpoints alignable"
+
+# (argv with {name} for the files, the named input files, result line,
+# extra human lines); a and b are interval curves, pa and pb precise ones.
+COMMAND_SHAPES = {
+    "decide": (["decide", "--delta", "1", "{a}", "{b}"], ["a", "b"], "true", []),
+    "decide-witness": (
+        ["decide", "--delta", "1", "--witness", "{a}", "{b}"], ["a", "b"], "true",
+        ["witness u: 0.5", "witness v: -0.5 1.5"],
+    ),
+    "value": (["value", "--tol", "1/128", "{pa}", "{pb}"], ["pa", "pb"], "1.0009765625", []),
+    "precise": (["precise", "--variant", "frechet", "{pa}", "{pb}"], ["pa", "pb"], "1", []),
+    "weak-lb-decide": (["weak-lb", "decide", "--delta", "1", "{a}", "{b}"], ["a", "b"], "true", []),
+    "weak-lb-value": (["weak-lb", "value", "{a}", "{b}"], ["a", "b"], "0.85", []),
+    "oracle": (["oracle", "--variant", "discrete", "--side", "upper", "{a}", "{b}"], ["a", "b"], "2.5", []),
+    "reduce-ub-sat": (
+        ["reduce", "ub-sat", "{cnf}", "-o", "{o1}", "{o2}"], ["cnf"],
+        "wrote {o1} (11 vertices) and {o2} (10 vertices)", ["delta 1, gap 1.5", _NOTE],
+    ),
+    "reduce-weak-discrete": (
+        ["reduce", "weak-discrete", "{cnf}", "-o", "{o1}", "{o2}"], ["cnf"],
+        "wrote {o1} (3 vertices) and {o2} (5 vertices)", ["delta 1, gap 3"],
+    ),
+    "reduce-lift2d": (
+        ["reduce", "lift2d", "{a}", "{b}", "-M", "100", "-o", "{o1}", "{o2}"], ["a", "b"],
+        "wrote {o1} and {o2}", [],
+    ),
+    "verify-ub": (["verify", "{cnf}", "--kind", "ub"], ["cnf"], "ok=true", [
+        "kind=ub-sat model=indecisive sat=true",
+        "lengths_ok=True equivalence_ok=True threshold_ok=True range_ok=True gadget_ok=True hull_ok=None",
+        "realisations=2 adjacency=None",
+        "distance discrete_upper = 1.5",
+        "distance frechet_upper = 1.5",
+        _NOTE,
+    ]),
+    "verify-weak": (["verify", "{cnf}", "--kind", "weak"], ["cnf"], "ok=true", [
+        "kind=weak-discrete model=indecisive sat=true",
+        "lengths_ok=True equivalence_ok=True threshold_ok=True range_ok=True gadget_ok=None hull_ok=None",
+        "realisations=2 adjacency=8",
+        "distance discrete_weak_lower = 1",
+    ]),
+}
+
+
+@pytest.mark.parametrize("shape", COMMAND_SHAPES)
+def test_every_command_writes_one_record_over_its_input_files(write_curve, tmp_path, capsys, shape):
+    """Each command shape prints its result line and then its extra lines,
+    or in json-lines mode one record whose inputs map exactly the named
+    files (the curve pair, or the CNF file) to their sha256."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    paths = {
+        "a": write_curve([interval(0, 1)]),
+        "b": write_curve([interval(F(-3, 2), F(-1, 5)), interval(F(3, 2), 2)]),
+        "pa": write_curve([Precise(F(0)), Precise(F(4))]),
+        "pb": write_curve([Precise(F(1)), Precise(F(5))]),
+        "cnf": str(cnf),
+        "o1": str(tmp_path / "o1.json"),
+        "o2": str(tmp_path / "o2.json"),
+    }
+    argv, named, result, lines = COMMAND_SHAPES[shape]
+    argv = [arg.format(**paths) for arg in argv]
+    result = result.format(**paths)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [result] + lines
+    code, out, err = run(capsys, ["--output", "json-lines"] + argv)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["command"], record["result"]) == (argv[0], result)
+    want = {}
+    for name in named:
+        with open(paths[name], "rb") as fh:
+            want[paths[name]] = hashlib.sha256(fh.read()).hexdigest()
+    assert record["inputs"] == want
 
 
 def test_decide_rejects_nonpositive_delta(write_curve, capsys):

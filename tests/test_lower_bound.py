@@ -366,6 +366,57 @@ def test_sweep_reads_the_kernels_from_lower_bound():
     assert calls["_mm_q_ru"] > 0 and calls["_mm_h_u"] > 0, calls
 
 
+def test_the_sweep_cleanup_never_sees_three_pieces(monkeypatch):
+    """The sweep's cleanup never receives three pieces, checked on seeded
+    decisions: no input of _reduce (which the base walks call and the sweep
+    reads when it starts) has three or more, and _three never runs.  The
+    corpus is 1000 small random pairs of interval and precise vertices with
+    denominators 1-7, and the planted prime-denominator pairs of
+    test_skipped_terms_leave_the_cleanup_unchanged, each decided traced and
+    untraced.  Some inputs have exactly two pieces, so the corpus reaches
+    the cleanup's two-piece case."""
+    rng = random.Random(16)
+
+    def scalar(lo, hi):
+        den = rng.randint(1, 7)
+        return F(rng.randint(lo * den, hi * den), den)
+
+    def curve():
+        pts = []
+        for _ in range(rng.randint(1, 8)):
+            a, b = sorted((scalar(-6, 6), scalar(-6, 6)))
+            pts.append(Precise(a) if a == b or rng.random() < 0.3 else make_interval(a, b))
+        return UncertainCurve(pts)
+
+    small = [(curve(), curve(), scalar(1, 4)) for _ in range(1000)]
+    prime_rng = random.Random(7)
+    planted = [_planted_pair(prime_rng, prime_rng.randint(20, 30)) for _ in range(12)]
+    sizes = Counter()
+    three_calls = 0
+    reduce_, three = lower_bound._reduce, lower_bound._three
+
+    def counted_reduce(ps):
+        sizes[len(ps)] += 1
+        return reduce_(ps)
+
+    def counted_three(a, b, c):
+        nonlocal three_calls
+        three_calls += 1
+        return three(a, b, c)
+
+    monkeypatch.setattr(lower_bound, "_reduce", counted_reduce)
+    monkeypatch.setattr(lower_bound, "_three", counted_three)
+    decisions = 0
+    for u, v, delta in small + planted:
+        for trace in (False, True):
+            decide_lb(u, v, delta, trace=trace)
+            decisions += 1
+    assert decisions >= 2000
+    assert max(sizes) <= 2, sizes
+    assert three_calls == 0
+    assert sizes[2] > 0, sizes
+
+
 def test_traced_decide_and_witness_memory():
     """A traced decide plus extract_witness on a planted 150x150 pair with
     denominators 1, 2 and 4 peaks at 6.4 MB under tracemalloc with the

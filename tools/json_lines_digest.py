@@ -5,23 +5,22 @@
 Run from the root of a source checkout.  For each workload of
 `perfbench/gen.py` and each seed, this writes the workload's input files
 into a temporary directory and runs every operation through
-`lbfrechet.cli.main(["--output", "json-lines", ...])` in-process, in the
-order one benchmark pass runs them.  Each `decide --witness` operation also
-writes its traced regions with `--dump-regions` into a directory of its own.
-The directory's path is replaced by a placeholder in the output.  It prints
-one sha256 per workload and seed over each operation's (exit code, stdout,
-stderr) and, after a witness operation, its dump files' sorted names and
-contents; then one total over those lines.  Two checkouts that print the
-same digests gave byte-identical results and region dumps on every
-operation.
+`lbfrechet.cli.main(["--output", "json-lines", ...])` in-process with
+`perfbench/run.py`'s `run_op`, in the order one benchmark pass runs them.
+Each `decide --witness` operation also writes its traced regions with
+`--dump-regions` into a directory of its own.  The directory's path is
+replaced by a placeholder in the output.  It prints one sha256 per workload
+and seed over each operation's (exit code, stdout, stderr) and, after a
+witness operation, its dump files' sorted names and contents; then one
+total over those lines.  Two checkouts that print the same digests gave
+byte-identical results and region dumps on every operation.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import hashlib
-import io
 import os
 import sys
 import tempfile
@@ -30,20 +29,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
+import run  # noqa: E402
 from lbfrechet import cli  # noqa: E402
 
 PLACEHOLDER = "<dir>"
-
-
-def run(argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one in-process `lbf` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(["--output", "json-lines"] + argv)
-        except SystemExit as exc:
-            rc = exc.code
-    return rc, out.getvalue(), err.getvalue()
 
 
 def digest(workload: str, seed: int) -> tuple:
@@ -53,7 +42,9 @@ def digest(workload: str, seed: int) -> tuple:
         ops = gen.build(workload, seed, tmp)
         for k, op in enumerate(ops):
             dump = os.path.join(tmp, f"dump{k:04d}") if op.kind == "witness" else None
-            rc, out, err = run(op.argv + ["--dump-regions", dump] if dump else op.argv)
+            if dump:
+                op = dataclasses.replace(op, argv=op.argv + ["--dump-regions", dump])
+            _, rc, out, err = run.run_op(cli.main, op)
             records = [f"{rc}\0{out}\0{err}\0"]
             for name in sorted(os.listdir(dump)) if dump else ():
                 with open(os.path.join(dump, name), encoding="utf-8") as fh:
